@@ -13,6 +13,13 @@ over raw output coefficients plus a penalty that pushes W ~W toward a
 pure scalar, under plain gradient descent with a parity projection of W
 after every step. The normalization <W ~W>_0 must stay away from zero;
 a null weight (the degenerate point mirror) raises SingularWeightError.
+
+The analytic gradient sums over samples before it touches the Cayley
+table: the per-sample partial products and residuals meet in two 32x32
+matrix products, C = U1^T R and D = U2^T R, and only those two matrices
+go through the XOR gather, so no per-sample 32x32 table is built.
+`train` stacks the samples into coefficient arrays once and hands the
+stacked pair to `gradient` every epoch.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ _INV = ALG.involute_signs
 _KAPPA = ALG.rev_norm_signs
 _EVEN_MASK = (ALG.grades % 2 == 0).astype(float)
 _ODD_MASK = 1.0 - _EVEN_MASK
+
+# Flat indices into a 32x32 matrix M: M.flat[_RIGHT_GATHER][i, j] is
+# M[j, i xor j] and M.flat[_LEFT_GATHER][i, j] is M[i, i xor j].
+_ROWS, _COLS = np.indices((ALG.dim, ALG.dim))
+_RIGHT_GATHER = _COLS * ALG.dim + _XOR
+_LEFT_GATHER = _ROWS * ALG.dim + _XOR
 
 
 @dataclass
@@ -113,6 +126,10 @@ def _batch_forward(neuron: GeometricNeuron, X: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(X, T) coefficient arrays, one row per sample, from a sequence of
+    Samples; an already-stacked (X, T) pair of arrays passes through."""
+    if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], np.ndarray):
+        return samples
     if not samples:
         raise ValueError("need at least one sample")
     X = np.stack([s.x.coeffs for s in samples])
@@ -126,7 +143,8 @@ def forward(neuron: GeometricNeuron, x: Multivector) -> Multivector:
 
 
 def loss(neuron: GeometricNeuron, samples) -> float:
-    """Mean over samples of the summed squared coefficient error."""
+    """Mean over samples of the summed squared coefficient error; takes
+    Samples or an already-stacked (X, T) pair, like `gradient`."""
     X, T = _stack(samples)
     Y, _ = _batch_forward(neuron, X)
     return float(np.mean(np.sum((Y - T) ** 2, axis=1)))
@@ -143,8 +161,7 @@ def penalty_value(w: np.ndarray) -> float:
 
 
 def _objective(neuron: GeometricNeuron, X: np.ndarray, T: np.ndarray, penalty: float) -> float:
-    Y, _ = _batch_forward(neuron, X)
-    val = float(np.mean(np.sum((Y - T) ** 2, axis=1)))
+    val = loss(neuron, (X, T))
     if penalty:
         val += penalty * penalty_value(neuron.w)
     return val
@@ -153,9 +170,17 @@ def _objective(neuron: GeometricNeuron, X: np.ndarray, T: np.ndarray, penalty: f
 def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
     """Gradient of data loss + penalty with respect to (W, Theta).
 
+    `samples` is a sequence of Samples or an already-stacked (X, T) pair
+    of (N, 32) input and target coefficient arrays.
+
     The analytic path differentiates the sandwich through the left/right
-    multiplication operators; 'fd' recomputes the same objective under
-    central differences and is the independent check."""
+    multiplication operators. With residuals R = Y - T and per-sample
+    partial products U1 = x' W and U2 = ~W x', the weight gradient needs
+    sum_n sum_j S[i,j] U1[n,j] R[n, i xor j] (and its mirror for U2).
+    Summing over samples first turns that into the 32x32 products
+    C = U1^T R and D = U2^T R followed by a fixed XOR gather of each.
+    'fd' recomputes the same objective under central differences and is
+    the independent check."""
     if method == "fd":
         return _fd_gradient(neuron, samples, penalty)
     if method != "analytic":
@@ -163,21 +188,22 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
 
     X, T = _stack(samples)
     n = X.shape[0]
-    Xeff = _effective_inputs(neuron, X)
+    q = _norm_scalar(neuron.w)
     sigma = _sigma(neuron)
-    Y, q = _batch_forward(neuron, X)
-    R = Y - T
+    wt = _REV * neuron.w
+    left_wt = ALG.left_matrix(wt)
+    Xeff = _effective_inputs(neuron, X)
+    U1 = Xeff @ ALG.right_matrix(neuron.w).T  # rows: x' W
+    U2 = Xeff @ left_wt.T  # rows: ~W x'
+    B = U1 @ left_wt.T  # rows: numerator ~W x' W
+    R = (sigma / q) * B + neuron.theta - T
 
     grad_theta = 2.0 * R.mean(axis=0)
 
-    wt = _REV * neuron.w
-    U1 = Xeff @ ALG.right_matrix(neuron.w).T  # rows: x' W
-    U2 = Xeff @ ALG.left_matrix(wt).T  # rows: ~W x'
-    G = R[:, _XOR]  # G[n, i, j] = r_n[i xor j]
-    t_right = np.einsum("nj,ij,nij->i", U1, _SIGN, G)
-    t_left = np.einsum("ni,ij,nij->j", U2, _SIGN, G)
-
-    B = (Y - neuron.theta) * (q / sigma)  # numerator ~W x' W per sample
+    C = U1.T @ R
+    D = U2.T @ R
+    t_right = np.sum(_SIGN * C.ravel()[_RIGHT_GATHER], axis=1)  # sum_j S[i,j] C[j, i^j]
+    t_left = np.sum(_SIGN * D.ravel()[_LEFT_GATHER], axis=0)  # sum_i S[i,j] D[i, i^j]
     r_dot_b = float(np.einsum("nk,nk->", R, B))
 
     grad_w = (2.0 * sigma / (n * q)) * (_REV * t_right + t_left)
@@ -202,11 +228,13 @@ def _fd_gradient(neuron, samples, penalty: float):
         for i in range(ALG.dim):
             h = 1e-6 * (1.0 + abs(vec[i]))
             keep = vec[i]
-            vec[i] = keep + h
-            hi = J()
-            vec[i] = keep - h
-            lo = J()
-            vec[i] = keep
+            try:
+                vec[i] = keep + h
+                hi = J()
+                vec[i] = keep - h
+                lo = J()
+            finally:
+                vec[i] = keep
             out[i] = (hi - lo) / (2.0 * h)
     return grad_w, grad_theta
 
@@ -215,28 +243,27 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
     """Plain gradient descent; returns the data-loss history (the first
     entry is the starting loss, then one entry per step).
 
+    The samples are stacked once; each epoch makes exactly one call to
+    the module-level `gradient` with the stacked (X, T) pair.
+
     W is projected back onto its parity after every step; Theta is free.
     Raises DivergenceError (carrying the history) if the loss blows up."""
-    X, T = _stack(samples)
+    stacked = _stack(samples)
     mask = parity_mask(neuron.parity)
 
-    def data_loss() -> float:
-        Y, _ = _batch_forward(neuron, X)
-        return float(np.mean(np.sum((Y - T) ** 2, axis=1)))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        data = data_loss()
+        data = loss(neuron, stacked)
         history = [data]
         for _ in range(cfg.epochs):
             if data <= cfg.tolerance:
                 break
-            grad_w, grad_theta = gradient(neuron, samples, penalty=cfg.penalty)
+            grad_w, grad_theta = gradient(neuron, stacked, penalty=cfg.penalty)
             neuron.w = (neuron.w - cfg.lr * grad_w) * mask
             neuron.theta = neuron.theta - cfg.lr * grad_theta
             peak = float(np.max(np.abs(neuron.w)))
             if not np.isfinite(peak) or peak > cfg.divergence_limit:
                 raise DivergenceError(f"weight norm diverged to {peak}", history=history)
-            data = data_loss()
+            data = loss(neuron, stacked)
             history.append(data)
             if not np.isfinite(data) or data > cfg.divergence_limit:
                 raise DivergenceError(f"loss diverged to {data}", history=history)

@@ -34,6 +34,33 @@ from confga.conformal import ALG, e1, e2, e3
 from conftest import assert_mv_close
 
 
+def gather_reference_gradient(net, samples, penalty):
+    """The weight/bias gradient by the per-sample XOR gather: every sample's
+    residual is spread over a 32x32 table before the sums over samples."""
+    X, T = nn._stack(samples)
+    n = X.shape[0]
+    sigma = nn._sigma(net)
+    q = nn._norm_scalar(net.w)
+    Xeff = nn._effective_inputs(net, X)
+    wt = ALG.reverse_signs * net.w
+    kernel = ALG.left_matrix(wt) @ ALG.right_matrix(net.w)
+    Y = (sigma / q) * (Xeff @ kernel.T) + net.theta
+    R = Y - T
+    U1 = Xeff @ ALG.right_matrix(net.w).T
+    U2 = Xeff @ ALG.left_matrix(wt).T
+    G = R[:, ALG.xor_table]  # G[n, i, j] = r_n[i xor j]
+    t_right = np.einsum("nj,ij,nij->i", U1, ALG.sign_table, G)
+    t_left = np.einsum("ni,ij,nij->j", U2, ALG.sign_table, G)
+    B = (Y - net.theta) * (q / sigma)
+    grad_w = (2.0 * sigma / (n * q)) * (ALG.reverse_signs * t_right + t_left)
+    grad_w -= (4.0 * sigma * float(np.sum(R * B)) / (n * q * q)) * (ALG.rev_norm_signs * net.w)
+    if penalty:
+        m = ALG.left_matrix(net.w) @ wt
+        m[0] = 0.0
+        grad_w += (4.0 * penalty) * (ALG.right_matrix(wt).T @ m)
+    return grad_w, 2.0 * R.mean(axis=0)
+
+
 def all_operators():
     line = make_line(embed_point([0, 1.0, 0]), embed_point([1.0, 1.0, 0]))
     return {
@@ -113,6 +140,40 @@ class TestGradient:
             assert np.max(np.abs(gw - fw)) <= 1e-5 * max(1.0, np.max(np.abs(fw)))
             assert np.max(np.abs(gt - ft)) <= 1e-5 * max(1.0, np.max(np.abs(ft)))
 
+    @pytest.mark.parametrize("penalty", [0.0, 0.1])
+    @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_matches_gather_reference(self, rng, parity, mode, penalty):
+        net = new_neuron(parity, seed=5, mode=mode)
+        net.w = net.w + rng.normal(0, 0.3, 32) * nn.parity_mask(parity)
+        net.theta = rng.normal(0, 0.2, 32)
+        v = motor(e1 ^ e2, 0.7, [0.4, -0.2, 0.3]) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
+        samples = generate_dataset(v, 200, seed=17, convention=mode)
+        for got, want in zip(gradient(net, samples, penalty=penalty),
+                             gather_reference_gradient(net, samples, penalty)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_stacked_pair_matches_samples(self, rng):
+        net = new_neuron("odd", seed=2)
+        net.theta = rng.normal(0, 0.2, 32)
+        samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.2), 20, seed=4)
+        stacked = nn._stack(samples)
+        for method in ("analytic", "fd"):
+            for a, b in zip(gradient(net, samples, method=method), gradient(net, stacked, method=method)):
+                assert np.array_equal(a, b)
+
+    def test_fd_restores_weights_when_objective_raises(self):
+        # <W ~W>_0 = 4e-6: stepping w[e1] down by h = 2e-6 makes it singular
+        w = np.zeros(32)
+        w[0b00001] = 1.0
+        w[0b10000] = np.sqrt(1.0 - 4e-6)
+        net = GeometricNeuron(w=w, theta=np.zeros(32), parity="odd")
+        keep = net.w.copy()
+        samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.0), 5, seed=1)
+        with pytest.raises(SingularWeightError):
+            gradient(net, samples, method="fd")
+        assert np.array_equal(net.w, keep)
+
     def test_zero_residual_leaves_penalty_only(self):
         v = translator([0.4, 0.0, 0.0])
         net = from_versor(v)
@@ -173,6 +234,22 @@ class TestTrain:
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
         assert np.array_equal(runs[0][2], runs[1][2])
+
+    def test_one_gradient_call_per_epoch(self, monkeypatch):
+        # the benchmark's epoch clock wraps nn.gradient to stamp each epoch
+        calls = []
+        inner = nn.gradient
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "gradient", counting)
+        for cfg in (TrainConfig(epochs=40), TrainConfig(tolerance=1e-6)):
+            calls.clear()
+            net = new_neuron("even", seed=1)
+            history = train(net, generate_dataset(translator([0.3, 0.0, 0.1]), 30, seed=8), cfg)
+            assert len(calls) == len(history) - 1 > 0
 
     def test_divergence_carries_history(self):
         net = new_neuron("even", seed=3)
