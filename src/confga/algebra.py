@@ -85,8 +85,10 @@ class Algebra:
         self.rev_norm_signs = self.reverse_signs * diag
 
         self._xor_flat = self.xor_table.ravel()
-        self._col_j = np.broadcast_to(idx[None, :], (self.dim, self.dim))
-        self._row_i = np.broadcast_to(idx[:, None], (self.dim, self.dim))
+        # signs of the multiplication matrices: L(m)[k, j] = m[k^j] * S[k^j, j]
+        # and R(m)[k, i] = m[k^i] * S[i, k^i]
+        self._left_signs = self.sign_table[self.xor_table, idx[None, :]].astype(np.float64)
+        self._right_signs = self.sign_table[idx[None, :], self.xor_table].astype(np.float64)
 
         # Generator display symbols; the conformal signature names its two
         # extra generators e+ and e- (digits 4 and 5 stay valid aliases).
@@ -99,6 +101,7 @@ class Algebra:
             self.symbol_to_gen.setdefault(str(k + 1), k)
 
         self.blade_names = [self.blade_name(bits) for bits in range(self.dim)]
+        self.blade_order = sorted(range(self.dim), key=lambda b: (pop[b], b))  # text order: grade, then bitset
 
     # -- construction helpers ------------------------------------------------
 
@@ -142,6 +145,17 @@ class Algebra:
             return "1"
         return "e" + "".join(self.gen_symbols[k] for k in range(self.n) if bits >> k & 1)
 
+    def blade_bits(self, name: str) -> int:
+        """Inverse of `blade_name`, digit aliases included; raises ValueError."""
+        if name == "1":
+            return 0
+        gens = [self.symbol_to_gen.get(ch) for ch in name[1:]]
+        if name[:1] != "e" or not gens or None in gens:
+            raise ValueError(f"bad blade name {name!r}")
+        if any(a >= b for a, b in zip(gens, gens[1:])):
+            raise ValueError(f"blade generators must be strictly ascending in {name!r}")
+        return sum(1 << g for g in gens)
+
     # -- product kernels -----------------------------------------------------
 
     def _fold(self, a: np.ndarray, b: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -150,15 +164,11 @@ class Algebra:
 
     def left_matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix L with L @ x == coeffs-of(M * X) for X with coefficients x."""
-        mat = np.zeros((self.dim, self.dim))
-        mat[self.xor_table, self._col_j] = coeffs[:, None] * self.sign_table
-        return mat
+        return coeffs[self.xor_table] * self._left_signs
 
     def right_matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix R with R @ x == coeffs-of(X * M) for X with coefficients x."""
-        mat = np.zeros((self.dim, self.dim))
-        mat[self.xor_table, self._row_i] = coeffs[None, :] * self.sign_table
-        return mat
+        return coeffs[self.xor_table] * self._right_signs
 
     def __repr__(self) -> str:
         return f"Algebra(p={self.p}, q={self.q})"
@@ -440,10 +450,6 @@ def exp_special(b: Multivector) -> Multivector:
 # -- canonical text form -----------------------------------------------------
 
 
-def _blade_order(alg: Algebra):
-    return sorted(range(alg.dim), key=lambda bits: (int(alg.grades[bits]), bits))
-
-
 def format_coeff(value: float) -> str:
     """Shortest decimal string that round-trips to the same float."""
     s = repr(float(value))
@@ -459,7 +465,7 @@ def format_multivector(mv: Multivector) -> str:
     generator bitset, with blade names in ascending generator order.
     """
     parts: list[str] = []
-    for bits in _blade_order(mv.alg):
+    for bits in mv.alg.blade_order:
         c = float(mv.coeffs[bits])
         if c == 0.0:
             continue

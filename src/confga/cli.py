@@ -8,14 +8,16 @@
 Exit codes: 0 on success, 2 for usage and expression syntax errors, and
 1 for domain errors (degenerate constructions, parity mismatches,
 diverged training, and similar). The GA_TOLERANCE environment variable
-overrides the relative tolerance at startup; a scene's "tolerance"
-section overrides it per invocation.
+overrides the relative tolerance at startup and must be finite; a
+scene's "tolerance" section overrides it until that command ends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,9 +59,12 @@ def main():
     raw = os.environ.get("GA_TOLERANCE")
     if raw is not None:
         try:
-            tolerance.set_rel_eps(float(raw))
+            value = float(raw)
         except ValueError:
-            raise click.UsageError(f"GA_TOLERANCE must be a number, got {raw!r}")
+            value = math.nan
+        if not math.isfinite(value):
+            raise click.UsageError(f"GA_TOLERANCE must be a finite number, got {raw!r}")
+        tolerance.set_rel_eps(value)
 
 
 @main.command("eval", context_settings={"ignore_unknown_options": True})
@@ -79,11 +84,16 @@ def eval_cmd(expression: str, fmt: str):
         click.echo(expr.render(mv))
 
 
-def _scene_env(scene: Scene) -> dict:
-    env = expr.default_env()
-    env.update(scene.objects)
-    env.update(scene.versors)
-    return env
+@contextlib.contextmanager
+def _scene(path):
+    """Read a scene; its tolerance, if it has one, holds until the command ends."""
+    scene = read_scene(path)
+    before = tolerance.rel_eps()
+    tolerance.set_rel_eps(before if scene.tolerance_rel is None else scene.tolerance_rel)
+    try:
+        yield scene
+    finally:
+        tolerance.set_rel_eps(before)
 
 
 @main.command("transform")
@@ -101,14 +111,12 @@ def transform_cmd(scene_path, versor_spec, chain_specs, mode, out_path, fmt):
     Scene documents are JSON already, so both output formats are identical."""
     if (versor_spec is None) == (len(chain_specs) == 0):
         raise click.UsageError("provide exactly one of --versor or --chain")
-    scene = read_scene(scene_path)
-    if scene.tolerance_rel is not None:
-        tolerance.set_rel_eps(scene.tolerance_rel)
-    env = _scene_env(scene)
-    specs = [versor_spec] if versor_spec is not None else list(chain_specs)
-    versors = [make_versor(expr.eval_expression(s, env), allow_null=True) for s in specs]
-    v = versors[0] if len(versors) == 1 else compose(versors)
-    moved = {name: apply(v, mv, mode) for name, mv in scene.objects.items()}
+    with _scene(scene_path) as scene:
+        env = {**expr.default_env(), **scene.objects, **scene.versors}
+        specs = [versor_spec] if versor_spec is not None else list(chain_specs)
+        versors = [make_versor(expr.eval_expression(s, env), allow_null=True) for s in specs]
+        v = versors[0] if len(versors) == 1 else compose(versors)
+        moved = dict(zip(scene.objects, apply(v, list(scene.objects.values()), mode)))
     out = Scene(objects=moved, versors=dict(scene.versors), tolerance_rel=scene.tolerance_rel)
     text = scene_to_json(out)
     if out_path is not None:
@@ -131,16 +139,14 @@ def _fmt_param(value) -> str:
 @_guarded
 def classify_cmd(scene_path, fmt):
     """Report the kind and parameters of every object in a scene."""
-    scene = read_scene(scene_path)
-    if scene.tolerance_rel is not None:
-        tolerance.set_rel_eps(scene.tolerance_rel)
     results = {}
-    for name in sorted(scene.objects):
-        try:
-            obj = classify(scene.objects[name])
-            results[name] = {"kind": obj.kind, "params": obj.params}
-        except GAError as exc:
-            results[name] = {"error": str(exc)}
+    with _scene(scene_path) as scene:
+        for name in sorted(scene.objects):
+            try:
+                obj = classify(scene.objects[name])
+                results[name] = {"kind": obj.kind, "params": obj.params}
+            except GAError as exc:
+                results[name] = {"error": str(exc)}
     if fmt == "json":
         click.echo(json.dumps(results, indent=2))
         return

@@ -23,6 +23,7 @@ successful evaluation yields a plain multivector.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .algebra import Multivector, exp_special, format_multivector, versor_inverse
@@ -48,7 +49,6 @@ from . import versor as _versor
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _BLADE_BODY = re.compile(r"e[1-5]*\Z")
-_GEN_FOR_CHAR = {"1": 0, "2": 1, "3": 2, "4": 3, "+": 3, "5": 4, "-": 4}
 _OPS = set("~!^|*+-(),;")
 
 
@@ -63,18 +63,6 @@ class _Token:
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
-
-
-def _blade_bits(body: str, absorbed: str, line: int, col: int) -> int:
-    bits = 0
-    prev = -1
-    for ch in body[1:] + absorbed:
-        gen = _GEN_FOR_CHAR[ch]
-        if gen <= prev:
-            raise ParseError("blade generators must be strictly ascending", line, col)
-        prev = gen
-        bits |= 1 << gen
-    return bits
 
 
 def tokenize(text: str) -> list[_Token]:
@@ -94,7 +82,10 @@ def tokenize(text: str) -> list[_Token]:
             continue
         m = _NUMBER.match(text, pos)
         if m:
-            tokens.append(_Token("number", float(m.group()), line, col))
+            value = float(m.group())
+            if math.isinf(value):
+                raise DomainError(f"number {m.group()} at {line}:{col} overflows")
+            tokens.append(_Token("number", value, line, col))
             col += m.end() - pos
             pos = m.end()
             continue
@@ -111,7 +102,10 @@ def tokenize(text: str) -> list[_Token]:
                     pos += 1
                     col += 1
             if absorbed or (name != "e" and _BLADE_BODY.match(name)):
-                bits = _blade_bits(name, absorbed, line, start_col)
+                try:
+                    bits = ALG.blade_bits(name + absorbed)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line, start_col) from exc
                 tokens.append(_Token("blade", bits, line, start_col))
             else:
                 tokens.append(_Token("name", name, line, start_col))

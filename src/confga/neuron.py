@@ -8,18 +8,20 @@ and computes
 In twisted-adjoint mode x' is the grade involution of x when W is odd
 (and sigma = 1), which makes an exact versor weight reproduce the versor
 action on any multivector. In paper-literal mode x' = x and sigma is
-the global sign (-1)^parity. Training minimizes the mean squared error
+the global sign (-1)^parity. The forward pass is the versor module's
+action matrix K (built from L(~W) and R(W), convention folded in):
+Y = X K^T / <W ~W>_0 + Theta. Training minimizes the mean squared error
 over raw output coefficients plus a penalty that pushes W ~W toward a
 pure scalar, under plain gradient descent with a parity projection of W
 after every step. The normalization <W ~W>_0 must stay away from zero;
 a null weight (the degenerate point mirror) raises SingularWeightError.
 
-The analytic gradient sums over samples before it touches the Cayley
-table: the per-sample partial products and residuals meet in two 32x32
-matrix products, C = U1^T R and D = U2^T R, and only those two matrices
-go through the XOR gather, so no per-sample 32x32 table is built.
-`train` stacks the samples into coefficient arrays once and hands the
-stacked pair to `gradient` every epoch.
+The analytic gradient takes its partial products U1 = x' W and
+U2 = ~W x' from the same action matrix with a unit left or right
+factor, and sums over samples before it touches the Cayley table: only
+the 32x32 products C = U1^T R and D = U2^T R of those with the residuals
+R go through the XOR gather. `train` stacks the samples into coefficient
+arrays once and hands the stacked pair to `gradient` every epoch.
 """
 
 from __future__ import annotations
@@ -32,17 +34,17 @@ from . import tolerance
 from .algebra import Multivector
 from .conformal import ALG, embed_point
 from .errors import DivergenceError, SingularWeightError
-from .versor import CONVENTIONS, Versor, apply
+from .versor import CONVENTIONS, Versor, _action_matrix, apply
 
 PARITIES = ("even", "odd")
 
 _SIGN = ALG.sign_table
 _XOR = ALG.xor_table
 _REV = ALG.reverse_signs
-_INV = ALG.involute_signs
 _KAPPA = ALG.rev_norm_signs
 _EVEN_MASK = (ALG.grades % 2 == 0).astype(float)
 _ODD_MASK = 1.0 - _EVEN_MASK
+_ONE = np.eye(ALG.dim)  # L(1) = R(1)
 
 # Flat indices into a 32x32 matrix M: M.flat[_RIGHT_GATHER][i, j] is
 # M[j, i xor j] and M.flat[_LEFT_GATHER][i, j] is M[i, i xor j].
@@ -105,24 +107,16 @@ def _norm_scalar(w: np.ndarray) -> float:
     return q
 
 
-def _sigma(neuron: GeometricNeuron) -> float:
-    if neuron.mode == "paper-literal" and neuron.parity == "odd":
-        return -1.0
-    return 1.0
-
-
-def _effective_inputs(neuron: GeometricNeuron, X: np.ndarray) -> np.ndarray:
-    if neuron.mode == "twisted-adjoint" and neuron.parity == "odd":
-        return X * _INV
-    return X
-
-
-def _batch_forward(neuron: GeometricNeuron, X: np.ndarray) -> tuple[np.ndarray, float]:
+def _operators(neuron: GeometricNeuron) -> tuple[np.ndarray, np.ndarray, float]:
+    """L(~W), R(W) and <W ~W>_0 for the current weight."""
     q = _norm_scalar(neuron.w)
-    wt = _REV * neuron.w
-    kernel = ALG.left_matrix(wt) @ ALG.right_matrix(neuron.w)
-    Y = (_sigma(neuron) / q) * (_effective_inputs(neuron, X) @ kernel.T) + neuron.theta
-    return Y, q
+    return ALG.left_matrix(_REV * neuron.w), ALG.right_matrix(neuron.w), q
+
+
+def _outputs(neuron: GeometricNeuron, X: np.ndarray) -> np.ndarray:
+    left, right, q = _operators(neuron)
+    K = _action_matrix(left, right, neuron.parity, neuron.mode)
+    return (1.0 / q) * (X @ K.T) + neuron.theta
 
 
 def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -138,15 +132,14 @@ def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward(neuron: GeometricNeuron, x: Multivector) -> Multivector:
-    Y, _ = _batch_forward(neuron, x.coeffs[None, :])
-    return ALG.mv(Y[0])
+    return ALG.mv(_outputs(neuron, x.coeffs[None, :])[0])
 
 
 def loss(neuron: GeometricNeuron, samples) -> float:
     """Mean over samples of the summed squared coefficient error; takes
     Samples or an already-stacked (X, T) pair, like `gradient`."""
     X, T = _stack(samples)
-    Y, _ = _batch_forward(neuron, X)
+    Y = _outputs(neuron, X)
     return float(np.mean(np.sum((Y - T) ** 2, axis=1)))
 
 
@@ -158,13 +151,6 @@ def _weight_gram(w: np.ndarray) -> np.ndarray:
 def penalty_value(w: np.ndarray) -> float:
     m = _weight_gram(w)
     return float(np.sum(m[1:] ** 2))
-
-
-def _objective(neuron: GeometricNeuron, X: np.ndarray, T: np.ndarray, penalty: float) -> float:
-    val = loss(neuron, (X, T))
-    if penalty:
-        val += penalty * penalty_value(neuron.w)
-    return val
 
 
 def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
@@ -188,15 +174,11 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
 
     X, T = _stack(samples)
     n = X.shape[0]
-    q = _norm_scalar(neuron.w)
-    sigma = _sigma(neuron)
-    wt = _REV * neuron.w
-    left_wt = ALG.left_matrix(wt)
-    Xeff = _effective_inputs(neuron, X)
-    U1 = Xeff @ ALG.right_matrix(neuron.w).T  # rows: x' W
-    U2 = Xeff @ left_wt.T  # rows: ~W x'
-    B = U1 @ left_wt.T  # rows: numerator ~W x' W
-    R = (sigma / q) * B + neuron.theta - T
+    left, right, q = _operators(neuron)
+    U1 = X @ _action_matrix(_ONE, right, neuron.parity, neuron.mode).T  # rows: x' W
+    U2 = X @ _action_matrix(left, _ONE, neuron.parity, neuron.mode).T  # rows: ~W x'
+    B = U1 @ left.T  # rows: numerator ~W x' W
+    R = (1.0 / q) * B + neuron.theta - T
 
     grad_theta = 2.0 * R.mean(axis=0)
 
@@ -206,13 +188,13 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
     t_left = np.sum(_SIGN * D.ravel()[_LEFT_GATHER], axis=0)  # sum_i S[i,j] D[i, i^j]
     r_dot_b = float(np.einsum("nk,nk->", R, B))
 
-    grad_w = (2.0 * sigma / (n * q)) * (_REV * t_right + t_left)
-    grad_w -= (4.0 * sigma * r_dot_b / (n * q * q)) * (_KAPPA * neuron.w)
+    grad_w = (2.0 / (n * q)) * (_REV * t_right + t_left)
+    grad_w -= (4.0 * r_dot_b / (n * q * q)) * (_KAPPA * neuron.w)
 
     if penalty:
         m = _weight_gram(neuron.w)
         m[0] = 0.0
-        grad_w += (4.0 * penalty) * (ALG.right_matrix(wt).T @ m)
+        grad_w += (4.0 * penalty) * (ALG.right_matrix(_REV * neuron.w).T @ m)
     return grad_w, grad_theta
 
 
@@ -220,7 +202,8 @@ def _fd_gradient(neuron, samples, penalty: float):
     X, T = _stack(samples)
 
     def J() -> float:
-        return _objective(neuron, X, T, penalty)
+        val = loss(neuron, (X, T))
+        return val + penalty * penalty_value(neuron.w) if penalty else val
 
     grad_w = np.zeros(ALG.dim)
     grad_theta = np.zeros(ALG.dim)
@@ -290,14 +273,10 @@ def generate_dataset(
     target to unit e0 coefficient, and noise perturbs target coefficients."""
     rng = np.random.default_rng(seed)
     mode = "motion" if v.parity == "even" else "reflection"
-    out = []
-    for _ in range(n):
-        x = embed_point(rng.uniform(-2.0, 2.0, size=3))
-        y = apply(v, x, mode, convention=convention)
-        if normalize_point_targets:
-            c0 = float(y.coeffs[0b10000] - y.coeffs[0b01000])
-            y = y / c0
-        if noise:
-            y = ALG.mv(y.coeffs + rng.normal(0.0, noise, ALG.dim))
-        out.append(Sample(x=x, target=y))
-    return out
+    xs = [embed_point(p) for p in rng.uniform(-2.0, 2.0, size=(n, 3))]
+    Y = np.array([y.coeffs for y in apply(v, xs, mode, convention=convention)]).reshape(-1, ALG.dim)
+    if normalize_point_targets:
+        Y /= (Y[:, 0b10000] - Y[:, 0b01000])[:, None]
+    if noise:
+        Y += rng.normal(0.0, noise, Y.shape)
+    return [Sample(x=x, target=ALG.mv(y)) for x, y in zip(xs, Y)]

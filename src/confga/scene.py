@@ -13,14 +13,15 @@ a trailing newline, so a written file round-trips byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .algebra import Multivector
 from .conformal import ALG, e0, einf
 from .errors import DomainError
-
-_GEN_FOR_CHAR = {"1": 0, "2": 1, "3": 2, "4": 3, "+": 3, "5": 4, "-": 4}
 
 
 @dataclass
@@ -30,46 +31,37 @@ class Scene:
     tolerance_rel: float | None = None
 
 
-def _bits_for_key(key: str) -> int:
-    if key == "1":
-        return 0
-    if not key.startswith("e") or len(key) == 1:
-        raise DomainError(f"bad blade key {key!r}")
-    bits = 0
-    prev = -1
-    for ch in key[1:]:
-        gen = _GEN_FOR_CHAR.get(ch)
-        if gen is None or gen <= prev:
-            raise DomainError(f"bad blade key {key!r}")
-        prev = gen
-        bits |= 1 << gen
-    return bits
+def _is_number(value) -> bool:
+    # JSON admits NaN, +-Infinity and ints beyond the float range; bool is an int
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _mv_from_entries(name: str, entries) -> Multivector:
     if not isinstance(entries, dict):
         raise DomainError(f"entry {name!r} must map blade names to numbers")
-    mv = ALG.zero()
+    coeffs = np.zeros(ALG.dim)
     for key, value in entries.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"coefficient for {name}.{key} must be a number")
+        if not _is_number(value):
+            raise DomainError(f"coefficient for {name}.{key} must be a number and finite, got {value!r}")
+        value = float(value)
         if key == "e0":
-            mv = mv + float(value) * e0
+            coeffs += value * e0.coeffs
         elif key == "einf":
-            mv = mv + float(value) * einf
+            coeffs += value * einf.coeffs
         else:
-            mv = mv + float(value) * ALG.blade(_bits_for_key(key))
-    return mv
+            try:
+                coeffs[ALG.blade_bits(key)] += value
+            except ValueError as exc:
+                raise DomainError(f"bad blade key {key!r}") from exc
+    return Multivector(ALG, coeffs, copy=False)
 
 
 def mv_entries(mv: Multivector) -> dict:
-    order = sorted(range(ALG.dim), key=lambda bits: (ALG.grades[bits], bits))
-    out = {}
-    for bits in order:
-        c = float(mv.coeffs[bits])
-        if c != 0.0:
-            out[ALG.blade_names[bits]] = c
-    return out
+    coeffs = mv.coeffs.tolist()
+    return {ALG.blade_names[bits]: coeffs[bits] for bits in ALG.blade_order if coeffs[bits] != 0.0}
 
 
 def scene_from_dict(data) -> Scene:
@@ -84,8 +76,8 @@ def scene_from_dict(data) -> Scene:
         if not isinstance(tol, dict) or set(tol) - {"rel"}:
             raise DomainError('tolerance must be an object like {"rel": 1e-9}')
         if "rel" in tol:
-            if isinstance(tol["rel"], bool) or not isinstance(tol["rel"], (int, float)):
-                raise DomainError("tolerance rel must be a number")
+            if not _is_number(tol["rel"]):
+                raise DomainError(f"tolerance rel must be a number and finite, got {tol['rel']!r}")
             rel = float(tol["rel"])
     scene = Scene(tolerance_rel=rel)
     for section, table in (("objects", scene.objects), ("versors", scene.versors)):

@@ -18,6 +18,10 @@ collapses every point onto the mirror point.
 The paper-literal convention replaces alpha^p(X) by the global sign
 (-1)^p; the two agree on odd-grade arguments and differ by an overall
 (projectively invisible) sign on even ones.
+
+The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
+folded in (`_action_matrix`, shared with the neuron), so `apply` on a
+sequence of multivectors is a single (N, 32) @ (32, 32) product.
 """
 
 from __future__ import annotations
@@ -177,18 +181,23 @@ def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
 # -- action -------------------------------------------------------------------
 
 
-def _sandwich(v: Versor, mv: Multivector, convention: str) -> Multivector:
-    left = v.mv if v.inv is None else v.inv
-    if convention == "twisted-adjoint":
-        mid = mv.involute() if v.parity == "odd" else mv
-        return left * mid * v.mv
-    out = left * mv * v.mv
-    return -out if v.parity == "odd" else out
+def _action_matrix(left: np.ndarray, right: np.ndarray, parity: str, convention: str) -> np.ndarray:
+    """The 32x32 matrix K with coeffs(l * alpha^p(X) * r) = K @ x, given the
+    multiplication matrices left = L(l) and right = R(r).
+
+    This is the one place the convention is decided: twisted-adjoint folds
+    the grade involution of odd versors into K's columns, paper-literal
+    folds in the global sign (-1)^p."""
+    K = left @ right
+    if parity == "even":
+        return K
+    return K * ALG.involute_signs if convention == "twisted-adjoint" else -K
 
 
 def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
-    """Act on a multivector or classified object; 'motion' demands an even
-    versor and 'reflection' an odd one."""
+    """Act on a multivector, a classified object, or a sequence of
+    multivectors (a list back, from one matrix product); 'motion' demands
+    an even versor and 'reflection' an odd one."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if convention not in CONVENTIONS:
@@ -196,9 +205,17 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     want = "even" if mode == "motion" else "odd"
     if v.parity != want:
         raise ParityModeError(f"{mode} mode needs an {want} versor, got {v.parity}")
+    single = isinstance(X, (Multivector, ConformalObject))
+    mvs = [X.mv if isinstance(X, ConformalObject) else X] if single else list(X)
+    for mv in mvs:
+        v.mv._check_same(mv)
+    left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
+    K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
+    rows = np.array([mv.coeffs for mv in mvs]).reshape(-1, ALG.dim) @ K.T
+    out = [Multivector(ALG, row, copy=False) for row in rows]
     if isinstance(X, ConformalObject):
-        return classify(_sandwich(v, X.mv, convention))
-    return _sandwich(v, X, convention)
+        return classify(out[0])
+    return out[0] if single else out
 
 
 def compose(versors: Sequence[Versor]) -> Versor:

@@ -10,6 +10,10 @@ from confga import (
     TrainConfig,
     apply,
     embed_point,
+    make_circle,
+    make_line,
+    make_plane_opns,
+    make_point_pair,
     eval_expression,
     extract_point,
     generate_dataset,
@@ -19,11 +23,13 @@ from confga import (
     read_scene,
     render,
     reflector_sphere,
+    motor,
+    sphere_ipns,
     train,
 )
 from confga import tolerance
 from confga.cli import main
-from confga.conformal import classify
+from confga.conformal import classify, e1, e2
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +101,12 @@ class TestEval:
         result = runner.invoke(main, ["eval", "pair(point(0,0,0), point(0,0,0))"])
         assert result.exit_code == 1
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("src", ["1e999 * e1", "point(1e400, 0, 0)"])
+    def test_overflowing_literal_exit_1(self, runner, src):
+        result = runner.invoke(main, ["eval", src])
+        assert result.exit_code == 1
+        assert "overflows" in result.stderr
 
     def test_unbound_name_exit_1(self, runner):
         result = runner.invoke(main, ["eval", "wibble + e1"])
@@ -202,6 +214,67 @@ class TestTransform:
         assert result.exit_code == 0, result.stderr
         assert json.loads(result.output)["tolerance"] == {"rel": 1e-7}
 
+    def test_matches_per_object_apply(self, runner, tmp_path):
+        P = [embed_point(p) for p in ([1.0, 0.5, -2.0], [0.0, 3.0, 1.0], [-1.5, 0.0, 0.5], [2.0, -1.0, 0.0])]
+        objects = {
+            "point": P[0],
+            "pair": make_point_pair(P[0], P[1]).mv,
+            "circle": make_circle(P[0], P[1], P[2]).mv,
+            "sphere": sphere_ipns([0.5, -0.5, 1.0], 1.5).mv,
+            "line": make_line(P[1], P[3]).mv,
+            "plane": make_plane_opns(P[0], P[2], P[3]).mv,
+        }
+        scene_path = tmp_path / "s.json"
+        scene_path.write_text(json.dumps({"objects": {k: mv_entries(v) for k, v in objects.items()}}))
+        cases = [
+            ("motor(e12, 0.7, 1, 0, -0.5)", "motion", motor(e1 ^ e2, 0.7, [1.0, 0.0, -0.5])),
+            ("mirror_sphere(0.5, 0, 0, 2)", "reflection", reflector_sphere([0.5, 0.0, 0.0], 2.0)),
+        ]
+        for spec, mode, v in cases:
+            result = runner.invoke(main, ["transform", "--scene", str(scene_path), "--versor", spec, "--mode", mode])
+            assert result.exit_code == 0, result.stderr
+            out = tmp_path / "out.json"
+            out.write_text(result.output)
+            moved = read_scene(out).objects
+            for name, mv in read_scene(scene_path).objects.items():
+                want = apply(v, mv, mode)
+                err = np.max(np.abs(moved[name].coeffs - want.coeffs))
+                assert err <= 1e-13 * max(1.0, want.max_abs()), (spec, name, err)
+
+
+class TestSceneInput:
+    @pytest.mark.parametrize("command", [
+        ["classify"],
+        ["transform", "--versor", "translator(1,0,0)", "--mode", "motion"],
+    ], ids=["classify", "transform"])
+    def test_scene_tolerance_ends_with_the_command(self, runner, tmp_path, command):
+        scene_path = tmp_path / "s.json"
+        scene_path.write_text(json.dumps({"tolerance": {"rel": 1e-3}, "objects": {"q": {"e0": 1.0}}}))
+        argv = [command[0], "--scene", str(scene_path), *command[1:]]
+        result = runner.invoke(main, argv, env={"GA_TOLERANCE": "1e-6"})
+        assert result.exit_code == 0, result.stderr
+        assert tolerance.rel_eps() == 1e-6
+
+    @pytest.mark.parametrize("doc", [
+        '{"objects": {"p": {"e1": NaN, "e0": 1.0}}}',
+        '{"objects": {"p": {"e0": Infinity}}}',
+        '{"objects": {"p": {"einf": -Infinity}}}',
+        '{"objects": {"p": {"e0": 1e999}}}',
+        '{"objects": {"p": {"e0": 1%s}}}' % ("0" * 400),
+        '{"tolerance": {"rel": NaN}, "objects": {}}',
+        '{"tolerance": {"rel": Infinity}, "objects": {}}',
+    ], ids=["nan", "infinity", "-infinity", "1e999", "int-beyond-float", "nan-rel", "infinity-rel"])
+    @pytest.mark.parametrize("command", [
+        ["classify"],
+        ["transform", "--versor", "translator(1,0,0)", "--mode", "motion"],
+    ], ids=["classify", "transform"])
+    def test_non_finite_scene_exit_1(self, runner, tmp_path, doc, command):
+        scene_path = tmp_path / "s.json"
+        scene_path.write_text(doc)
+        result = runner.invoke(main, [command[0], "--scene", str(scene_path), *command[1:]])
+        assert result.exit_code == 1
+        assert "finite" in result.stderr
+
 
 class TestClassify:
     def make_scene(self, tmp_path):
@@ -296,5 +369,11 @@ class TestToleranceEnv:
 
     def test_invalid_env_value_exit_2(self, runner):
         result = runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "abc"})
+        assert result.exit_code == 2
+        assert "GA_TOLERANCE" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_env_value_exit_2(self, runner, raw):
+        result = runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": raw})
         assert result.exit_code == 2
         assert "GA_TOLERANCE" in result.stderr

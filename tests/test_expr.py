@@ -82,6 +82,10 @@ class TestTokenize:
         assert (toks[1].line, toks[1].col) == (1, 4)
         assert (toks[2].line, toks[2].col) == (2, 3)
 
+    def test_overflowing_number_is_refused(self):
+        with pytest.raises(DomainError, match=r"1e999 at 1:6"):
+            tokenize("2 * (1e999 * e1)")
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match=r"unexpected character '@'"):
             tokenize("e1 @ e2")

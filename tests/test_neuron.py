@@ -39,9 +39,10 @@ def gather_reference_gradient(net, samples, penalty):
     residual is spread over a 32x32 table before the sums over samples."""
     X, T = nn._stack(samples)
     n = X.shape[0]
-    sigma = nn._sigma(net)
+    odd = net.parity == "odd"
+    sigma = -1.0 if odd and net.mode == "paper-literal" else 1.0
     q = nn._norm_scalar(net.w)
-    Xeff = nn._effective_inputs(net, X)
+    Xeff = X * ALG.involute_signs if odd and net.mode == "twisted-adjoint" else X
     wt = ALG.reverse_signs * net.w
     kernel = ALG.left_matrix(wt) @ ALG.right_matrix(net.w)
     Y = (sigma / q) * (Xeff @ kernel.T) + net.theta

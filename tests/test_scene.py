@@ -19,6 +19,7 @@ from confga import (
     write_scene,
 )
 from confga.conformal import ALG, e0, e1, e2, einf
+from confga.expr import tokenize
 
 from conftest import assert_mv_close, random_mv
 
@@ -67,6 +68,13 @@ class TestReading:
         with pytest.raises(DomainError, match="scene must be a JSON object"):
             scene_from_dict([1, 2])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            scene_from_dict({"objects": {"a": {"e1": value}}})
+        with pytest.raises(DomainError, match="finite"):
+            scene_from_dict({"tolerance": {"rel": value}})
+
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):
             scene_from_dict({"tolerance": {"rel": "tight"}})
@@ -80,6 +88,26 @@ class TestReading:
         path.write_text("{not json")
         with pytest.raises(DomainError, match="not valid JSON"):
             read_scene(path)
+
+
+def _alias(name: str) -> str:
+    return name.replace("+", "4").replace("-", "5")
+
+
+@pytest.mark.parametrize("bits", range(ALG.dim))
+def test_blade_names_parse_alike_everywhere(bits):
+    # one name table: the expression tokenizer, the scene reader, and
+    # ALG.blade_names agree on every blade, in both spellings
+    name = ALG.blade_names[bits]
+    for spelling in {name, _alias(name)}:
+        assert ALG.blade_bits(spelling) == bits
+        tok = tokenize(spelling)[0]
+        if bits == 0:
+            assert (tok.kind, tok.value) == ("number", 1.0)
+        else:
+            assert (tok.kind, tok.value) == ("blade", bits)
+        scene = scene_from_dict({"objects": {"a": {spelling: 1.0}}})
+        assert scene.objects["a"] == ALG.blade(bits)
 
 
 class TestEntries:

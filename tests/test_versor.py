@@ -12,7 +12,9 @@ from confga import (
     MixedParityError,
     NotVersorError,
     ParityModeError,
+    SignatureMismatchError,
     SingularVersorError,
+    algebra,
     apply,
     compose,
     embed_point,
@@ -33,7 +35,7 @@ from confga import (
 )
 from confga.conformal import ALG, E, e0, e1, e2, e3, einf
 
-from conftest import assert_mv_close, assert_proportional
+from conftest import assert_mv_close, assert_proportional, random_mv
 
 e12 = e1 ^ e2
 e23 = e2 ^ e3
@@ -389,3 +391,54 @@ class TestObjectTransforms:
         assert got.kind == "sphere"
         assert np.max(np.abs(np.array(got.params["center"]) - [3.0, 0, 0])) <= 1e-9
         assert abs(got.params["radius2"] - 36.0) <= 1e-8
+
+
+def product_sandwich(v, X, convention):
+    """The versor action written as two geometric products: the reference
+    for the action matrix behind `apply`."""
+    left = v.mv if v.inv is None else v.inv
+    if convention == "twisted-adjoint":
+        mid = X.involute() if v.parity == "odd" else X
+        return left * mid * v.mv
+    out = left * X * v.mv
+    return -out if v.parity == "odd" else out
+
+
+def operator_families():
+    line = make_line(embed_point([0, 1.0, 0]), embed_point([1.0, 1.0, 0]))
+    return {
+        "plane": reflector_plane([0.0, 1.0, 0.5], 0.3),
+        "sphere": reflector_sphere([0.5, -0.2, 0.0], 1.5),
+        "point": reflector_point([1.0, -0.5, 2.0]),
+        "line": reflector_line(line),
+        "rotor": rotor(e12, 0.8),
+        "translator": translator([0.7, -0.4, 0.1]),
+        "motor": motor(e23, 0.6, [0.3, 0.2, -0.1]),
+        "scalor": scalor(1.7, [0.5, 0.0, 0.0]),
+    }
+
+
+class TestActionMatrix:
+    @pytest.mark.parametrize("family", sorted(operator_families()))
+    @pytest.mark.parametrize("convention", ["twisted-adjoint", "paper-literal"])
+    def test_matches_product_form(self, rng, family, convention):
+        v = operator_families()[family]
+        mode = "motion" if v.parity == "even" else "reflection"
+        inputs = [random_mv(ALG, rng, grade=g) for g in range(ALG.n + 1) for _ in range(3)]
+        inputs.append(random_mv(ALG, rng))
+        batch = apply(v, inputs, mode, convention=convention)
+        for X, got_batch in zip(inputs, batch):
+            want = product_sandwich(v, X, convention)
+            got = apply(v, X, mode, convention=convention)
+            assert_mv_close(got, want, tol=1e-13)
+            assert_mv_close(got_batch, want, tol=1e-13)
+            # a single multivector is a one-row batch
+            assert np.array_equal(got.coeffs, apply(v, [X], mode, convention=convention)[0].coeffs)
+
+    def test_empty_and_invalid_batches(self):
+        R = rotor(e12, 0.8)
+        assert apply(R, [], "motion") == []
+        with pytest.raises(ParityModeError):
+            apply(R, [e1, e2], "reflection")
+        with pytest.raises(SignatureMismatchError):
+            apply(R, [e1, algebra(3, 0).blade(1)], "motion")
