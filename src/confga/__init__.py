@@ -30,12 +30,14 @@ from .conformal import (
     I5,
     ConformalObject,
     classify,
+    classify_batch,
     e0,
     e1,
     e2,
     e3,
     einf,
     embed_point,
+    embed_points,
     euclid_bivector,
     euclid_vector,
     extract_point,

@@ -9,6 +9,7 @@ coefficients densely as float64 and are immutable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -76,6 +77,15 @@ class Algebra:
         self.outer_sign = np.where(grade_out == grade_sum, self.sign_table, 0).astype(np.int8)
         self.lcont_sign = np.where(grade_out == grade_diff, self.sign_table, 0).astype(np.int8)
 
+        # Gather tables of the row-wise product kernel, by (product, output
+        # blades): coefficient k of the product is sum_i a_i * b_(i^k) * T[i, k]
+        # with T[i, k] = S[i, i^k]. Tables for a subset of output blades are
+        # added on first use; there is one per subset a caller asks for.
+        self._product_tables = {
+            (name, None): (self.xor_table, table[idx[:, None], self.xor_table].astype(np.float64))
+            for name, table in (("gp", self.sign_table), ("outer", self.outer_sign), ("lcont", self.lcont_sign))
+        }
+
         self.reverse_signs = np.where(pop * (pop - 1) // 2 % 2 == 0, 1.0, -1.0)
         self.involute_signs = np.where(pop % 2 == 0, 1.0, -1.0)
 
@@ -84,7 +94,6 @@ class Algebra:
         diag = self.sign_table[idx, idx].astype(np.float64)
         self.rev_norm_signs = self.reverse_signs * diag
 
-        self._xor_flat = self.xor_table.ravel()
         # signs of the multiplication matrices: L(m)[k, j] = m[k^j] * S[k^j, j]
         # and R(m)[k, i] = m[k^i] * S[i, k^i]
         self._left_signs = self.sign_table[self.xor_table, idx[None, :]].astype(np.float64)
@@ -99,6 +108,13 @@ class Algebra:
         self.symbol_to_gen = {s: k for k, s in enumerate(self.gen_symbols)}
         for k in range(self.n):
             self.symbol_to_gen.setdefault(str(k + 1), k)
+        # every accepted spelling of every blade name, digit aliases included
+        spellings = [[s for s, g in self.symbol_to_gen.items() if g == k] for k in range(self.n)]
+        self._bits_by_name = {"1": 0}
+        for bits in range(1, self.dim):
+            gens = [spellings[k] for k in range(self.n) if bits >> k & 1]
+            for combo in itertools.product(*gens):
+                self._bits_by_name["e" + "".join(combo)] = bits
 
         self.blade_names = [self.blade_name(bits) for bits in range(self.dim)]
         self.blade_order = sorted(range(self.dim), key=lambda b: (pop[b], b))  # text order: grade, then bitset
@@ -146,7 +162,15 @@ class Algebra:
         return "e" + "".join(self.gen_symbols[k] for k in range(self.n) if bits >> k & 1)
 
     def blade_bits(self, name: str) -> int:
-        """Inverse of `blade_name`, digit aliases included; raises ValueError."""
+        """Inverse of `blade_name`, digit aliases included; raises ValueError.
+
+        Names are looked up in a table of every accepted spelling; only a
+        name missing from it goes through the parser, which says what is
+        wrong with it."""
+        bits = self._bits_by_name.get(name)
+        return self._parse_blade_name(name) if bits is None else bits
+
+    def _parse_blade_name(self, name: str) -> int:
         if name == "1":
             return 0
         gens = [self.symbol_to_gen.get(ch) for ch in name[1:]]
@@ -158,9 +182,33 @@ class Algebra:
 
     # -- product kernels -----------------------------------------------------
 
-    def _fold(self, a: np.ndarray, b: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        outer = (a[:, None] * b[None, :]) * signs
-        return np.bincount(self._xor_flat, weights=outer.ravel(), minlength=self.dim)
+    def product(self, kind: str, a: np.ndarray, b: np.ndarray, blades: tuple | None = None) -> np.ndarray:
+        """Row-wise product kernel: coefficients of a * b ("gp"), a ^ b
+        ("outer") or a | b ("lcont") for coefficient rows a, b of shape
+        (dim,) or (N, dim), which broadcast against each other.
+
+        out[..., k] = sum_i (a[..., i] * b[..., i ^ k]) * S[i, i ^ k], summed
+        over i in ascending order, so a row's result does not depend on the
+        rows around it. `blades` is a tuple of the output blades to compute
+        (all by default), e.g. (0,) for the scalar part alone."""
+        tables = self._product_tables.get((kind, blades))
+        if tables is None:
+            xor, signs = self._product_tables[kind, None]
+            tables = self._product_tables[kind, blades] = (xor[:, list(blades)], signs[:, list(blades)])
+        xor, signs = tables
+        # numpy sums an axis in plain ascending order only when it is not the
+        # innermost one in memory (else pairwise): hence C order for the
+        # terms (take returns it, and multiplying in place keeps it), and
+        # accumulate for a lone output blade
+        terms = b.take(xor, axis=-1)
+        if a.shape[:-1] in ((), b.shape[:-1]):
+            terms *= a[..., :, None]
+        else:
+            terms = np.multiply(a[..., :, None], terms, order="C")
+        terms *= signs
+        if terms.shape[-1] == 1:
+            return np.add.accumulate(terms, axis=-2)[..., -1, :]
+        return np.add.reduce(terms, axis=-2)
 
     def left_matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix L with L @ x == coeffs-of(M * X) for X with coefficients x."""
@@ -287,9 +335,7 @@ class Multivector:
             return Multivector(self.alg, self.coeffs * float(other), copy=False)
         if isinstance(other, Multivector):
             self._check_same(other)
-            return Multivector(
-                self.alg, self.alg._fold(self.coeffs, other.coeffs, self.alg.sign_table), copy=False
-            )
+            return Multivector(self.alg, self.alg.product("gp", self.coeffs, other.coeffs), copy=False)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -301,7 +347,7 @@ class Multivector:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Multivector(self.alg, self.alg._fold(self.coeffs, o.coeffs, self.alg.outer_sign), copy=False)
+        return Multivector(self.alg, self.alg.product("outer", self.coeffs, o.coeffs), copy=False)
 
     def __rxor__(self, other):
         o = self._coerce(other)
@@ -313,7 +359,7 @@ class Multivector:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Multivector(self.alg, self.alg._fold(self.coeffs, o.coeffs, self.alg.lcont_sign), copy=False)
+        return Multivector(self.alg, self.alg.product("lcont", self.coeffs, o.coeffs), copy=False)
 
     def __ror__(self, other):
         o = self._coerce(other)

@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import expr, tolerance
 from .algebra import format_coeff
-from .conformal import classify
+from .conformal import ALG, classify_batch
 from .errors import GAError, ParseError
 from .neuron import TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
@@ -139,14 +140,13 @@ def _fmt_param(value) -> str:
 @_guarded
 def classify_cmd(scene_path, fmt):
     """Report the kind and parameters of every object in a scene."""
-    results = {}
     with _scene(scene_path) as scene:
-        for name in sorted(scene.objects):
-            try:
-                obj = classify(scene.objects[name])
-                results[name] = {"kind": obj.kind, "params": obj.params}
-            except GAError as exc:
-                results[name] = {"error": str(exc)}
+        names = sorted(scene.objects)
+        outcomes = classify_batch(np.array([scene.objects[name].coeffs for name in names]).reshape(-1, ALG.dim))
+    results = {
+        name: {"error": str(o)} if isinstance(o, GAError) else {"kind": o.kind, "params": o.params}
+        for name, o in zip(names, outcomes)
+    }
     if fmt == "json":
         click.echo(json.dumps(results, indent=2))
         return

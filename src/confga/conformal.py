@@ -11,6 +11,15 @@ objects are blades: outer products of points (point pair, circle, sphere),
 flats obtained by wedging with einf (line, plane, flat point), the whole
 space as the pseudoscalar, and grade-1 inner-product-null-space spheres
 sigma = P(center) - (1/2) r^2 einf with sigma^2 = r^2.
+
+Embedding and classification work on coefficient arrays. `embed_points`
+embeds an (N, 3) array of points at once, and `embed_point` is its one-row
+case. `classify_batch` classifies an (N, 32) array in one array pass: each
+check of the decision tree is one array step over the rows it applies to,
+with products from the algebra's row-wise kernel, and each row comes back
+as its object or its error. `classify` and `round_params` are its one-row
+case and raise that row's error. A row's result does not depend on the
+rows classified with it.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .errors import (
     DegenerateError,
     DomainError,
     FlatObjectError,
+    GAError,
     MetricError,
     NotABladeError,
     NotAPointError,
@@ -51,7 +61,6 @@ I5 = ALG.pseudoscalar()
 # PM_FROM_NULL columns hold each null blade's +/- basis expansion and the
 # inverse is exact (all entries are quarter-integers).
 _NULL_GENS = (e1, e2, e3, e0, einf)
-_E0_BIT, _EINF_BIT = 3, 4
 
 
 def _build_null_matrix() -> np.ndarray:
@@ -113,20 +122,42 @@ class ConformalObject:
 
 # -- points -------------------------------------------------------------------
 
+_EUCLID = (0b00001, 0b00010, 0b00100)  # e1, e2, e3: the same coefficient in both bases
+_PLUS, _MINUS = 0b01000, 0b10000
+
+
+def _sq_norms(V: np.ndarray) -> np.ndarray:
+    """v @ v for each row v. The stacked matmul takes the same dot product
+    per row as `v @ v` alone, so a row's value does not depend on the rows
+    around it and matches the single-vector form bit for bit."""
+    return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+def embed_points(points) -> np.ndarray:
+    """Coefficient rows P = p + (1/2) p^2 einf + e0 for an (N, 3) array of
+    Euclidean points. Non-finite coordinates and squared norms that
+    overflow raise DomainError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("expected an (N, 3) array of Euclidean points")
+    bad = ~np.isfinite(pts)
+    if bad.any():
+        raise DomainError(f"point coordinate {float(pts[bad][0])!r} is not finite")
+    with np.errstate(over="ignore"):
+        half = 0.5 * _sq_norms(pts)
+    overflow = ~np.isfinite(half)
+    if overflow.any():
+        raise DomainError(f"|p|^2 of point {tuple(pts[overflow][0].tolist())} overflows")
+    out = np.zeros((len(pts), ALG.dim))
+    out[:, _EUCLID] = pts
+    out[:, _PLUS] = half - 0.5
+    out[:, _MINUS] = half + 0.5
+    return out
+
 
 def embed_point(p) -> Multivector:
-    """P = p + (1/2) p^2 einf + e0."""
-    arr = as_vec3(p)
-    return euclid_vector(arr) + (0.5 * float(arr @ arr)) * einf + e0
-
-
-def _e0_coefficient(mv: Multivector) -> float:
-    # e0 = (e- - e+)/2, so the e0 coordinate is coeff(e-) - coeff(e+).
-    return float(mv.coeffs[0b10000] - mv.coeffs[0b01000])
-
-
-def _einf_coefficient(mv: Multivector) -> float:
-    return float(0.5 * (mv.coeffs[0b10000] + mv.coeffs[0b01000]))
+    """P = p + (1/2) p^2 einf + e0; the one-row case of `embed_points`."""
+    return Multivector(ALG, embed_points(as_vec3(p)[None, :])[0], copy=False)
 
 
 def extract_point(P: Multivector) -> np.ndarray:
@@ -134,17 +165,10 @@ def extract_point(P: Multivector) -> np.ndarray:
     gs = P.grades()
     if gs and gs != frozenset({1}):
         raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})")
-    scale = P.max_abs()
-    if scale == 0.0:
-        raise NotAPointError("zero multivector is not a point")
-    sq = (P * P).scalar_part()
-    if abs(sq) > tolerance.threshold(scale * scale) * 10.0:
-        raise NotAPointError("vector is not null; not a conformal point")
-    c0 = _e0_coefficient(P)
-    if abs(c0) <= tolerance.threshold(scale):
-        raise PointAtInfinityError("no finite location: e0 coefficient vanishes")
-    Pn = P / c0
-    return np.array([Pn.coeffs[0b001], Pn.coeffs[0b010], Pn.coeffs[0b100]])
+    loc, errors = _locations(P.coeffs[None, :])
+    if errors:
+        raise errors.pop(0)
+    return loc[0]
 
 
 def point_distance(P1: Multivector, P2: Multivector) -> float:
@@ -222,192 +246,329 @@ def sphere_ipns(center, r: float) -> ConformalObject:
     return classify(sigma)
 
 
-
-def _clean_vec(arr) -> tuple:
-    # +0.0 turns negative zeros into plain zeros for display and JSON
-    return tuple(float(v) + 0.0 for v in arr)
-
-
-def _clean_num(x) -> float:
-    return float(x) + 0.0
-
-
 # -- classification -----------------------------------------------------------
+#
+# Classification runs on coefficient rows. Each check of the decision tree is
+# one array step over the rows it applies to; a stage reports the rows it
+# refuses as a {row: error} dict, and each branch of the tree returns, per row,
+# its error or its (kind, params). Products go through the row-wise kernel,
+# whose sums do not depend on the other rows, so a row gets the same answer
+# alone, in a block, or anywhere in a scene.
 
-
-def _dominant_grade(mv: Multivector) -> int:
-    gs = mv.grades()
-    if not gs:
-        raise UnknownObjectError("zero multivector")
-    if len(gs) > 1:
-        raise NotABladeError(f"grade-inhomogeneous multivector (grades {sorted(gs)})")
-    m = mv * ~mv
-    off = m - m.grade(0)
-    if not off.is_zero(scale=max(abs(m.scalar_part()), mv.max_abs() ** 2)):
-        raise NotABladeError("mv * ~mv is not scalar; not a blade")
-    return next(iter(gs))
-
-
-def _is_flat(mv: Multivector) -> bool:
-    w = mv ^ einf
-    return w.is_zero(scale=max(1.0, 2.0 * mv.max_abs()))
-
-
-# Sign fixing r^2 = sign * <A A>_0 / <(einf | A)^2>_0 per grade; verified
+_BLOCK = 256  # rows per pass; keeps each (rows, 32, 32) product temporary near 2 MB
+_GRADE_ONE_HOT = np.eye(ALG.n + 1)[ALG.grades]
+_SCALAR = (0,)
+_VECTOR = tuple(np.flatnonzero(ALG.grades == 1).tolist())
+_EINF = einf.coeffs
+_ONE = ALG.scalar(1.0).coeffs
+_INV_I5 = ALG.scalar(1.0).dual().coeffs  # A.dual() == A * I5^-1
+# Sign fixing r^2 = sign * <A A>_0 / <(einf | A)^2>_0, by grade; verified
 # against brute-force circumcenter/circumradius solves in the test suite.
-_ROUND_SIGN = {1: 1.0, 2: 1.0, 3: -1.0, 4: 1.0}
+_ROUND_SIGN = np.array([0.0, 1.0, 1.0, -1.0, 1.0, 0.0])
+# null-basis bits (e1, e2, e3, e0, einf on bits 0..4) of the flat parameters
+_INF = 0b10000
+_FLAT_POINT_W, _FLAT_POINT_LOC = 0b11000, np.array([0b10001, 0b10010, 0b10100])
+_LINE_DIRECTION, _LINE_MOMENT = np.array([0b11001, 0b11010, 0b11100]), np.array([0b10011, 0b10101, 0b10110])
 
 
-def _round_center_radius(mv: Multivector, grade: int) -> tuple[np.ndarray, float]:
-    center_raw = (mv * einf * mv).grade(1)
-    center = extract_point(center_raw)
-    top = (mv * mv).scalar_part()
-    carrier = einf | mv
-    bot = (carrier * carrier).scalar_part()
-    if abs(bot) <= tolerance.threshold(mv.max_abs() ** 2):
-        raise DegenerateError("round has no finite carrier; cannot extract radius")
-    r2 = _ROUND_SIGN[grade] * top / bot
-    return center, r2
+def _grade_sets(X: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(rows, 6) flags: grade g has a coefficient above the row's tolerance."""
+    present = np.abs(X) > tolerance.threshold(scale)[:, None]
+    return present @ _GRADE_ONE_HOT > 0
 
 
-def _radius_sign_label(r2: float, scale: float) -> str:
-    if abs(r2) <= tolerance.threshold(scale) * 10.0:
-        return "degenerate"
-    return "real" if r2 > 0 else "imaginary"
+def _vector_part(grade1: np.ndarray) -> np.ndarray:
+    """Full coefficient rows from grade-1 coefficients."""
+    out = np.zeros((len(grade1), ALG.dim))
+    out[:, _VECTOR] = grade1
+    return out
 
 
-def _pair_endpoints(mv: Multivector) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of a real point pair via the idempotent split (1 +- F)/2."""
-    beta = math.sqrt((mv * mv).scalar_part())
-    F = mv / beta
-    t = einf | mv
-    plus = 0.5 * (ALG.scalar(1.0) + F) * t
-    minus = 0.5 * (ALG.scalar(1.0) - F) * t
-    return extract_point(minus.grade(1)), extract_point(plus.grade(1))
+def _clean(values: np.ndarray) -> list:
+    # +0.0 turns negative zeros into plain zeros for display and JSON
+    return (values + 0.0).tolist()
 
 
-def _canonical_direction(d_raw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit direction with a deterministic overall sign; returns (d, alpha)."""
-    norm = float(np.linalg.norm(d_raw))
-    if norm == 0.0:
-        raise DegenerateError("vanishing direction")
-    first = next((v for v in d_raw if abs(v) > tolerance.threshold(norm)), norm)
-    alpha = norm if first >= 0 else -norm
-    return d_raw / alpha, alpha
+def _refuse(errors: dict, failed: np.ndarray, make) -> None:
+    """Record make(row) for each failed row that has no earlier error, so
+    checks made in tree order keep the first error of each row."""
+    if failed.any():
+        for r in failed.nonzero()[0].tolist():
+            if r not in errors:
+                errors[r] = make(r)
 
 
-def _line_params(mv: Multivector) -> dict:
-    nc = to_null_coeffs(mv)
-    inf_bit = 1 << _EINF_BIT
-    o_bit = 1 << _E0_BIT
-    d_raw = np.array([nc[(1 << k) | o_bit | inf_bit] for k in range(3)])
-    m_raw = np.array([nc[0b011 | inf_bit], nc[0b101 | inf_bit], nc[0b110 | inf_bit]])
-    d, alpha = _canonical_direction(d_raw)
-    m = m_raw / alpha
-    return {"direction": _clean_vec(d), "moment": _clean_vec(m)}
+def _finite(X: np.ndarray) -> tuple[np.ndarray, dict]:
+    """A DomainError for each row with a non-finite coefficient, and the
+    rows with those zeroed, so that the array steps after this one stay
+    finite."""
+    if np.isfinite(X).all():
+        return X, {}
+    finite = np.isfinite(X).all(axis=1)
+    errors = {}
+    for r in (~finite).nonzero()[0].tolist():
+        k = int((~np.isfinite(X[r])).nonzero()[0][0])
+        errors[r] = DomainError(f"non-finite coefficient {float(X[r, k])!r} on {ALG.blade_names[k]}")
+    return np.where(finite[:, None], X, 0.0), errors
 
 
-def _plane_params_from_ipns(vec: Multivector) -> dict:
-    nc = to_null_coeffs(vec)
-    n_raw = nc[[1, 2, 4]]
-    dist_raw = float(nc[1 << _EINF_BIT])
-    norm = float(np.linalg.norm(n_raw))
-    if norm == 0.0:
-        raise DegenerateError("plane with zero normal")
-    alpha = norm
-    if dist_raw < -tolerance.threshold(norm) * 10.0:
-        alpha = -norm
-    elif abs(dist_raw) <= tolerance.threshold(norm) * 10.0:
-        first = next((v for v in n_raw if abs(v) > tolerance.threshold(norm)), norm)
-        if first < 0:
-            alpha = -norm
-    return {"normal": _clean_vec(n_raw / alpha), "distance": _clean_num(dist_raw / alpha)}
+def _blades(X: np.ndarray, scale: np.ndarray, errors: dict) -> np.ndarray:
+    """Grade of each row that is a blade (-1 for the others); adds to
+    errors each row that is not: zero, mixed grades, or A ~A not a
+    scalar."""
+    has = _grade_sets(X, scale)
+    count = has.sum(axis=1)
+    gram = ALG.product("gp", X, X * ALG.reverse_signs)
+    gram_limit = tolerance.threshold(np.maximum(np.abs(gram[:, 0]), scale ** 2))
+    scalar_gram = np.all(np.abs(gram[:, 1:]) <= gram_limit[:, None], axis=1)
+    blade = (count == 1) & scalar_gram
+    if not blade.all():
+        _refuse(errors, count == 0, lambda r: UnknownObjectError("zero multivector"))
+        _refuse(errors, count > 1, lambda r: NotABladeError(
+            f"grade-inhomogeneous multivector (grades {has[r].nonzero()[0].tolist()})"))
+        _refuse(errors, ~scalar_gram, lambda r: NotABladeError("mv * ~mv is not scalar; not a blade"))
+    return np.where(blade, has.argmax(axis=1), -1)
 
 
-def _flat_point_params(mv: Multivector) -> dict:
-    nc = to_null_coeffs(mv)
-    inf_bit = 1 << _EINF_BIT
-    o_bit = 1 << _E0_BIT
-    w = nc[o_bit | inf_bit]
-    if abs(w) <= tolerance.threshold(mv.max_abs()):
-        raise UnknownObjectError("flat point at infinity")
-    loc = np.array([nc[(1 << k) | inf_bit] for k in range(3)]) / w
-    return {"location": _clean_vec(loc)}
+def _flats(X: np.ndarray, grade: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which blades are flat, and A ^ einf for the rows of grade 2..4.
+
+    A vector is flat (an IPNS plane) when its e0 coefficient vanishes, a
+    blade of grade 2..4 when A ^ einf does."""
+    flat = (grade == 1) & (np.abs(X[:, _MINUS] - X[:, _PLUS]) <= tolerance.threshold(scale))
+    wedge = np.zeros_like(X)
+    rows = ((grade >= 2) & (grade <= 4)).nonzero()[0]
+    if len(rows):
+        wedge[rows] = ALG.product("outer", X[rows], _EINF)
+        wedge_limit = tolerance.threshold(np.maximum(1.0, 2.0 * scale[rows]))
+        flat[rows] = np.all(np.abs(wedge[rows]) <= wedge_limit[:, None], axis=1)
+    return flat, wedge
+
+
+def _locations(P: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Euclidean locations of conformal points given as rows of vector
+    coefficients, at any homogeneous scale, and the error of each row that
+    is not one."""
+    errors: dict = {}
+    scale = np.abs(P).max(axis=1)
+    square = ALG.product("gp", P, P, _SCALAR)[:, 0]
+    e0_part = P[:, _MINUS] - P[:, _PLUS]
+    finite = np.abs(e0_part) > tolerance.threshold(scale)
+    null = np.abs(square) <= tolerance.threshold(scale * scale) * 10.0
+    if not (null & finite).all():
+        _refuse(errors, scale == 0.0, lambda r: NotAPointError("zero multivector is not a point"))
+        _refuse(errors, ~null, lambda r: NotAPointError("vector is not null; not a conformal point"))
+        _refuse(errors, ~finite, lambda r: PointAtInfinityError("no finite location: e0 coefficient vanishes"))
+    return P[:, _EUCLID] / np.where(finite, e0_part, 1.0)[:, None], errors
+
+
+def _rounds(X: np.ndarray, grade: np.ndarray, scale: np.ndarray):
+    """Center, signed squared radius, its sign label and errors, for round
+    blades: the center is the point A einf A, and
+    r^2 = sign * <A A>_0 / <(einf | A)^2>_0."""
+    center, errors = _locations(_vector_part(ALG.product("gp", ALG.product("gp", X, _EINF), X, _VECTOR)))
+    top = ALG.product("gp", X, X, _SCALAR)[:, 0]
+    carrier = ALG.product("lcont", _EINF, X)
+    bottom = ALG.product("gp", carrier, carrier, _SCALAR)[:, 0]
+    finite_carrier = np.abs(bottom) > tolerance.threshold(scale ** 2)
+    _refuse(errors, ~finite_carrier, lambda r: DegenerateError("round has no finite carrier; cannot extract radius"))
+    r2 = _ROUND_SIGN[grade] * top / np.where(finite_carrier, bottom, 1.0)
+    r2_limit = tolerance.threshold(1.0 + _sq_norms(center)) * 10.0
+    sign = [
+        "degenerate" if abs(v) <= limit else "real" if v > 0 else "imaginary"
+        for v, limit in zip(r2.tolist(), r2_limit.tolist())
+    ]
+    return center, r2, sign, errors
+
+
+def _pair_endpoints(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Endpoints of real point pairs via the idempotent split (1 +- F)/2
+    with F = A / sqrt(<A A>_0); the (1 - F) endpoint comes first."""
+    F = X / np.sqrt(ALG.product("gp", X, X, _SCALAR))
+    carrier = ALG.product("lcont", _EINF, X)
+    (a, a_errors), (b, b_errors) = (
+        _locations(_vector_part(ALG.product("gp", 0.5 * half, carrier, _VECTOR))) for half in (_ONE - F, _ONE + F)
+    )
+    return a, b, {**b_errors, **a_errors}
+
+
+def _directions(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the signed norm alpha that makes D / alpha a unit vector whose
+    first clearly nonzero component is positive, and which rows vanish."""
+    norm = np.sqrt(_sq_norms(D))
+    clear = np.abs(D) > tolerance.threshold(norm)[:, None]
+    first = np.where(clear.any(axis=1), D[np.arange(len(D)), np.argmax(clear, axis=1)], norm)
+    return np.where(first >= 0, norm, -norm), norm == 0.0
+
+
+def _plane_outcomes(V: np.ndarray, form: str) -> list:
+    """Planes from IPNS vectors n + d einf: unit normal and distance, signed
+    so that d > 0, or by the normal's first clear component when d vanishes."""
+    normal_raw = V[:, _EUCLID]
+    distance_raw = V @ NULL_FROM_PM[_INF]
+    alpha, vanishing = _directions(normal_raw)
+    norm = np.abs(alpha)
+    limit = tolerance.threshold(norm) * 10.0
+    alpha = np.where(distance_raw < -limit, -norm, np.where(np.abs(distance_raw) <= limit, alpha, norm))
+    alpha[vanishing] = 1.0
+    normal, distance = _clean(normal_raw / alpha[:, None]), _clean(distance_raw / alpha)
+    return [
+        DegenerateError("plane with zero normal") if v else ("plane", {"normal": tuple(n), "distance": d, "form": form})
+        for v, n, d in zip(vanishing, normal, distance)
+    ]
+
+
+def _scalars(X, grade, scale, wedge) -> list:
+    return [UnknownObjectError("scalars are not conformal objects") for _ in X]
+
+
+def _space(X, grade, scale, wedge) -> list:
+    return [("space", {}) for _ in X]
+
+
+def _ipns_planes(X, grade, scale, wedge) -> list:
+    """Flat vectors: IPNS planes, unless the normal vanishes too."""
+    at_infinity = np.abs(X[:, _EUCLID]).max(axis=1) <= tolerance.threshold(scale)
+    return [
+        UnknownObjectError("pure einf direction (point at infinity)") if inf else plane
+        for inf, plane in zip(at_infinity, _plane_outcomes(X, "ipns"))
+    ]
+
+
+def _opns_planes(X, grade, scale, wedge) -> list:
+    """Flat 4-blades: OPNS planes, read from their dual vector."""
+    return _plane_outcomes(_vector_part(ALG.product("gp", X, _INV_I5, _VECTOR)), "opns")
+
+
+def _flat_points(X, grade, scale, wedge) -> list:
+    null = X @ NULL_FROM_PM.T
+    w = null[:, _FLAT_POINT_W]
+    at_infinity = np.abs(w) <= tolerance.threshold(scale)
+    location = _clean(null[:, _FLAT_POINT_LOC] / np.where(at_infinity, 1.0, w)[:, None])
+    return [
+        UnknownObjectError("flat point at infinity") if inf else ("flat_point", {"location": tuple(p)})
+        for inf, p in zip(at_infinity, location)
+    ]
+
+
+def _lines(X, grade, scale, wedge) -> list:
+    null = X @ NULL_FROM_PM.T
+    alpha, vanishing = _directions(null[:, _LINE_DIRECTION])
+    alpha[vanishing] = 1.0
+    direction = _clean(null[:, _LINE_DIRECTION] / alpha[:, None])
+    moment = _clean(null[:, _LINE_MOMENT] / alpha[:, None])
+    return [
+        DegenerateError("vanishing direction") if v else ("line", {"direction": tuple(d), "moment": tuple(m)})
+        for v, d, m in zip(vanishing, direction, moment)
+    ]
+
+
+def _round_objects(X, grade, scale, wedge) -> list:
+    """Points and spheres (grade 1, IPNS), point pairs, circles and OPNS
+    spheres: center and squared radius for all, then what each kind adds."""
+    center, r2, sign, errors = _rounds(X, grade, scale)
+    params = [{"center": tuple(c), "radius2": v, "sign": k} for c, v, k in zip(_clean(center), _clean(r2), sign)]
+    grades = grade.tolist()
+    pairs = np.array([i for i, (g, k) in enumerate(zip(grades, sign)) if g == 2 and k == "real" and i not in errors], int)
+    if len(pairs):
+        a, b, pair_errors = _pair_endpoints(X[pairs])
+        errors.update({pairs[i]: exc for i, exc in pair_errors.items()})
+        for i, p, q in zip(pairs, _clean(a), _clean(b)):
+            params[i]["points"] = (tuple(p), tuple(q))
+    circles = np.array([i for i, g in enumerate(grades) if g == 3], int)
+    if len(circles):
+        # the unit normal of the carrier plane (A ^ einf)*, when it has one
+        normal_raw = ALG.product("gp", wedge[circles], _INV_I5, _EUCLID)
+        has_normal = np.sqrt(_sq_norms(normal_raw)) > tolerance.threshold(scale[circles])
+        alpha, _ = _directions(normal_raw[has_normal])
+        for i, n in zip(circles[has_normal], _clean(normal_raw[has_normal] / alpha[:, None])):
+            params[i]["normal"] = tuple(n)
+    out = []
+    for i, (g, p) in enumerate(zip(grades, params)):
+        if i in errors:
+            out.append(errors[i])
+        elif g == 1 and sign[i] == "degenerate":
+            out.append(("point", {"location": p["center"]}))
+        elif g in (1, 4):
+            out.append(("sphere", {**p, "form": "ipns" if g == 1 else "opns"}))
+        else:
+            out.append(("point_pair" if g == 2 else "circle", p))
+    return out
+
+
+# The branches of the decision tree, by (grade, flat) of a row. Each takes the
+# rows' coefficients, grades, scales and A ^ einf, and returns each row's error
+# or (kind, params).
+_BRANCHES = (
+    ({(0, False)}, _scalars),
+    ({(5, False)}, _space),
+    ({(1, True)}, _ipns_planes),
+    ({(g, False) for g in (1, 2, 3, 4)}, _round_objects),
+    ({(2, True)}, _flat_points),
+    ({(3, True)}, _lines),
+    ({(4, True)}, _opns_planes),
+)
+
+
+def _classify_block(X: np.ndarray) -> list:
+    objects = X  # the objects keep rows of the block as given
+    X, errors = _finite(X)
+    scale = np.abs(X).max(axis=1)
+    grade = _blades(X, scale, errors)
+    flat, wedge = _flats(X, grade, scale)
+    out = [errors.get(r) for r in range(len(X))]
+    keys = list(zip(grade.tolist(), flat.tolist()))
+    for wanted, branch in _BRANCHES:
+        rows = [r for r, key in enumerate(keys) if key in wanted]
+        if rows:
+            pick = slice(None) if len(rows) == len(X) else rows  # a view when the branch takes every row
+            for r, o in zip(rows, branch(X[pick], grade[pick], scale[pick], wedge[pick])):
+                out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector(ALG, objects[r], copy=False), o[1])
+    return out
+
+
+def classify_batch(coeffs) -> list:
+    """Classify every row of an (N, 32) coefficient array in one array pass.
+
+    Returns one entry per row: its ConformalObject, or the GAError that
+    `classify` raises for it. Grades 2..4 are read as outer product null
+    space objects, grade 1 as inner product null space. Rows go through
+    in blocks of a fixed size, which bounds the temporaries."""
+    X = np.array(coeffs, dtype=float)  # a private copy: the objects keep row views of it
+    if X.ndim != 2 or X.shape[1] != ALG.dim:
+        raise ValueError(f"expected an (N, {ALG.dim}) coefficient array, got shape {X.shape}")
+    X.setflags(write=False)
+    out: list = []
+    for start in range(0, len(X), _BLOCK):
+        out += _classify_block(X[start:start + _BLOCK])
+    return out
 
 
 def classify(mv: Multivector) -> ConformalObject:
-    """Decision tree over the dominant grade; grades 2..4 are read as outer
-    product null space objects, grade 1 as inner product null space."""
-    g = _dominant_grade(mv)
-    if g == 0:
-        raise UnknownObjectError("scalars are not conformal objects")
-    if g == 5:
-        return ConformalObject("space", mv, {})
-
-    if g == 1:
-        c0 = _e0_coefficient(mv)
-        if abs(c0) <= tolerance.threshold(mv.max_abs()):
-            nc = to_null_coeffs(mv)
-            if np.max(np.abs(nc[[1, 2, 4]])) <= tolerance.threshold(mv.max_abs()):
-                raise UnknownObjectError("pure einf direction (point at infinity)")
-            return ConformalObject("plane", mv, {**_plane_params_from_ipns(mv), "form": "ipns"})
-        center, r2 = _round_center_radius(mv, 1)
-        label = _radius_sign_label(r2, 1.0 + float(center @ center))
-        if label == "degenerate":
-            return ConformalObject("point", mv, {"location": _clean_vec(center)})
-        return ConformalObject(
-            "sphere", mv, {"center": _clean_vec(center), "radius2": _clean_num(r2), "sign": label, "form": "ipns"}
-        )
-
-    flat = _is_flat(mv)
-    if g == 2:
-        if flat:
-            return ConformalObject("flat_point", mv, _flat_point_params(mv))
-        center, r2 = _round_center_radius(mv, 2)
-        label = _radius_sign_label(r2, 1.0 + float(center @ center))
-        params = {"center": _clean_vec(center), "radius2": _clean_num(r2), "sign": label}
-        if label == "real":
-            a, b = _pair_endpoints(mv)
-            params["points"] = (_clean_vec(a), _clean_vec(b))
-        return ConformalObject("point_pair", mv, params)
-    if g == 3:
-        if flat:
-            return ConformalObject("line", mv, _line_params(mv))
-        center, r2 = _round_center_radius(mv, 3)
-        label = _radius_sign_label(r2, 1.0 + float(center @ center))
-        params = {"center": _clean_vec(center), "radius2": _clean_num(r2), "sign": label}
-        carrier = (mv ^ einf).dual()
-        nc = to_null_coeffs(carrier.grade(1))
-        n_raw = nc[[1, 2, 4]]
-        norm = float(np.linalg.norm(n_raw))
-        if norm > tolerance.threshold(mv.max_abs()):
-            d, _ = _canonical_direction(n_raw)
-            params["normal"] = _clean_vec(d)
-        return ConformalObject("circle", mv, params)
-    if g == 4:
-        if flat:
-            dual_vec = mv.dual().grade(1)
-            return ConformalObject("plane", mv, {**_plane_params_from_ipns(dual_vec), "form": "opns"})
-        center, r2 = _round_center_radius(mv, 4)
-        label = _radius_sign_label(r2, 1.0 + float(center @ center))
-        return ConformalObject(
-            "sphere", mv, {"center": _clean_vec(center), "radius2": _clean_num(r2), "sign": label, "form": "opns"}
-        )
-    raise UnknownObjectError(f"grade {g} does not match a supported object")
+    """The one-row case of `classify_batch`: the object, or its error raised."""
+    outcome = classify_batch(mv.coeffs[None, :])
+    if isinstance(outcome[0], GAError):
+        # popped, so that no local of this frame holds the error its traceback holds
+        raise outcome.pop()
+    return outcome[0]
 
 
 def round_params(mv: Multivector) -> dict:
-    """Center and signed squared radius of a round blade (grades 1..4)."""
-    g = _dominant_grade(mv)
-    if g not in _ROUND_SIGN:
+    """Center and signed squared radius of a round blade (grades 1..4), by
+    the classification's own blade, flatness and round stages on one row."""
+    X, errors = _finite(mv.coeffs[None, :])
+    scale = np.abs(X).max(axis=1)
+    grade = _blades(X, scale, errors)
+    if errors:
+        raise errors.pop(0)
+    g = int(grade[0])
+    if not 1 <= g <= 4:
         raise UnknownObjectError(f"grade {g} is not a round object")
-    if g > 1 and _is_flat(mv):
+    if _flats(X, grade, scale)[0][0]:
+        if g == 1:
+            raise FlatObjectError("grade-1 flat (plane) has no center/radius")
         raise FlatObjectError("flat object has no center/radius")
-    if g == 1 and abs(_e0_coefficient(mv)) <= tolerance.threshold(mv.max_abs()):
-        raise FlatObjectError("grade-1 flat (plane) has no center/radius")
-    center, r2 = _round_center_radius(mv, g)
-    return {
-        "center": _clean_vec(center),
-        "radius2": _clean_num(r2),
-        "sign": _radius_sign_label(r2, 1.0 + float(center @ center)),
-    }
+    center, r2, sign, errors = _rounds(X, grade, scale)
+    if errors:
+        raise errors.pop(0)
+    return {"center": tuple(_clean(center[0])), "radius2": float(r2[0]) + 0.0, "sign": sign[0]}

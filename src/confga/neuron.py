@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tolerance
 from .algebra import Multivector
-from .conformal import ALG, embed_point
+from .conformal import ALG, embed_points
 from .errors import DivergenceError, SingularWeightError
 from .versor import CONVENTIONS, Versor, _action_matrix, apply
 
@@ -273,7 +273,7 @@ def generate_dataset(
     target to unit e0 coefficient, and noise perturbs target coefficients."""
     rng = np.random.default_rng(seed)
     mode = "motion" if v.parity == "even" else "reflection"
-    xs = [embed_point(p) for p in rng.uniform(-2.0, 2.0, size=(n, 3))]
+    xs = [Multivector(ALG, x, copy=False) for x in embed_points(rng.uniform(-2.0, 2.0, size=(n, 3)))]
     Y = np.array([y.coeffs for y in apply(v, xs, mode, convention=convention)]).reshape(-1, ALG.dim)
     if normalize_point_targets:
         Y /= (Y[:, 0b10000] - Y[:, 0b01000])[:, None]

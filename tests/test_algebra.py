@@ -409,3 +409,41 @@ class TestTextForm:
         assert oracle_product(0b00011, 0b00010, cga) == (1, 0b00001)
         assert oracle_product(0b10000, 0b10000, cga) == (-1, 0)
         assert oracle_product(0b00001, 0b00010, cga) == (1, 0b00011)
+
+
+class TestRowProductKernel:
+    """`Algebra.product` on coefficient rows: every row matches the
+    scatter-add fold the products used before it, bit for bit, whatever
+    the rows around it, the output blades asked for, or the broadcast."""
+
+    @staticmethod
+    def fold(alg, a, b, signs):
+        # the one-row product by np.bincount, kept as the reference
+        outer = (a[:, None] * b[None, :]) * signs
+        return np.bincount(alg.xor_table.ravel(), weights=outer.ravel(), minlength=alg.dim)
+
+    @pytest.mark.parametrize("kind", ["gp", "outer", "lcont"])
+    @pytest.mark.parametrize("blades", [None, (0,), (1, 2, 4), (3, 5, 8, 13, 21, 30, 31)])
+    def test_rows_match_one_row_fold(self, cga, rng, kind, blades):
+        signs = {"gp": cga.sign_table, "outer": cga.outer_sign, "lcont": cga.lcont_sign}[kind]
+        cols = slice(None) if blades is None else list(blades)
+        n = 300
+        a = rng.normal(size=(n, cga.dim)) * 10.0 ** rng.uniform(-4, 4, size=(n, cga.dim))
+        b = rng.normal(size=(n, cga.dim)) * 10.0 ** rng.uniform(-4, 4, size=(n, cga.dim))
+        want = np.array([self.fold(cga, a[i], b[i], signs) for i in range(n)])[:, cols]
+        assert np.array_equal(cga.product(kind, a, b, blades), want)
+        for i in (0, 1, n - 1):
+            assert np.array_equal(cga.product(kind, a[i], b[i], blades), want[i])
+            assert np.array_equal(cga.product(kind, a[i:i + 1], b[i:i + 1], blades)[0], want[i])
+        # one operand shared by every row, on either side
+        shared = np.array([self.fold(cga, a[i], b[0], signs) for i in range(n)])[:, cols]
+        assert np.array_equal(cga.product(kind, a, b[0], blades), shared)
+        shared = np.array([self.fold(cga, a[0], b[i], signs) for i in range(n)])[:, cols]
+        assert np.array_equal(cga.product(kind, a[0], b, blades), shared)
+
+    def test_other_signatures(self, rng):
+        for p, q in ((3, 0), (2, 2), (1, 0), (5, 3)):
+            alg = algebra(p, q)
+            a, b = rng.normal(size=(5, alg.dim)), rng.normal(size=(5, alg.dim))
+            want = np.array([self.fold(alg, a[i], b[i], alg.sign_table) for i in range(5)])
+            assert np.array_equal(alg.product("gp", a, b), want)

@@ -102,7 +102,7 @@ class TestEval:
         assert result.exit_code == 1
         assert result.stderr.startswith("error:")
 
-    @pytest.mark.parametrize("src", ["1e999 * e1", "point(1e400, 0, 0)"])
+    @pytest.mark.parametrize("src", ["1e999 * e1", "point(1e400, 0, 0)", "point(1e200, 0, 0)", "sphere(0, -1e200, 0, 1)"])
     def test_overflowing_literal_exit_1(self, runner, src):
         result = runner.invoke(main, ["eval", src])
         assert result.exit_code == 1

@@ -4,13 +4,16 @@ Round parameters (centers, radii) are checked against brute-force linear
 circumcenter solves that never touch the algebra under test.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confga import tolerance
 from confga import (
     DegenerateError,
     DomainError,
@@ -19,9 +22,12 @@ from confga import (
     NotABladeError,
     NotAPointError,
     PointAtInfinityError,
+    GAError,
     UnknownObjectError,
     classify,
+    classify_batch,
     embed_point,
+    embed_points,
     extract_point,
     make_circle,
     make_flat_point,
@@ -34,7 +40,9 @@ from confga import (
     sphere_ipns,
     whole_space,
 )
+from confga.cli import main
 from confga.conformal import (
+    _BLOCK,
     ALG,
     E,
     I5,
@@ -47,6 +55,7 @@ from confga.conformal import (
     from_null_coeffs,
     to_null_coeffs,
 )
+from confga.scene import Scene, write_scene
 
 from conftest import assert_mv_close, assert_proportional
 
@@ -470,3 +479,389 @@ class TestClassifyErrors:
             classify(einf)
         with pytest.raises(UnknownObjectError):
             classify(e1 ^ einf)  # flat point pushed to infinity has no location
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            coeffs = embed_point([1.0, 2.0, 3.0]).coeffs.copy()
+            coeffs[0b00010] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                classify(ALG.mv(coeffs))
+        with pytest.raises(DomainError, match="non-finite"):
+            classify(ALG.mv(np.full(ALG.dim, math.nan)))
+        with pytest.raises(DomainError, match="non-finite"):
+            round_params(ALG.mv(np.full(ALG.dim, math.inf)))
+
+
+class TestEmbedPoints:
+    @staticmethod
+    def reference_embed(p):
+        # the per-point formula embed_point used before it became embed_points' one-row case
+        arr = np.asarray(p, dtype=float)
+        return euclid_vector(arr) + (0.5 * float(arr @ arr)) * einf + e0
+
+    def test_rows_match_per_point_formula_bit_for_bit(self, rng):
+        pts = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-3.0, 5.0, size=(500, 1))
+        rows = embed_points(pts)
+        assert rows.shape == (500, ALG.dim)
+        for p, row in zip(pts, rows):
+            want = self.reference_embed(p).coeffs
+            assert np.array_equal(row, want)
+            assert np.array_equal(embed_point(p).coeffs, want)
+
+    def test_empty_and_shape(self):
+        assert embed_points(np.zeros((0, 3))).shape == (0, ALG.dim)
+        with pytest.raises(ValueError):
+            embed_points(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            embed_point([1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(DomainError, match=repr(bad)):
+            embed_point([bad, 0.0, 0.0])
+        pts = np.zeros((3, 3))
+        pts[2, 1] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            embed_points(pts)
+
+    def test_rejects_squared_norm_overflow(self):
+        with pytest.raises(DomainError, match="1e\\+200"):
+            embed_point([1e200, 0.0, 0.0])
+        with pytest.raises(DomainError, match="overflows"):
+            embed_points(np.array([[0.0, 0.0, 0.0], [0.0, -2e154, 0.0]]))
+        # the largest squared norms that stay finite are accepted
+        assert np.all(np.isfinite(embed_point([1e154, 0.0, 0.0]).coeffs))
+
+
+# -- reference: per-object classification -------------------------------------
+#
+# The object-at-a-time decision tree that `classify_batch` replaced, kept as
+# the oracle its rows are compared against. It runs on Multivector products
+# only and shares no code with the batched path.
+
+
+def _ref_e0(mv):
+    return float(mv.coeffs[0b10000] - mv.coeffs[0b01000])
+
+
+def ref_extract_point(P):
+    gs = P.grades()
+    if gs and gs != frozenset({1}):
+        raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})")
+    scale = P.max_abs()
+    if scale == 0.0:
+        raise NotAPointError("zero multivector is not a point")
+    sq = (P * P).scalar_part()
+    if abs(sq) > tolerance.threshold(scale * scale) * 10.0:
+        raise NotAPointError("vector is not null; not a conformal point")
+    c0 = _ref_e0(P)
+    if abs(c0) <= tolerance.threshold(scale):
+        raise PointAtInfinityError("no finite location: e0 coefficient vanishes")
+    Pn = P / c0
+    return np.array([Pn.coeffs[0b001], Pn.coeffs[0b010], Pn.coeffs[0b100]])
+
+
+def _ref_clean_vec(arr):
+    return tuple(float(v) + 0.0 for v in arr)
+
+
+def _ref_dominant_grade(mv):
+    gs = mv.grades()
+    if not gs:
+        raise UnknownObjectError("zero multivector")
+    if len(gs) > 1:
+        raise NotABladeError(f"grade-inhomogeneous multivector (grades {sorted(gs)})")
+    m = mv * ~mv
+    off = m - m.grade(0)
+    if not off.is_zero(scale=max(abs(m.scalar_part()), mv.max_abs() ** 2)):
+        raise NotABladeError("mv * ~mv is not scalar; not a blade")
+    return next(iter(gs))
+
+
+def _ref_is_flat(mv):
+    return (mv ^ einf).is_zero(scale=max(1.0, 2.0 * mv.max_abs()))
+
+
+_REF_ROUND_SIGN = {1: 1.0, 2: 1.0, 3: -1.0, 4: 1.0}
+
+
+def _ref_round(mv, grade):
+    center = ref_extract_point((mv * einf * mv).grade(1))
+    top = (mv * mv).scalar_part()
+    carrier = einf | mv
+    bot = (carrier * carrier).scalar_part()
+    if abs(bot) <= tolerance.threshold(mv.max_abs() ** 2):
+        raise DegenerateError("round has no finite carrier; cannot extract radius")
+    return center, _REF_ROUND_SIGN[grade] * top / bot
+
+
+def _ref_label(r2, center):
+    if abs(r2) <= tolerance.threshold(1.0 + float(center @ center)) * 10.0:
+        return "degenerate"
+    return "real" if r2 > 0 else "imaginary"
+
+
+def _ref_direction(d_raw):
+    norm = float(np.linalg.norm(d_raw))
+    if norm == 0.0:
+        raise DegenerateError("vanishing direction")
+    first = next((v for v in d_raw if abs(v) > tolerance.threshold(norm)), norm)
+    alpha = norm if first >= 0 else -norm
+    return d_raw / alpha, alpha
+
+
+def _ref_plane(vec):
+    nc = to_null_coeffs(vec)
+    n_raw = nc[[1, 2, 4]]
+    dist_raw = float(nc[0b10000])
+    norm = float(np.linalg.norm(n_raw))
+    if norm == 0.0:
+        raise DegenerateError("plane with zero normal")
+    alpha = norm
+    if dist_raw < -tolerance.threshold(norm) * 10.0:
+        alpha = -norm
+    elif abs(dist_raw) <= tolerance.threshold(norm) * 10.0:
+        first = next((v for v in n_raw if abs(v) > tolerance.threshold(norm)), norm)
+        if first < 0:
+            alpha = -norm
+    return {"normal": _ref_clean_vec(n_raw / alpha), "distance": float(dist_raw / alpha) + 0.0}
+
+
+def _ref_round_params(mv, grade):
+    center, r2 = _ref_round(mv, grade)
+    return center, r2, {"center": _ref_clean_vec(center), "radius2": float(r2) + 0.0, "sign": _ref_label(r2, center)}
+
+
+def reference_classify(mv):
+    """(kind, params) of one blade, by the object-at-a-time tree."""
+    g = _ref_dominant_grade(mv)
+    if g == 0:
+        raise UnknownObjectError("scalars are not conformal objects")
+    if g == 5:
+        return "space", {}
+    if g == 1:
+        if abs(_ref_e0(mv)) <= tolerance.threshold(mv.max_abs()):
+            nc = to_null_coeffs(mv)
+            if np.max(np.abs(nc[[1, 2, 4]])) <= tolerance.threshold(mv.max_abs()):
+                raise UnknownObjectError("pure einf direction (point at infinity)")
+            return "plane", {**_ref_plane(mv), "form": "ipns"}
+        center, _, params = _ref_round_params(mv, 1)
+        if params["sign"] == "degenerate":
+            return "point", {"location": params["center"]}
+        return "sphere", {**params, "form": "ipns"}
+    flat = _ref_is_flat(mv)
+    if g == 2:
+        if flat:
+            nc = to_null_coeffs(mv)
+            w = nc[0b11000]
+            if abs(w) <= tolerance.threshold(mv.max_abs()):
+                raise UnknownObjectError("flat point at infinity")
+            return "flat_point", {"location": _ref_clean_vec(nc[[0b10001, 0b10010, 0b10100]] / w)}
+        _, _, params = _ref_round_params(mv, 2)
+        if params["sign"] == "real":
+            beta = math.sqrt((mv * mv).scalar_part())
+            F = mv / beta
+            t = einf | mv
+            plus = 0.5 * (ALG.scalar(1.0) + F) * t
+            minus = 0.5 * (ALG.scalar(1.0) - F) * t
+            a, b = ref_extract_point(minus.grade(1)), ref_extract_point(plus.grade(1))
+            params["points"] = (_ref_clean_vec(a), _ref_clean_vec(b))
+        return "point_pair", params
+    if g == 3:
+        if flat:
+            nc = to_null_coeffs(mv)
+            d, alpha = _ref_direction(nc[[0b11001, 0b11010, 0b11100]])
+            m = nc[[0b10011, 0b10101, 0b10110]] / alpha
+            return "line", {"direction": _ref_clean_vec(d), "moment": _ref_clean_vec(m)}
+        _, _, params = _ref_round_params(mv, 3)
+        n_raw = to_null_coeffs((mv ^ einf).dual().grade(1))[[1, 2, 4]]
+        if float(np.linalg.norm(n_raw)) > tolerance.threshold(mv.max_abs()):
+            params["normal"] = _ref_clean_vec(_ref_direction(n_raw)[0])
+        return "circle", params
+    if flat:
+        return "plane", {**_ref_plane(mv.dual().grade(1)), "form": "opns"}
+    _, _, params = _ref_round_params(mv, 4)
+    return "sphere", {**params, "form": "opns"}
+
+
+# -- batched classification ----------------------------------------------------
+
+
+def _unit(rng):
+    d = rng.normal(size=3)
+    return d / np.linalg.norm(d)
+
+
+def classification_mix(rng, rounds: int = 14) -> list:
+    """Every kind at offsets 10^0..10^4, rescaled, plus rows each tree
+    branch refuses: zero, scalar, mixed grades, non-blades, points at
+    infinity, imaginary and degenerate rounds, collinear and coplanar
+    degenerations."""
+    P = embed_point
+    mix = [
+        ALG.zero(), ALG.scalar(2.0), e1 + (e1 ^ e2), (e1 ^ e2) + (e3 ^ ALG.basis_vector(3)),
+        einf, -3.0 * einf, e1 ^ einf, e1 ^ e2, e1, I5, e1 ^ e2 ^ e3 ^ e0 ^ einf,
+        P([0.0, 0, 0]) ^ P([1.0, 0, 0]) ^ P([0, 1.0, 0]) ^ P([1.0, 1.0, 0]),
+    ]
+    for k in range(rounds):
+        o = _unit(rng) * 10.0 ** (4.0 * k / (rounds - 1))
+        p = [o + rng.uniform(-1.0, 1.0, 3) for _ in range(4)]
+        c, r = o + rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.3, 2.0))
+        n1, n2 = _unit(rng), _unit(rng)
+        plane1 = euclid_vector(n1) + float(n1 @ c) * einf
+        plane2 = euclid_vector(n2) + float(n2 @ c) * einf
+        real, imag = P(c) - (0.5 * r * r) * einf, P(c) + (0.5 * r * r) * einf
+        d = _unit(rng)
+        u = np.cross(d, n1)
+        objects = [
+            P(p[0]),
+            P(p[0]) ^ P(p[1]),
+            P(p[0]) ^ P(p[1]) ^ P(p[2]),
+            P(p[0]) ^ P(p[1]) ^ P(p[2]) ^ P(p[3]),
+            real,
+            P(p[0]) ^ einf,
+            P(p[0]) ^ P(p[1]) ^ einf,
+            P(p[0]) ^ P(p[1]) ^ P(p[2]) ^ einf,
+            plane1,
+            (real ^ plane1).dual(),
+            (real ^ plane1 ^ plane2).dual(),
+            imag,
+            imag.dual(),
+            (imag ^ plane1).dual(),
+            (imag ^ plane1 ^ plane2).dual(),
+            (P(c) ^ plane1).dual(),
+            (P(c) ^ plane1 ^ plane2).dual(),
+            P(c) ^ P(c + d) ^ P(c + 2.5 * d),
+            P(c) ^ P(c + d) ^ P(c + u) ^ P(c + 3.0 * d + 2.0 * u),
+            ALG.mv(np.where(ALG.grades == 1 + k % 4, rng.normal(size=ALG.dim), 0.0)),
+        ]
+        mix += [float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)) * mv for mv in objects]
+    return mix
+
+
+def reference_outcome(mv):
+    try:
+        return reference_classify(mv)
+    except GAError as exc:
+        return exc
+
+
+def assert_params_close(got, want, rel=1e-12):
+    assert list(got) == list(want)
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, str):
+            assert g == w, key
+            continue
+        gv, wv = np.array(g, dtype=float), np.array(w, dtype=float)
+        assert gv.shape == wv.shape, key
+        assert np.max(np.abs(gv - wv), initial=0.0) <= rel * max(1.0, np.max(np.abs(wv), initial=0.0)), key
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, GAError):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+    else:
+        assert not isinstance(got, GAError), (got, want)
+        assert got.kind == want[0]
+        assert_params_close(got.params, want[1])
+
+
+def _rows(mvs) -> np.ndarray:
+    return np.array([mv.coeffs for mv in mvs]).reshape(-1, ALG.dim)
+
+
+class TestClassifyBatch:
+    def test_matches_per_object_reference(self, rng):
+        mix = classification_mix(rng)
+        got = classify_batch(_rows(mix))
+        assert len(got) == len(mix) > _BLOCK
+        kinds, errors = set(), set()
+        for mv, outcome in zip(mix, got):
+            want = reference_outcome(mv)
+            assert_same_outcome(outcome, want)
+            if isinstance(want, GAError):
+                errors.add(str(want))
+            else:
+                kinds.add(want[0] if want[0] != "sphere" else f"sphere_{want[1]['form']}")
+                kinds.add(f"sign_{want[1].get('sign')}")
+        assert {"point", "point_pair", "circle", "sphere_ipns", "sphere_opns", "flat_point", "line",
+                "plane", "space", "sign_real", "sign_imaginary", "sign_degenerate"} <= kinds
+        assert len(errors) >= 6, errors
+
+    def test_one_row_case_raises_that_rows_error(self, rng):
+        for mv in classification_mix(rng, rounds=4):
+            want = reference_outcome(mv)
+            if isinstance(want, GAError):
+                with pytest.raises(type(want)) as info:
+                    classify(mv)
+                assert str(info.value) == str(want)
+            else:
+                assert_same_outcome(classify(mv), want)
+
+    def test_round_params_matches_reference(self, rng):
+        for mv in classification_mix(rng, rounds=4):
+            try:
+                g = _ref_dominant_grade(mv)
+                if g not in _REF_ROUND_SIGN:
+                    raise UnknownObjectError(f"grade {g} is not a round object")
+                if g > 1 and _ref_is_flat(mv):
+                    raise FlatObjectError("flat object has no center/radius")
+                if g == 1 and abs(_ref_e0(mv)) <= tolerance.threshold(mv.max_abs()):
+                    raise FlatObjectError("grade-1 flat (plane) has no center/radius")
+                want = _ref_round_params(mv, g)[2]
+            except GAError as exc:
+                with pytest.raises(type(exc)) as info:
+                    round_params(mv)
+                assert str(info.value) == str(exc)
+                continue
+            assert_params_close(round_params(mv), want)
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_rows_do_not_depend_on_their_neighbours(self, rng, n):
+        mix = classification_mix(rng)
+        rows = _rows(mix[:n] if len(mix) >= n else (mix * (n // len(mix) + 1))[:n])
+        batch = classify_batch(rows)
+        perm = rng.permutation(n)
+        permuted = classify_batch(rows[perm])
+        for i in (0, n // 2, n - 2, n - 1):
+            alone = classify_batch(rows[i:i + 1])[0]
+            for other in (batch[i], permuted[int(np.flatnonzero(perm == i)[0])]):
+                if isinstance(alone, GAError):
+                    assert type(other) is type(alone) and str(other) == str(alone)
+                else:
+                    assert (other.kind, other.params) == (alone.kind, alone.params)
+        for i, j in enumerate(perm):
+            a, b = permuted[i], batch[j]
+            if isinstance(a, GAError):
+                assert type(b) is type(a) and str(b) == str(a)
+            else:
+                assert (a.kind, a.params) == (b.kind, b.params)
+
+    def test_empty_and_shape(self):
+        assert classify_batch(np.zeros((0, ALG.dim))) == []
+        with pytest.raises(ValueError):
+            classify_batch(np.zeros((3, 8)))
+
+    def test_non_finite_rows_fail_alone(self):
+        rows = _rows([embed_point([1.0, 0.0, 0.0]), ALG.scalar(1.0), embed_point([0.0, 2.0, 0.0])])
+        rows[1, 5] = math.nan
+        got = classify_batch(rows)
+        assert got[0].kind == "point" and got[2].kind == "point"
+        assert isinstance(got[1], DomainError) and "nan" in str(got[1])
+
+    def test_cli_json_matches_per_object_classify(self, rng, tmp_path):
+        mix = classification_mix(rng, rounds=4)
+        names = [f"o{i:03d}" for i in range(len(mix))]
+        path = tmp_path / "mix.json"
+        write_scene(Scene(objects=dict(zip(names, mix))), path)
+        result = CliRunner().invoke(main, ["classify", "--scene", str(path), "--format", "json"])
+        assert result.exit_code == 0, result.output
+        want = {}
+        for name, mv in zip(names, mix):
+            try:
+                obj = classify(mv)
+                want[name] = {"kind": obj.kind, "params": obj.params}
+            except GAError as exc:
+                want[name] = {"error": str(exc)}
+        assert json.loads(result.output) == json.loads(json.dumps(want))

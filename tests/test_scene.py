@@ -1,6 +1,7 @@
 """Scene JSON: blade-key parsing, canonical writing, byte-exact round trips."""
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from confga import (
     translator,
     write_scene,
 )
+from confga.algebra import algebra
 from confga.conformal import ALG, e0, e1, e2, einf
 from confga.expr import tokenize
 
@@ -196,3 +198,34 @@ class TestWriting:
         write_scene(Scene(objects={"a": mv}), path)
         back = read_scene(path).objects["a"]
         assert np.array_equal(back.coeffs, mv.coeffs)
+
+
+@pytest.mark.parametrize("signature", [(4, 1), (3, 0), (2, 2)])
+def test_blade_name_table_matches_parser(signature):
+    # blade_bits looks names up in a table and parses only a miss: every
+    # string the parser accepts is in the table with the same bits, and
+    # every string it refuses is not
+    alg = algebra(*signature)
+    alphabet = "123456+-"
+    names = ["", "1", "e", "x1", "E1"] + ["e" + "".join(p) for k in range(1, 6) for p in product(alphabet, repeat=k)]
+    accepted = 0
+    for name in names:
+        try:
+            bits = alg._parse_blade_name(name)
+        except ValueError:
+            assert name not in alg._bits_by_name
+            continue
+        accepted += 1
+        assert alg._bits_by_name[name] == bits == alg.blade_bits(name)
+    assert accepted == len(alg._bits_by_name)
+
+
+def test_blade_name_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="bad blade name 'e6'"):
+        ALG.blade_bits("e6")
+    with pytest.raises(ValueError, match="bad blade name 'e'"):
+        ALG.blade_bits("e")
+    with pytest.raises(ValueError, match="strictly ascending in 'e21'"):
+        ALG.blade_bits("e21")
+    with pytest.raises(ValueError, match="strictly ascending in 'e4\\+'"):
+        ALG.blade_bits("e4+")
