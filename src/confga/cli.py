@@ -39,6 +39,12 @@ _FORMAT = click.option(
 )
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be a finite number, got {value!r}")
+    return value
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -160,16 +166,17 @@ def classify_cmd(scene_path, fmt):
 
 @main.command("train")
 @click.option("--versor", "versor_spec", required=True, help="Target versor expression.")
-@click.option("--n", "n_samples", default=200, show_default=True, type=int)
+@click.option("--n", "n_samples", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--epochs", default=5000, show_default=True, type=int)
-@click.option("--lr", default=0.015, show_default=True, type=float)
+@click.option("--epochs", default=5000, show_default=True, type=click.IntRange(min=0))
+@click.option("--lr", default=0.015, show_default=True, type=click.FloatRange(min=0.0, min_open=True),
+              callback=_finite)
 @click.option("--parity", type=click.Choice(["even", "odd"]), default=None,
               help="Neuron parity; defaults to the target versor's parity.")
 @click.option("--mode", type=click.Choice(["twisted-adjoint", "paper-literal"]),
               default="twisted-adjoint", show_default=True)
-@click.option("--noise", default=0.0, show_default=True, type=float,
-              help="Std dev of Gaussian noise on target coefficients.")
+@click.option("--noise", default=0.0, show_default=True, type=click.FloatRange(min=0.0),
+              callback=_finite, help="Std dev of Gaussian noise on target coefficients.")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False, writable=True),
               help="Write weights, bias, and loss history as JSON.")
 @_FORMAT

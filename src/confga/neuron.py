@@ -18,10 +18,15 @@ a null weight (the degenerate point mirror) raises SingularWeightError.
 
 The analytic gradient takes its partial products U1 = x' W and
 U2 = ~W x' from the same action matrix with a unit left or right
-factor, and sums over samples before it touches the Cayley table: only
-the 32x32 products C = U1^T R and D = U2^T R of those with the residuals
-R go through the XOR gather. `train` stacks the samples into coefficient
-arrays once and hands the stacked pair to `gradient` every epoch.
+factor, both in one (N, 32) @ (32, 64) product, and sums over samples
+before it touches the Cayley table: the 32x32 products C = U1^T R and
+D = U2^T R of those with the residuals R (one (64, N) @ (N, 32) product)
+meet the table through one fixed 32x2048 sign matrix. `gradient` also
+returns the data loss, the mean squared residual of the R it formed.
+`train` stacks the samples into coefficient arrays once and does one
+forward pass per epoch: the module-level `gradient` is called once per
+step, plus once at the weights where training stops, and its loss is
+the history entry for the weights it was called at.
 """
 
 from __future__ import annotations
@@ -46,11 +51,14 @@ _EVEN_MASK = (ALG.grades % 2 == 0).astype(float)
 _ODD_MASK = 1.0 - _EVEN_MASK
 _ONE = np.eye(ALG.dim)  # L(1) = R(1)
 
-# Flat indices into a 32x32 matrix M: M.flat[_RIGHT_GATHER][i, j] is
-# M[j, i xor j] and M.flat[_LEFT_GATHER][i, j] is M[i, i xor j].
-_ROWS, _COLS = np.indices((ALG.dim, ALG.dim))
-_RIGHT_GATHER = _COLS * ALG.dim + _XOR
-_LEFT_GATHER = _ROWS * ALG.dim + _XOR
+# The XOR gather of C and D as one linear map of [C; D].ravel():
+# (_GATHER @ [C; D].ravel())[k] = ~k * sum_j S[k,j] C[j, k xor j]
+#                                 + sum_i S[i,k] D[i, i xor k]
+# where ~k is the reversion sign of blade k.
+_K, _J = np.indices((ALG.dim, ALG.dim))
+_GATHER = np.zeros((ALG.dim, 2 * ALG.dim * ALG.dim))
+_GATHER[_K, _J * ALG.dim + _XOR] = _REV[:, None] * _SIGN
+_GATHER[_K, ALG.dim * ALG.dim + _J * ALG.dim + _XOR] = _SIGN.T
 
 
 @dataclass
@@ -154,10 +162,13 @@ def penalty_value(w: np.ndarray) -> float:
 
 
 def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
-    """Gradient of data loss + penalty with respect to (W, Theta).
+    """Gradient of data loss + penalty with respect to (W, Theta), and the
+    data loss itself: returns (grad_w, grad_theta, data_loss).
 
     `samples` is a sequence of Samples or an already-stacked (X, T) pair
-    of (N, 32) input and target coefficient arrays.
+    of (N, 32) input and target coefficient arrays. `data_loss` is what
+    `loss` returns for the same weights, taken from the residuals the
+    gradient forms anyway.
 
     The analytic path differentiates the sandwich through the left/right
     multiplication operators. With residuals R = Y - T and per-sample
@@ -175,27 +186,30 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
     X, T = _stack(samples)
     n = X.shape[0]
     left, right, q = _operators(neuron)
-    U1 = X @ _action_matrix(_ONE, right, neuron.parity, neuron.mode).T  # rows: x' W
-    U2 = X @ _action_matrix(left, _ONE, neuron.parity, neuron.mode).T  # rows: ~W x'
-    B = U1 @ left.T  # rows: numerator ~W x' W
-    R = (1.0 / q) * B + neuron.theta - T
+    partial = np.concatenate(
+        (_action_matrix(_ONE, right, neuron.parity, neuron.mode).T,  # x' -> x' W
+         _action_matrix(left, _ONE, neuron.parity, neuron.mode).T),  # x' -> ~W x'
+        axis=1,
+    )
+    U = X @ partial  # rows: [x' W | ~W x']
+    B = U[:, :ALG.dim] @ left.T  # rows: numerator ~W x' W
+    R = B * (1.0 / q)
+    R += neuron.theta
+    R -= T
 
-    grad_theta = 2.0 * R.mean(axis=0)
+    grad_theta = (2.0 / n) * R.sum(axis=0)
 
-    C = U1.T @ R
-    D = U2.T @ R
-    t_right = np.sum(_SIGN * C.ravel()[_RIGHT_GATHER], axis=1)  # sum_j S[i,j] C[j, i^j]
-    t_left = np.sum(_SIGN * D.ravel()[_LEFT_GATHER], axis=0)  # sum_i S[i,j] D[i, i^j]
-    r_dot_b = float(np.einsum("nk,nk->", R, B))
+    CD = U.T @ R  # [C; D]
+    r_dot_b = float(np.vdot(R, B))
 
-    grad_w = (2.0 / (n * q)) * (_REV * t_right + t_left)
+    grad_w = (2.0 / (n * q)) * (_GATHER @ CD.ravel())
     grad_w -= (4.0 * r_dot_b / (n * q * q)) * (_KAPPA * neuron.w)
 
     if penalty:
         m = _weight_gram(neuron.w)
         m[0] = 0.0
         grad_w += (4.0 * penalty) * (ALG.right_matrix(_REV * neuron.w).T @ m)
-    return grad_w, grad_theta
+    return grad_w, grad_theta, float(np.vdot(R, R)) / n
 
 
 def _fd_gradient(neuron, samples, penalty: float):
@@ -219,15 +233,17 @@ def _fd_gradient(neuron, samples, penalty: float):
             finally:
                 vec[i] = keep
             out[i] = (hi - lo) / (2.0 * h)
-    return grad_w, grad_theta
+    return grad_w, grad_theta, loss(neuron, (X, T))
 
 
 def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
     """Plain gradient descent; returns the data-loss history (the first
     entry is the starting loss, then one entry per step).
 
-    The samples are stacked once; each epoch makes exactly one call to
-    the module-level `gradient` with the stacked (X, T) pair.
+    The samples are stacked once, and each epoch does one forward pass:
+    the module-level `gradient` is called with the stacked (X, T) pair
+    once per step and once at the weights where training stops, and the
+    data loss it returns is the history entry for those weights.
 
     W is projected back onto its parity after every step; Theta is free.
     Raises DivergenceError (carrying the history) if the loss blows up."""
@@ -235,18 +251,17 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
     mask = parity_mask(neuron.parity)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        data = loss(neuron, stacked)
+        grad_w, grad_theta, data = gradient(neuron, stacked, penalty=cfg.penalty)
         history = [data]
         for _ in range(cfg.epochs):
             if data <= cfg.tolerance:
                 break
-            grad_w, grad_theta = gradient(neuron, stacked, penalty=cfg.penalty)
             neuron.w = (neuron.w - cfg.lr * grad_w) * mask
             neuron.theta = neuron.theta - cfg.lr * grad_theta
             peak = float(np.max(np.abs(neuron.w)))
             if not np.isfinite(peak) or peak > cfg.divergence_limit:
                 raise DivergenceError(f"weight norm diverged to {peak}", history=history)
-            data = loss(neuron, stacked)
+            grad_w, grad_theta, data = gradient(neuron, stacked, penalty=cfg.penalty)
             history.append(data)
             if not np.isfinite(data) or data > cfg.divergence_limit:
                 raise DivergenceError(f"loss diverged to {data}", history=history)

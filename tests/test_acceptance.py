@@ -351,8 +351,8 @@ def test_criterion_11_analytic_gradient_matches_fd(capsys):
         net.w += rng.normal(0.0, 0.2, ALG.dim) * (net.w != 0.0)
         net.theta += rng.normal(0.0, 0.2, ALG.dim)
         samples = generate_dataset(generators[parity], 5 + (k % 3) * 10, seed=k, convention=mode)
-        gw, gt = gradient(net, samples, penalty=penalty)
-        fw, ft = gradient(net, samples, penalty=penalty, method="fd")
+        gw, gt, _ = gradient(net, samples, penalty=penalty)
+        fw, ft, _ = gradient(net, samples, penalty=penalty, method="fd")
         err = max(
             float(np.max(np.abs(gw - fw))) / max(1.0, float(np.max(np.abs(fw)))),
             float(np.max(np.abs(gt - ft))) / max(1.0, float(np.max(np.abs(ft)))),

@@ -27,7 +27,7 @@ from confga import (
     sphere_ipns,
     train,
 )
-from confga import tolerance
+from confga import cli, tolerance
 from confga.cli import main
 from confga.conformal import classify, e1, e2
 
@@ -350,6 +350,28 @@ class TestTrain:
         )
         assert result.exit_code == 1
         assert "diverged" in result.stderr
+
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "0"), ("--n", "-5"), ("--epochs", "-1"),
+        ("--lr", "0"), ("--lr", "-0.1"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
+        ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"),
+    ])
+    def test_bad_option_exit_2_before_work(self, runner, monkeypatch, option, value):
+        calls = []
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: calls.append(1))
+        result = runner.invoke(main, self.ARGS + [option, value])  # the last value given wins
+        assert result.exit_code == 2, result.output
+        assert option in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+        assert calls == []
+
+    @pytest.mark.parametrize("extra, epochs", [
+        (["--n", "1"], 40), (["--epochs", "0"], 0), (["--noise", "0", "--lr", "1e-300"], 40),
+    ])
+    def test_boundary_options_accepted(self, runner, extra, epochs):
+        result = runner.invoke(main, self.ARGS + extra + ["--format", "json"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.output)["epochs"] == epochs
 
     def test_odd_target_spec(self, runner):
         result = runner.invoke(

@@ -62,6 +62,20 @@ def gather_reference_gradient(net, samples, penalty):
     return grad_w, 2.0 * R.mean(axis=0)
 
 
+def perturbed_fit(rng, parity, mode):
+    """A neuron moved off its start and 200 samples of a versor of its parity."""
+    net = new_neuron(parity, seed=5, mode=mode)
+    net.w = net.w + rng.normal(0, 0.3, 32) * nn.parity_mask(parity)
+    net.theta = rng.normal(0, 0.2, 32)
+    v = motor(e1 ^ e2, 0.7, [0.4, -0.2, 0.3]) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
+    return net, generate_dataset(v, 200, seed=17, convention=mode)
+
+
+def assert_loss_close(got, want):
+    """Equal up to summation order: 1e-14 relative or 1e-18 absolute."""
+    assert abs(got - want) <= max(1e-14 * abs(want), 1e-18), (got, want)
+
+
 def all_operators():
     line = make_line(embed_point([0, 1.0, 0]), embed_point([1.0, 1.0, 0]))
     return {
@@ -136,8 +150,8 @@ class TestGradient:
             net.theta = rng.normal(0, 0.2, 32)
             v = rotor(e1 ^ e2, 0.7) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
             samples = generate_dataset(v, 10, seed=50 + trial, convention=mode)
-            gw, gt = gradient(net, samples, penalty=0.1)
-            fw, ft = gradient(net, samples, penalty=0.1, method="fd")
+            gw, gt, _ = gradient(net, samples, penalty=0.1)
+            fw, ft, _ = gradient(net, samples, penalty=0.1, method="fd")
             assert np.max(np.abs(gw - fw)) <= 1e-5 * max(1.0, np.max(np.abs(fw)))
             assert np.max(np.abs(gt - ft)) <= 1e-5 * max(1.0, np.max(np.abs(ft)))
 
@@ -145,14 +159,19 @@ class TestGradient:
     @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_matches_gather_reference(self, rng, parity, mode, penalty):
-        net = new_neuron(parity, seed=5, mode=mode)
-        net.w = net.w + rng.normal(0, 0.3, 32) * nn.parity_mask(parity)
-        net.theta = rng.normal(0, 0.2, 32)
-        v = motor(e1 ^ e2, 0.7, [0.4, -0.2, 0.3]) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
-        samples = generate_dataset(v, 200, seed=17, convention=mode)
-        for got, want in zip(gradient(net, samples, penalty=penalty),
+        net, samples = perturbed_fit(rng, parity, mode)
+        for got, want in zip(gradient(net, samples, penalty=penalty)[:2],
                              gather_reference_gradient(net, samples, penalty)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    @pytest.mark.parametrize("penalty", [0.0, 0.1])
+    @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_returns_data_loss(self, rng, parity, mode, penalty, method):
+        net, samples = perturbed_fit(rng, parity, mode)
+        _, _, data = gradient(net, samples, penalty=penalty, method=method)
+        assert_loss_close(data, loss(net, samples))
 
     def test_stacked_pair_matches_samples(self, rng):
         net = new_neuron("odd", seed=2)
@@ -179,7 +198,7 @@ class TestGradient:
         v = translator([0.4, 0.0, 0.0])
         net = from_versor(v)
         samples = generate_dataset(v, 10, seed=1)
-        gw, gt = gradient(net, samples, penalty=0.0)
+        gw, gt, _ = gradient(net, samples, penalty=0.0)
         assert np.max(np.abs(gw)) <= 1e-12
         assert np.max(np.abs(gt)) <= 1e-12
 
@@ -187,7 +206,7 @@ class TestGradient:
         net = new_neuron("even", seed=11)
         samples = generate_dataset(translator([0.5, 0.1, 0.0]), 30, seed=2)
         before = loss(net, samples)
-        gw, gt = gradient(net, samples, penalty=0.1)
+        gw, gt, _ = gradient(net, samples, penalty=0.1)
         net.w = net.w - 0.01 * gw
         net.theta = net.theta - 0.01 * gt
         assert loss(net, samples) < before
@@ -237,7 +256,8 @@ class TestTrain:
         assert np.array_equal(runs[0][2], runs[1][2])
 
     def test_one_gradient_call_per_epoch(self, monkeypatch):
-        # the benchmark's epoch clock wraps nn.gradient to stamp each epoch
+        # the benchmark's epoch clock wraps nn.gradient to stamp each epoch;
+        # one call per step plus one at the weights where training stops
         calls = []
         inner = nn.gradient
 
@@ -250,7 +270,20 @@ class TestTrain:
             calls.clear()
             net = new_neuron("even", seed=1)
             history = train(net, generate_dataset(translator([0.3, 0.0, 0.1]), 30, seed=8), cfg)
-            assert len(calls) == len(history) - 1 > 0
+            assert len(calls) == len(history) > 1
+
+    @pytest.mark.parametrize("epochs", [0, 1, 7, 5000])
+    def test_history_ends_at_returned_weights(self, epochs):
+        # 5000 epochs is a run to convergence (1689 steps here)
+        net = new_neuron("even", seed=1)
+        samples = generate_dataset(translator([0.3, 0.0, 0.1]), 30, seed=8)
+        cfg = TrainConfig(epochs=epochs)
+        history = train(net, samples, cfg)
+        if epochs < 5000:
+            assert len(history) == epochs + 1
+        else:
+            assert len(history) - 1 < epochs and history[-1] <= cfg.tolerance
+        assert_loss_close(history[-1], loss(net, samples))
 
     def test_divergence_carries_history(self):
         net = new_neuron("even", seed=3)
