@@ -16,22 +16,34 @@ pure scalar, under plain gradient descent with a parity projection of W
 after every step. The normalization <W ~W>_0 must stay away from zero;
 a null weight (the degenerate point mirror) raises SingularWeightError.
 
+The data are rows of Z = [X | c | T] with c the all-ones column, and
+the residuals R = X K^T / <W ~W>_0 + c Theta^T - T are Z times a matrix
+that depends only on the weights. So the loss |R|^2 / N, the bias
+gradient c^T R and the products X^T R the weight gradient needs are the
+same for Z and for the triangular factor Rz of a thin QR, Z = Q Rz.
+`train` takes that QR once (`compress`: at most 65 rows for any N) and
+runs every epoch on Rz, so an epoch costs the same whatever the number
+of samples. A QR rather than the Gram matrix Z^T Z keeps the loss a
+sum of squares, free of the cancellation a difference of |T|^2 terms
+would suffer near convergence (Golub and Van Loan, Matrix Computations,
+ch. 5).
+
 The analytic gradient takes its partial products U1 = x' W and
 U2 = ~W x' from the same action matrix with a unit left or right
-factor, both in one (N, 32) @ (32, 64) product, and sums over samples
+factor, both in one (k, 32) @ (32, 64) product, and sums over rows
 before it touches the Cayley table: the 32x32 products C = U1^T R and
-D = U2^T R of those with the residuals R (one (64, N) @ (N, 32) product)
-meet the table through one fixed 32x2048 sign matrix. `gradient` also
-returns the data loss, the mean squared residual of the R it formed.
-`train` stacks the samples into coefficient arrays once and does one
-forward pass per epoch: the module-level `gradient` is called once per
-step, plus once at the weights where training stops, and its loss is
-the history entry for the weights it was called at.
+D = U2^T R of those with the residuals R (one (64, k) @ (k, 32) product)
+meet the table through one (32, 64) gather of signed entries.
+`gradient` also returns the data loss, the mean squared residual of the
+R it formed. The module-level `gradient` is called once per step, plus
+once at the weights where training stops, and its loss is the history
+entry for the weights it was called at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +61,14 @@ _REV = ALG.reverse_signs
 _KAPPA = ALG.rev_norm_signs
 _EVEN_MASK = (ALG.grades % 2 == 0).astype(float)
 _ODD_MASK = 1.0 - _EVEN_MASK
-_ONE = np.eye(ALG.dim)  # L(1) = R(1)
 
-# The XOR gather of C and D as one linear map of [C; D].ravel():
-# (_GATHER @ [C; D].ravel())[k] = ~k * sum_j S[k,j] C[j, k xor j]
-#                                 + sum_i S[i,k] D[i, i xor k]
+# The XOR gathers of C and D as one gather of [C; D].ravel():
+# sum_j (_GATHER_SIGN * [C; D].ravel()[_GATHER_INDEX])[k, j]
+#     = ~k * sum_j S[k,j] C[j, k xor j] + sum_i S[i,k] D[i, i xor k]
 # where ~k is the reversion sign of blade k.
-_K, _J = np.indices((ALG.dim, ALG.dim))
-_GATHER = np.zeros((ALG.dim, 2 * ALG.dim * ALG.dim))
-_GATHER[_K, _J * ALG.dim + _XOR] = _REV[:, None] * _SIGN
-_GATHER[_K, ALG.dim * ALG.dim + _J * ALG.dim + _XOR] = _SIGN.T
+_C_INDEX = np.arange(ALG.dim) * ALG.dim + _XOR  # [k, j] -> C[j, k xor j]
+_GATHER_INDEX = np.concatenate((_C_INDEX, _C_INDEX + ALG.dim * ALG.dim), axis=1)
+_GATHER_SIGN = np.concatenate((_REV[:, None] * _SIGN, _SIGN.T), axis=1)
 
 
 @dataclass
@@ -79,6 +89,18 @@ class GeometricNeuron:
 class Sample:
     x: Multivector
     target: Multivector
+
+
+class Rows(NamedTuple):
+    """Training data as rows of Z = [X | c | T]: the residuals are
+    R = X K^T / <W ~W>_0 + c Theta^T - T and the data loss is |R|^2 / n.
+    Stacked samples have c all ones and n rows; `compress` keeps n and
+    replaces the rows by at most 65 that give the same loss and gradient."""
+
+    x: np.ndarray
+    c: np.ndarray
+    t: np.ndarray
+    n: int
 
 
 @dataclass
@@ -121,34 +143,50 @@ def _operators(neuron: GeometricNeuron) -> tuple[np.ndarray, np.ndarray, float]:
     return ALG.left_matrix(_REV * neuron.w), ALG.right_matrix(neuron.w), q
 
 
-def _outputs(neuron: GeometricNeuron, X: np.ndarray) -> np.ndarray:
+def _outputs(neuron: GeometricNeuron, X: np.ndarray, c: np.ndarray) -> np.ndarray:
     left, right, q = _operators(neuron)
     K = _action_matrix(left, right, neuron.parity, neuron.mode)
-    return (1.0 / q) * (X @ K.T) + neuron.theta
+    return (1.0 / q) * (X @ K.T) + c[:, None] * neuron.theta
 
 
-def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(X, T) coefficient arrays, one row per sample, from a sequence of
-    Samples; an already-stacked (X, T) pair of arrays passes through."""
-    if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], np.ndarray):
+def _stack(samples) -> Rows:
+    """Rows of the data, one per sample, from a sequence of Samples or an
+    already-stacked (X, T) pair of (N, 32) arrays; Rows pass through."""
+    if isinstance(samples, Rows):
         return samples
-    if not samples:
-        raise ValueError("need at least one sample")
-    X = np.stack([s.x.coeffs for s in samples])
-    T = np.stack([s.target.coeffs for s in samples])
-    return X, T
+    if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], np.ndarray):
+        X, T = samples
+    else:
+        if not samples:
+            raise ValueError("need at least one sample")
+        X = np.stack([s.x.coeffs for s in samples])
+        T = np.stack([s.target.coeffs for s in samples])
+    return Rows(X, np.ones(X.shape[0]), T, X.shape[0])
+
+
+def compress(samples) -> Rows:
+    """The data on k <= 65 rows with the same loss and gradient for every
+    weight: the triangular factor of a thin QR of Z = [X | c | T], taken
+    over Z's nonzero columns and c (k is at most their count, and at most N)."""
+    d = _stack(samples)
+    xcols, tcols = (np.flatnonzero(a.any(axis=0)) for a in (d.x, d.t))
+    Rz = np.linalg.qr(np.column_stack((d.x[:, xcols], d.c, d.t[:, tcols])), mode="r")
+    x, t = np.zeros((2, Rz.shape[0], ALG.dim))
+    x[:, xcols] = Rz[:, :xcols.size]
+    t[:, tcols] = Rz[:, xcols.size + 1:]
+    return Rows(x, Rz[:, xcols.size].copy(), t, d.n)
 
 
 def forward(neuron: GeometricNeuron, x: Multivector) -> Multivector:
-    return ALG.mv(_outputs(neuron, x.coeffs[None, :])[0])
+    return ALG.mv(_outputs(neuron, x.coeffs[None, :], np.ones(1))[0])
 
 
 def loss(neuron: GeometricNeuron, samples) -> float:
     """Mean over samples of the summed squared coefficient error; takes
-    Samples or an already-stacked (X, T) pair, like `gradient`."""
-    X, T = _stack(samples)
-    Y = _outputs(neuron, X)
-    return float(np.mean(np.sum((Y - T) ** 2, axis=1)))
+    Samples, an already-stacked (X, T) pair or Rows, like `gradient`."""
+    d = _stack(samples)
+    Y = _outputs(neuron, d.x, d.c)
+    return float(np.sum(np.sum((Y - d.t) ** 2, axis=1)) / d.n)
 
 
 def _weight_gram(w: np.ndarray) -> np.ndarray:
@@ -165,10 +203,11 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
     """Gradient of data loss + penalty with respect to (W, Theta), and the
     data loss itself: returns (grad_w, grad_theta, data_loss).
 
-    `samples` is a sequence of Samples or an already-stacked (X, T) pair
-    of (N, 32) input and target coefficient arrays. `data_loss` is what
-    `loss` returns for the same weights, taken from the residuals the
-    gradient forms anyway.
+    `samples` is a sequence of Samples, an already-stacked (X, T) pair
+    of (N, 32) input and target coefficient arrays, or Rows (`compress`
+    gives the same result on at most 65 rows). `data_loss` is what `loss`
+    returns for the same weights, taken from the residuals the gradient
+    forms anyway.
 
     The analytic path differentiates the sandwich through the left/right
     multiplication operators. With residuals R = Y - T and per-sample
@@ -183,26 +222,26 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
     if method != "analytic":
         raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
 
-    X, T = _stack(samples)
-    n = X.shape[0]
+    d = _stack(samples)
+    n = d.n
     left, right, q = _operators(neuron)
     partial = np.concatenate(
-        (_action_matrix(_ONE, right, neuron.parity, neuron.mode).T,  # x' -> x' W
-         _action_matrix(left, _ONE, neuron.parity, neuron.mode).T),  # x' -> ~W x'
+        (_action_matrix(None, right, neuron.parity, neuron.mode).T,  # x' -> x' W
+         _action_matrix(left, None, neuron.parity, neuron.mode).T),  # x' -> ~W x'
         axis=1,
     )
-    U = X @ partial  # rows: [x' W | ~W x']
+    U = d.x @ partial  # rows: [x' W | ~W x']
     B = U[:, :ALG.dim] @ left.T  # rows: numerator ~W x' W
     R = B * (1.0 / q)
-    R += neuron.theta
-    R -= T
+    R += d.c[:, None] * neuron.theta  # outer(c, Theta)
+    R -= d.t
 
-    grad_theta = (2.0 / n) * R.sum(axis=0)
+    grad_theta = (2.0 / n) * (d.c @ R)
 
     CD = U.T @ R  # [C; D]
     r_dot_b = float(np.vdot(R, B))
 
-    grad_w = (2.0 / (n * q)) * (_GATHER @ CD.ravel())
+    grad_w = (2.0 / (n * q)) * np.einsum("kj,kj->k", CD.ravel()[_GATHER_INDEX], _GATHER_SIGN)
     grad_w -= (4.0 * r_dot_b / (n * q * q)) * (_KAPPA * neuron.w)
 
     if penalty:
@@ -213,10 +252,10 @@ def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
 
 
 def _fd_gradient(neuron, samples, penalty: float):
-    X, T = _stack(samples)
+    d = _stack(samples)
 
     def J() -> float:
-        val = loss(neuron, (X, T))
+        val = loss(neuron, d)
         return val + penalty * penalty_value(neuron.w) if penalty else val
 
     grad_w = np.zeros(ALG.dim)
@@ -233,25 +272,27 @@ def _fd_gradient(neuron, samples, penalty: float):
             finally:
                 vec[i] = keep
             out[i] = (hi - lo) / (2.0 * h)
-    return grad_w, grad_theta, loss(neuron, (X, T))
+    return grad_w, grad_theta, loss(neuron, d)
 
 
 def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
     """Plain gradient descent; returns the data-loss history (the first
     entry is the starting loss, then one entry per step).
 
-    The samples are stacked once, and each epoch does one forward pass:
-    the module-level `gradient` is called with the stacked (X, T) pair
-    once per step and once at the weights where training stops, and the
-    data loss it returns is the history entry for those weights.
+    The samples are stacked and compressed to at most 65 rows once
+    (`compress`), so each epoch costs the same for any number of samples
+    and does one forward pass: the module-level `gradient` is called with
+    the compressed Rows once per step and once at the weights where
+    training stops, and the data loss it returns is the history entry for
+    those weights.
 
     W is projected back onto its parity after every step; Theta is free.
     Raises DivergenceError (carrying the history) if the loss blows up."""
-    stacked = _stack(samples)
+    rows = compress(samples)
     mask = parity_mask(neuron.parity)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_w, grad_theta, data = gradient(neuron, stacked, penalty=cfg.penalty)
+        grad_w, grad_theta, data = gradient(neuron, rows, penalty=cfg.penalty)
         history = [data]
         for _ in range(cfg.epochs):
             if data <= cfg.tolerance:
@@ -261,7 +302,7 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
             peak = float(np.max(np.abs(neuron.w)))
             if not np.isfinite(peak) or peak > cfg.divergence_limit:
                 raise DivergenceError(f"weight norm diverged to {peak}", history=history)
-            grad_w, grad_theta, data = gradient(neuron, stacked, penalty=cfg.penalty)
+            grad_w, grad_theta, data = gradient(neuron, rows, penalty=cfg.penalty)
             history.append(data)
             if not np.isfinite(data) or data > cfg.divergence_limit:
                 raise DivergenceError(f"loss diverged to {data}", history=history)

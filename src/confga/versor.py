@@ -181,14 +181,18 @@ def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
 # -- action -------------------------------------------------------------------
 
 
-def _action_matrix(left: np.ndarray, right: np.ndarray, parity: str, convention: str) -> np.ndarray:
+def _action_matrix(
+    left: np.ndarray | None, right: np.ndarray | None, parity: str, convention: str
+) -> np.ndarray:
     """The 32x32 matrix K with coeffs(l * alpha^p(X) * r) = K @ x, given the
-    multiplication matrices left = L(l) and right = R(r).
+    multiplication matrices left = L(l) and right = R(r); a unit factor
+    (l = 1 or r = 1) is passed as None and costs no product. For an even
+    parity and one factor None, K is the other matrix itself, not a copy.
 
     This is the one place the convention is decided: twisted-adjoint folds
     the grade involution of odd versors into K's columns, paper-literal
     folds in the global sign (-1)^p."""
-    K = left @ right
+    K = right if left is None else left if right is None else left @ right
     if parity == "even":
         return K
     return K * ALG.involute_signs if convention == "twisted-adjoint" else -K

@@ -1,5 +1,8 @@
 """Geometric neuron: forward sandwich, gradients, and training."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -37,7 +40,8 @@ from conftest import assert_mv_close
 def gather_reference_gradient(net, samples, penalty):
     """The weight/bias gradient by the per-sample XOR gather: every sample's
     residual is spread over a 32x32 table before the sums over samples."""
-    X, T = nn._stack(samples)
+    rows = nn._stack(samples)
+    X, T = rows.x, rows.t
     n = X.shape[0]
     odd = net.parity == "odd"
     sigma = -1.0 if odd and net.mode == "paper-literal" else 1.0
@@ -62,13 +66,39 @@ def gather_reference_gradient(net, samples, penalty):
     return grad_w, 2.0 * R.mean(axis=0)
 
 
-def perturbed_fit(rng, parity, mode):
-    """A neuron moved off its start and 200 samples of a versor of its parity."""
+@functools.cache
+def versor_samples(parity, mode, n, noise):
+    """n samples of a versor of the given parity as a stacked (X, T) pair
+    (cached: N = 20000 takes ~0.2 s to generate and stack)."""
+    v = motor(e1 ^ e2, 0.7, [0.4, -0.2, 0.3]) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
+    rows = nn._stack(generate_dataset(v, n, seed=17, convention=mode, noise=noise))
+    return rows.x, rows.t
+
+
+def perturbed_fit(rng, parity, mode, n=200, noise=0.0):
+    """A neuron moved off its start and n samples of a versor of its parity."""
     net = new_neuron(parity, seed=5, mode=mode)
     net.w = net.w + rng.normal(0, 0.3, 32) * nn.parity_mask(parity)
     net.theta = rng.normal(0, 0.2, 32)
-    v = motor(e1 ^ e2, 0.7, [0.4, -0.2, 0.3]) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
-    return net, generate_dataset(v, 200, seed=17, convention=mode)
+    return net, versor_samples(parity, mode, n, noise)
+
+
+def blockwise_gradient(net, samples, penalty, block=200):
+    """The full-data gradient and loss as the size-weighted mean of the
+    full-data results on blocks of `block` rows, added exactly across
+    blocks (math.fsum). One float64 sum down 20000 rows is itself off by
+    up to ~3e-14 relative, which would swamp the comparison; per block
+    the rounding stays that of N = 200. For N <= block this is plain
+    `gradient` on the samples."""
+    rows = nn._stack(samples)
+    parts = [(min(block, rows.n - i) / rows.n,
+              gradient(net, (rows.x[i:i + block], rows.t[i:i + block]), penalty=penalty))
+             for i in range(0, rows.n, block)]
+    if len(parts) == 1:
+        return parts[0][1]
+    grad_w, grad_theta = (np.array([math.fsum(w * g[k][j] for w, g in parts) for j in range(32)])
+                          for k in (0, 1))
+    return grad_w, grad_theta, math.fsum(w * g[2] for w, g in parts)
 
 
 def assert_loss_close(got, want):
@@ -173,11 +203,54 @@ class TestGradient:
         _, _, data = gradient(net, samples, penalty=penalty, method=method)
         assert_loss_close(data, loss(net, samples))
 
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("n", [1, 5, 200, 20000])
+    @pytest.mark.parametrize("penalty", [0.0, 0.1])
+    @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_compressed_matches_full_data(self, rng, parity, mode, penalty, n, noise):
+        net, samples = perturbed_fit(rng, parity, mode, n=n, noise=noise)
+        rows = nn.compress(samples)
+        # Z's nonzero columns: 5 input blades, the ones column and the target
+        # blades, of which noise fills all 32
+        k = rows.x.shape[0]
+        assert rows.n == n and k <= min(n, 38)
+        if noise:
+            assert k == min(n, 38)
+        got = gradient(net, rows, penalty=penalty)
+        want = blockwise_gradient(net, samples, penalty)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+        assert abs(got[2] - want[2]) <= 1e-14 * want[2]
+        assert abs(loss(net, rows) - want[2]) <= 1e-14 * want[2]
+
+    def test_fd_on_compressed_matches_full_data(self, rng):
+        # central differences with h = 1e-6 carry ~1e-8 relative rounding of
+        # their own, so the two agree far inside the 1e-5 the analytic check uses
+        for parity in ("even", "odd"):
+            net, samples = perturbed_fit(rng, parity, "twisted-adjoint", n=200, noise=0.01)
+            got = gradient(net, nn.compress(samples), penalty=0.1, method="fd")
+            want = gradient(net, samples, penalty=0.1, method="fd")
+            for g, w in zip(got[:2], want[:2]):
+                assert np.max(np.abs(g - w)) <= 1e-6 * max(1.0, np.max(np.abs(w)))
+            assert_loss_close(got[2], want[2])
+
+    def test_stack_accepts_samples_pairs_and_rows(self):
+        samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.2), 7, seed=4)
+        X = np.stack([s.x.coeffs for s in samples])
+        T = np.stack([s.target.coeffs for s in samples])
+        for rows in (nn._stack(samples), nn._stack((X, T))):
+            assert np.array_equal(rows.x, X) and np.array_equal(rows.t, T)
+            assert np.array_equal(rows.c, np.ones(7)) and rows.n == 7
+        compressed = nn.compress(samples)
+        assert nn._stack(compressed) is compressed
+
     def test_stacked_pair_matches_samples(self, rng):
         net = new_neuron("odd", seed=2)
         net.theta = rng.normal(0, 0.2, 32)
         samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.2), 20, seed=4)
-        stacked = nn._stack(samples)
+        rows = nn._stack(samples)
+        stacked = (rows.x, rows.t)
         for method in ("analytic", "fd"):
             for a, b in zip(gradient(net, samples, method=method), gradient(net, stacked, method=method)):
                 assert np.array_equal(a, b)
@@ -271,6 +344,21 @@ class TestTrain:
             net = new_neuron("even", seed=1)
             history = train(net, generate_dataset(translator([0.3, 0.0, 0.1]), 30, seed=8), cfg)
             assert len(calls) == len(history) > 1
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_epochs_see_at_most_65_rows(self, monkeypatch, noise):
+        # what makes an epoch's cost independent of N, checked without a clock
+        seen = []
+        inner = nn.gradient
+
+        def recording(net, samples, *args, **kwargs):
+            seen.append(nn._stack(samples).x.shape[0])
+            return inner(net, samples, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "gradient", recording)
+        samples = versor_samples("even", "twisted-adjoint", 20000, noise)
+        history = train(new_neuron("even", seed=1), samples, TrainConfig(epochs=3))
+        assert len(seen) == len(history) == 4 and max(seen) <= 65
 
     @pytest.mark.parametrize("epochs", [0, 1, 7, 5000])
     def test_history_ends_at_returned_weights(self, epochs):
