@@ -1,5 +1,6 @@
 """Tokenizer, parser, evaluator, and the render round trip."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,22 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confga import (
+    I5,
     DegenerateError,
     DomainError,
     GAError,
     GradeError,
     ParseError,
     UnboundNameError,
+    apply,
     embed_point,
     eval_expression,
+    exp_special,
+    make_circle,
+    make_flat_point,
     make_line,
     make_plane_opns,
+    make_point_pair,
     make_sphere_opns,
+    make_versor,
+    motor,
     render,
+    reflector_line,
     reflector_plane,
+    reflector_point,
     reflector_sphere,
     rotor,
+    scalor,
+    sphere_ipns,
     translator,
+    versor_inverse,
 )
 from confga.conformal import ALG, e0, e1, e2, e3, einf
 from confga.expr import default_env, evaluate, parse, tokenize
@@ -35,6 +49,57 @@ e12 = e1 ^ e2
 
 def ev(text):
     return eval_expression(text)
+
+
+P, Q, R, S = (embed_point(p) for p in ([0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]))
+PQ = "point(0,0,0), point(1,0,0)"
+PQR = PQ + ", point(0,1,0)"
+PQRS = PQR + ", point(0,0,1)"
+
+# name -> (the text after "expects", {accepted argument kinds: (arguments, expected result)})
+_BUILTINS = {
+    "point": ("three numbers x, y, z", {"nnn": ("1, 2, 3", lambda: embed_point([1, 2, 3]))}),
+    "pair": ("two conformal points", {"mm": (PQ, lambda: make_point_pair(P, Q).mv)}),
+    "circle": ("three conformal points", {"mmm": (PQR, lambda: make_circle(P, Q, R).mv)}),
+    "sphere": ("four conformal points or cx, cy, cz, r", {
+        "mmmm": (PQRS, lambda: make_sphere_opns(P, Q, R, S).mv),
+        "nnnn": ("1, 2, 3, 4", lambda: sphere_ipns([1, 2, 3], 4.0).mv),
+    }),
+    "line": ("two conformal points", {"mm": (PQ, lambda: make_line(P, Q).mv)}),
+    "plane": ("three conformal points or nx, ny, nz, d", {
+        "mmm": (PQR, lambda: make_plane_opns(P, Q, R).mv),
+        "nnnn": ("0, 0, 2, 3", lambda: reflector_plane([0, 0, 2], 3.0).mv),
+    }),
+    "flat_point": ("a conformal point or x, y, z", {
+        "m": ("point(1,2,3)", lambda: make_flat_point(embed_point([1, 2, 3])).mv),
+        "nnn": ("1, 2, 3", lambda: make_flat_point(embed_point([1, 2, 3])).mv),
+    }),
+    "space": ("no arguments", {"": ("", lambda: I5)}),
+    "mirror_plane": ("nx, ny, nz, d", {"nnnn": ("0, 0, 2, 3", lambda: reflector_plane([0, 0, 2], 3.0).mv)}),
+    "mirror_sphere": ("cx, cy, cz, r", {"nnnn": ("1, 2, 3, 4", lambda: reflector_sphere([1, 2, 3], 4.0).mv)}),
+    "mirror_point": ("x, y, z", {"nnn": ("1, 2, 3", lambda: reflector_point([1, 2, 3]).mv)}),
+    "mirror_line": ("a line or two conformal points", {
+        "m": (f"line({PQ})", lambda: reflector_line(make_line(P, Q)).mv),
+        "mm": (PQ, lambda: reflector_line(make_line(P, Q)).mv),
+    }),
+    "rotor": ("a bivector and an angle", {"mn": ("e12, 0.5", lambda: rotor(e12, 0.5).mv)}),
+    "translator": ("three numbers tx, ty, tz", {"nnn": ("1, 2, 3", lambda: translator([1, 2, 3]).mv)}),
+    "motor": ("a bivector, an angle, and tx, ty, tz", {
+        "mnnnn": ("e12, 0.5, 1, 2, 3", lambda: motor(e12, 0.5, [1, 2, 3]).mv),
+    }),
+    "scalor": ("s or s, cx, cy, cz", {
+        "n": ("2", lambda: scalor(2.0).mv),
+        "nnnn": ("2, 1, 2, 3", lambda: scalor(2.0, [1, 2, 3]).mv),
+    }),
+    "apply": ("a versor, a multivector, and motion or reflection", {
+        "mms": ("translator(1,2,3), point(0,0,0), motion",
+                lambda: apply(make_versor(translator([1, 2, 3]).mv, allow_null=True), P, "motion")),
+    }),
+    "dual": ("one multivector", {"m": ("e1 + e12", lambda: (e1 + e12).dual())}),
+    "inv": ("one invertible versor", {"m": ("2 * e1", lambda: versor_inverse(2.0 * e1))}),
+    "exp": ("one bivector with scalar square", {"m": ("0.35 * e12", lambda: exp_special(0.35 * e12))}),
+    "grade": ("a multivector and an integer grade", {"mn": ("e1 + e12, 2", lambda: e12)}),
+}
 
 
 class TestTokenize:
@@ -225,10 +290,25 @@ class TestEval:
         assert_mv_close(ev("apply(e1, e1, reflection)"), -e1)
 
     def test_signature_errors(self):
-        with pytest.raises(DomainError, match="point expects"):
-            ev("point(1, 2)")
-        with pytest.raises(DomainError, match="sphere expects"):
-            ev("sphere(point(0,0,0), 1, 2, 3)")
+        # every builtin, every argument-kind string up to five arguments
+        # (n number, m multivector, s mode name): the accepted ones give the
+        # library's result, every other one the builtin's exact message
+        stand_in = {"n": "1", "m": "e1", "s": "motion"}
+        kind_strings = [""] + ["".join(k) for r in range(1, 6) for k in itertools.product("nms", repeat=r)]
+        assert sorted(_BUILTINS) == sorted(name for name, value in default_env().items() if callable(value))
+        for name, (expects, accepted) in _BUILTINS.items():
+            for kinds, (args, want) in accepted.items():
+                assert np.array_equal(ev(f"{name}({args})").coeffs, want().coeffs), (name, args)
+            for kinds in kind_strings:
+                if kinds in accepted:
+                    continue
+                text = f"{name}({', '.join(stand_in[k] for k in kinds)})"
+                with pytest.raises(DomainError) as info:
+                    ev(text)
+                assert str(info.value) == f"{name} expects {expects}", text
+        with pytest.raises(DomainError) as info:
+            ev("grade(e1 + e12, 1.5)")
+        assert str(info.value) == "grade expects a multivector and an integer grade"
         with pytest.raises(GradeError):
             ev("rotor(e1, 0.5)")
         with pytest.raises(DegenerateError):
