@@ -8,13 +8,12 @@
 Exit codes: 0 on success, 2 for usage and expression syntax errors, and
 1 for domain errors (degenerate constructions, parity mismatches,
 diverged training, and similar). The GA_TOLERANCE environment variable
-overrides the relative tolerance at startup and must be finite; a
-scene's "tolerance" section overrides it until that command ends.
+overrides the relative tolerance for the command and must be finite; a
+scene's "tolerance" section overrides that while the scene is in use.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -64,14 +63,16 @@ def _guarded(fn):
 def main():
     """Conformal geometric algebra: evaluate, transform, classify, train."""
     raw = os.environ.get("GA_TOLERANCE")
-    if raw is not None:
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise click.UsageError(f"GA_TOLERANCE must be a finite number, got {raw!r}")
-        tolerance.set_rel_eps(value)
+    if raw is None:
+        return
+    try:
+        rel = float(raw)
+    except ValueError:
+        rel = math.nan
+    if not math.isfinite(rel):
+        raise click.UsageError(f"GA_TOLERANCE must be a finite number, got {raw!r}")
+    # holds until the command ends, whether it returns or raises
+    click.get_current_context().with_resource(tolerance.scope(rel))
 
 
 @main.command("eval", context_settings={"ignore_unknown_options": True})
@@ -91,18 +92,6 @@ def eval_cmd(expression: str, fmt: str):
         click.echo(expr.render(mv))
 
 
-@contextlib.contextmanager
-def _scene(path):
-    """Read a scene; its tolerance, if it has one, holds until the command ends."""
-    scene = read_scene(path)
-    before = tolerance.rel_eps()
-    tolerance.set_rel_eps(before if scene.tolerance_rel is None else scene.tolerance_rel)
-    try:
-        yield scene
-    finally:
-        tolerance.set_rel_eps(before)
-
-
 @main.command("transform")
 @click.option("--scene", "scene_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--versor", "versor_spec", default=None, help="Versor expression.")
@@ -118,7 +107,8 @@ def transform_cmd(scene_path, versor_spec, chain_specs, mode, out_path, fmt):
     Scene documents are JSON already, so both output formats are identical."""
     if (versor_spec is None) == (len(chain_specs) == 0):
         raise click.UsageError("provide exactly one of --versor or --chain")
-    with _scene(scene_path) as scene:
+    scene = read_scene(scene_path)
+    with tolerance.scope(scene.tolerance_rel):
         env = {**expr.default_env(), **scene.objects, **scene.versors}
         specs = [versor_spec] if versor_spec is not None else list(chain_specs)
         versors = [make_versor(expr.eval_expression(s, env), allow_null=True) for s in specs]
@@ -146,7 +136,8 @@ def _fmt_param(value) -> str:
 @_guarded
 def classify_cmd(scene_path, fmt):
     """Report the kind and parameters of every object in a scene."""
-    with _scene(scene_path) as scene:
+    scene = read_scene(scene_path)
+    with tolerance.scope(scene.tolerance_rel):
         names = sorted(scene.objects)
         outcomes = classify_batch(np.array([scene.objects[name].coeffs for name in names]).reshape(-1, ALG.dim))
     results = {

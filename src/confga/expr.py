@@ -16,15 +16,22 @@ ascending order: digits 1-3 for the Euclidean directions and ``+``/``-``
 is absorbed into the blade token, so ``e1+e2`` is a malformed
 juxtaposition: write ``e1 + e2`` to add.
 
-Names resolve to constants (``e0``, ``einf``, ``E``, ``I3``, ``I5``) or
-constructor calls; ``,`` and ``;`` both separate call arguments.  Every
-successful evaluation yields a plain multivector.
+Names resolve to constants (``e0``, ``einf``, ``E``, ``I3``, ``I5``), the
+mode names ``motion`` and ``reflection`` (valid only as the last argument of
+``apply``), or constructor calls; ``,`` and ``;`` both separate call
+arguments.  Each constructor is one row of ``_BUILTINS``: what it expects,
+and one constructor per accepted string of argument kinds; any other call
+is refused with "<name> expects <what>".  Arithmetic that overflows to inf
+or nan is refused.  Every successful evaluation yields a plain multivector.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+
+import numpy as np
 
 from .algebra import Multivector, exp_special, format_multivector, versor_inverse
 from .conformal import (
@@ -212,175 +219,84 @@ def _num(v) -> bool:
     return isinstance(v, float)
 
 
-def _mv(v) -> bool:
-    return isinstance(v, Multivector)
+def _as_mv(v):
+    return ALG.scalar(v) if _num(v) else v
 
 
-def _want(cond: bool, name: str, signature: str):
-    if not cond:
-        raise DomainError(f"{name} expects {signature}")
+def _kind(v) -> str:
+    if isinstance(v, float):
+        return "n"
+    if isinstance(v, Multivector):
+        return "m"
+    return "s" if isinstance(v, str) else "?"
 
 
-def _vec(args) -> list[float]:
-    return [float(a) for a in args]
-
-
-def _call_point(args):
-    _want(len(args) == 3 and all(map(_num, args)), "point", "three numbers x, y, z")
-    return embed_point(_vec(args))
-
-
-def _call_pair(args):
-    _want(len(args) == 2 and all(map(_mv, args)), "pair", "two conformal points")
-    return make_point_pair(*args).mv
-
-
-def _call_circle(args):
-    _want(len(args) == 3 and all(map(_mv, args)), "circle", "three conformal points")
-    return make_circle(*args).mv
-
-
-def _call_sphere(args):
-    if len(args) == 4 and all(map(_mv, args)):
-        return make_sphere_opns(*args).mv
-    if len(args) == 4 and all(map(_num, args)):
-        return sphere_ipns(_vec(args[:3]), float(args[3])).mv
-    raise DomainError("sphere expects four conformal points or cx, cy, cz, r")
-
-
-def _call_line(args):
-    _want(len(args) == 2 and all(map(_mv, args)), "line", "two conformal points")
-    return make_line(*args).mv
-
-
-def _call_plane(args):
-    if len(args) == 3 and all(map(_mv, args)):
-        return make_plane_opns(*args).mv
-    if len(args) == 4 and all(map(_num, args)):
-        return _versor.reflector_plane(_vec(args[:3]), float(args[3])).mv
-    raise DomainError("plane expects three conformal points or nx, ny, nz, d")
-
-
-def _call_flat_point(args):
-    if len(args) == 1 and _mv(args[0]):
-        return make_flat_point(args[0]).mv
-    if len(args) == 3 and all(map(_num, args)):
-        return make_flat_point(embed_point(_vec(args))).mv
-    raise DomainError("flat_point expects a conformal point or x, y, z")
-
-
-def _call_space(args):
-    _want(len(args) == 0, "space", "no arguments")
-    return I5
-
-
-def _call_mirror_plane(args):
-    _want(len(args) == 4 and all(map(_num, args)), "mirror_plane", "nx, ny, nz, d")
-    return _versor.reflector_plane(_vec(args[:3]), float(args[3])).mv
-
-
-def _call_mirror_sphere(args):
-    _want(len(args) == 4 and all(map(_num, args)), "mirror_sphere", "cx, cy, cz, r")
-    return _versor.reflector_sphere(_vec(args[:3]), float(args[3])).mv
-
-
-def _call_mirror_point(args):
-    _want(len(args) == 3 and all(map(_num, args)), "mirror_point", "x, y, z")
-    return _versor.reflector_point(_vec(args)).mv
-
-
-def _call_mirror_line(args):
-    if len(args) == 1 and _mv(args[0]):
-        return _versor.reflector_line(args[0]).mv
-    if len(args) == 2 and all(map(_mv, args)):
-        return _versor.reflector_line(make_line(*args)).mv
-    raise DomainError("mirror_line expects a line or two conformal points")
-
-
-def _call_rotor(args):
-    _want(len(args) == 2 and _mv(args[0]) and _num(args[1]), "rotor", "a bivector and an angle")
-    return _versor.rotor(args[0], float(args[1])).mv
-
-
-def _call_translator(args):
-    _want(len(args) == 3 and all(map(_num, args)), "translator", "three numbers tx, ty, tz")
-    return _versor.translator(_vec(args)).mv
-
-
-def _call_motor(args):
-    _want(
-        len(args) == 5 and _mv(args[0]) and all(map(_num, args[1:])),
-        "motor",
-        "a bivector, an angle, and tx, ty, tz",
-    )
-    return _versor.motor(args[0], float(args[1]), _vec(args[2:])).mv
-
-
-def _call_scalor(args):
-    if len(args) == 1 and _num(args[0]):
-        return _versor.scalor(float(args[0])).mv
-    if len(args) == 4 and all(map(_num, args)):
-        return _versor.scalor(float(args[0]), _vec(args[1:])).mv
-    raise DomainError("scalor expects s or s, cx, cy, cz")
-
-
-def _call_apply(args):
-    _want(
-        len(args) == 3 and _mv(args[0]) and _mv(args[1]) and isinstance(args[2], str),
-        "apply",
-        "a versor, a multivector, and motion or reflection",
-    )
-    v = _versor.make_versor(args[0], allow_null=True)
-    return _versor.apply(v, args[1], args[2])
-
-
-def _call_dual(args):
-    _want(len(args) == 1 and _mv(args[0]), "dual", "one multivector")
-    return args[0].dual()
-
-
-def _call_inv(args):
-    _want(len(args) == 1 and _mv(args[0]), "inv", "one invertible versor")
-    return versor_inverse(args[0])
-
-
-def _call_exp(args):
-    _want(len(args) == 1 and _mv(args[0]), "exp", "one bivector with scalar square")
-    return exp_special(args[0])
-
-
-def _call_grade(args):
-    _want(
-        len(args) == 2 and _mv(args[0]) and _num(args[1]) and float(args[1]).is_integer(),
-        "grade",
-        "a multivector and an integer grade",
-    )
-    return args[0].grade(int(args[1]))
-
-
-_FUNCTIONS = {
-    "point": _call_point,
-    "pair": _call_pair,
-    "circle": _call_circle,
-    "sphere": _call_sphere,
-    "line": _call_line,
-    "plane": _call_plane,
-    "flat_point": _call_flat_point,
-    "space": _call_space,
-    "mirror_plane": _call_mirror_plane,
-    "mirror_sphere": _call_mirror_sphere,
-    "mirror_point": _call_mirror_point,
-    "mirror_line": _call_mirror_line,
-    "rotor": _call_rotor,
-    "translator": _call_translator,
-    "motor": _call_motor,
-    "scalor": _call_scalor,
-    "apply": _call_apply,
-    "dual": _call_dual,
-    "inv": _call_inv,
-    "exp": _call_exp,
-    "grade": _call_grade,
+# name -> (what it expects, {argument kinds: constructor}).  Kinds are one
+# letter per argument: n number, m multivector, s mode name.  A constructor
+# answers None to refuse values of the right kinds.  Callees are looked up
+# when called (hence the lambdas around plain functions), so a module name
+# rebound after import is honoured.
+_BUILTINS = {
+    "point": ("three numbers x, y, z", {"nnn": lambda x, y, z: embed_point([x, y, z])}),
+    "pair": ("two conformal points", {"mm": lambda p, q: make_point_pair(p, q).mv}),
+    "circle": ("three conformal points", {"mmm": lambda p, q, r: make_circle(p, q, r).mv}),
+    "sphere": ("four conformal points or cx, cy, cz, r", {
+        "mmmm": lambda p, q, r, s: make_sphere_opns(p, q, r, s).mv,
+        "nnnn": lambda x, y, z, r: sphere_ipns([x, y, z], r).mv,
+    }),
+    "line": ("two conformal points", {"mm": lambda p, q: make_line(p, q).mv}),
+    "plane": ("three conformal points or nx, ny, nz, d", {
+        "mmm": lambda p, q, r: make_plane_opns(p, q, r).mv,
+        "nnnn": lambda x, y, z, d: _versor.reflector_plane([x, y, z], d).mv,
+    }),
+    "flat_point": ("a conformal point or x, y, z", {
+        "m": lambda p: make_flat_point(p).mv,
+        "nnn": lambda x, y, z: make_flat_point(embed_point([x, y, z])).mv,
+    }),
+    "space": ("no arguments", {"": lambda: I5}),
+    "mirror_plane": ("nx, ny, nz, d", {"nnnn": lambda x, y, z, d: _versor.reflector_plane([x, y, z], d).mv}),
+    "mirror_sphere": ("cx, cy, cz, r", {"nnnn": lambda x, y, z, r: _versor.reflector_sphere([x, y, z], r).mv}),
+    "mirror_point": ("x, y, z", {"nnn": lambda x, y, z: _versor.reflector_point([x, y, z]).mv}),
+    "mirror_line": ("a line or two conformal points", {
+        "m": lambda line: _versor.reflector_line(line).mv,
+        "mm": lambda p, q: _versor.reflector_line(make_line(p, q)).mv,
+    }),
+    "rotor": ("a bivector and an angle", {"mn": lambda b, angle: _versor.rotor(b, angle).mv}),
+    "translator": ("three numbers tx, ty, tz", {"nnn": lambda x, y, z: _versor.translator([x, y, z]).mv}),
+    "motor": ("a bivector, an angle, and tx, ty, tz", {
+        "mnnnn": lambda b, angle, x, y, z: _versor.motor(b, angle, [x, y, z]).mv,
+    }),
+    "scalor": ("s or s, cx, cy, cz", {
+        "n": lambda s: _versor.scalor(s).mv,
+        "nnnn": lambda s, x, y, z: _versor.scalor(s, [x, y, z]).mv,
+    }),
+    "apply": ("a versor, a multivector, and motion or reflection", {
+        "mms": lambda v, x, mode: _versor.apply(_versor.make_versor(v, allow_null=True), x, mode),
+    }),
+    "dual": ("one multivector", {"m": lambda a: a.dual()}),
+    "inv": ("one invertible versor", {"m": lambda v: versor_inverse(v)}),
+    "exp": ("one bivector with scalar square", {"m": lambda b: exp_special(b)}),
+    "grade": ("a multivector and an integer grade", {
+        "mn": lambda a, k: a.grade(int(k)) if k.is_integer() else None,
+    }),
 }
+
+
+def _builtin(name: str):
+    """The callable bound to a builtin name: dispatch on the argument kinds."""
+    expects, overloads = _BUILTINS[name]
+
+    def call(args):
+        constructor = overloads.get("".join(map(_kind, args)))
+        value = None if constructor is None else constructor(*args)
+        if value is None:
+            raise DomainError(f"{name} expects {expects}")
+        return value
+
+    return call
+
+
+_BOUND = {name: _builtin(name) for name in _BUILTINS}
 
 
 def default_env() -> dict:
@@ -394,16 +310,26 @@ def default_env() -> dict:
         "motion": "motion",
         "reflection": "reflection",
     }
-    env.update(_FUNCTIONS)
+    env.update(_BOUND)
     return env
 
 
-def _coerce_pair(a, b):
-    if _mv(a) and _num(b):
-        return a, ALG.scalar(b)
-    if _num(a) and _mv(b):
-        return ALG.scalar(a), b
-    return a, b
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.xor, "|": operator.or_}
+
+
+def _operand(v):
+    if isinstance(v, str):
+        raise DomainError("mode names are only valid as the last argument of apply")
+    return v
+
+
+def _finite(op: str, value):
+    """value, unless overflow made it, or one of its coefficients, inf or nan."""
+    coeffs = np.array([value]) if _num(value) else value.coeffs
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        raise DomainError(f"'{op}' overflows: it gives {coeffs[~finite][0]}")
+    return value
 
 
 def _eval(node, env):
@@ -412,66 +338,36 @@ def _eval(node, env):
         return node[1]
     if kind == "blade":
         return ALG.blade(node[1])
-    if kind == "name":
-        _, name, line, col = node
+    if kind in ("name", "call"):
+        name, line, col = node[1], node[-2], node[-1]
         if name not in env:
             raise UnboundNameError(f"unbound name {name!r} at {line}:{col}")
         value = env[name]
-        if callable(value):
-            raise DomainError(f"{name} is a function; call it with (...)")
-        return value
-    if kind == "call":
-        _, name, arg_nodes, line, col = node
-        if name not in env:
-            raise UnboundNameError(f"unbound name {name!r} at {line}:{col}")
-        fn = env[name]
-        if not callable(fn):
+        if kind == "name":
+            if callable(value):
+                raise DomainError(f"{name} is a function; call it with (...)")
+            return value
+        if not callable(value):
             raise DomainError(f"{name} is not a function")
-        return fn([_eval(a, env) for a in arg_nodes])
+        return value([_eval(a, env) for a in node[2]])
     if kind == "unary":
         _, op, inner = node
-        v = _eval(inner, env)
+        v = _operand(_eval(inner, env))
         if op == "-":
             return -v
-        if not _mv(v):
-            v = ALG.scalar(v) if _num(v) else v
-        if not _mv(v):
-            raise DomainError(f"unary {op} needs a multivector")
-        return ~v if op == "~" else v.involute()
-    # binary
+        return ~_as_mv(v) if op == "~" else _as_mv(v).involute()
+    # binary: two numbers stay floats under + - *; otherwise numbers become scalars
     _, op, lnode, rnode = node
-    a, b = _eval(lnode, env), _eval(rnode, env)
-    if isinstance(a, str) or isinstance(b, str):
-        raise DomainError("mode names are only valid as the last argument of apply")
-    if _num(a) and _num(b):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        a, b = ALG.scalar(a), ALG.scalar(b)
-    else:
-        a, b = _coerce_pair(a, b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "^":
-        return a ^ b
-    return a | b
+    a, b = _operand(_eval(lnode, env)), _operand(_eval(rnode, env))
+    if not (_num(a) and _num(b) and op in "+-*"):
+        a, b = _as_mv(a), _as_mv(b)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports the overflow instead
+        return _finite(op, _BINARY[op](a, b))
 
 
 def evaluate(node, env=None) -> Multivector:
     """Evaluate an AST to a multivector (numbers become scalars)."""
-    value = _eval(node, env if env is not None else default_env())
-    if _num(value):
-        return ALG.scalar(value)
-    if isinstance(value, str):
-        raise DomainError("mode names are only valid as the last argument of apply")
-    return value
+    return _as_mv(_operand(_eval(node, env if env is not None else default_env())))
 
 
 def eval_expression(text: str, env=None) -> Multivector:

@@ -5,31 +5,38 @@ A coefficient c of a multivector A counts as zero iff
     |c| <= EPS_ABS + rel_eps() * max_abs(A)
 
 so thresholds scale with the size of the object being tested.  The relative
-part can be overridden (the CLI honours the GA_TOLERANCE environment
-variable); the absolute floor is fixed.
+part can be overridden for the extent of a ``with scope(rel):`` block (the
+CLI opens one per command, from GA_TOLERANCE and a scene's "tolerance"
+section); the absolute floor is fixed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 EPS_ABS = 1e-12
 
-_DEFAULT_REL = 1e-9
-_rel_eps = _DEFAULT_REL
+_REL_EPS = contextvars.ContextVar("rel_eps", default=1e-9)
 
 
 def rel_eps() -> float:
-    return _rel_eps
+    return _REL_EPS.get()
 
 
-def set_rel_eps(value: float | None) -> None:
-    """Override the relative tolerance; None restores the default."""
-    global _rel_eps
-    _rel_eps = _DEFAULT_REL if value is None else float(value)
+@contextlib.contextmanager
+def scope(rel: float | None):
+    """Use relative tolerance rel until the block ends; None keeps the current one."""
+    token = _REL_EPS.set(_REL_EPS.get() if rel is None else float(rel))
+    try:
+        yield
+    finally:
+        _REL_EPS.reset(token)
 
 
 def threshold(scale: float) -> float:
     """Zero threshold for coefficients of an object of the given magnitude."""
-    return EPS_ABS + _rel_eps * abs(scale)
+    return EPS_ABS + _REL_EPS.get() * abs(scale)
 
 
 def is_zero(value: float, scale: float) -> bool:

@@ -342,11 +342,14 @@ class TestToleranceAndHelpers:
     def test_rel_eps_override(self, cga):
         noisy = cga.scalar(1.0) + cga.blade(0b11, 1e-7)
         assert noisy.grades() == {0, 2}
-        tolerance.set_rel_eps(1e-6)
-        try:
+        with tolerance.scope(1e-6):
             assert noisy.grades() == {0}
-        finally:
-            tolerance.set_rel_eps(None)
+            with tolerance.scope(None):
+                assert noisy.grades() == {0}
+            with tolerance.scope(1e-8):
+                assert noisy.grades() == {0, 2}
+            assert noisy.grades() == {0}
+        assert noisy.grades() == {0, 2}
 
     def test_parity_helper(self, cga):
         assert (E1 * E2).parity() == "even"

@@ -32,12 +32,6 @@ from confga.cli import main
 from confga.conformal import classify, e1, e2
 
 
-@pytest.fixture(autouse=True)
-def _restore_tolerance():
-    yield
-    tolerance.set_rel_eps(None)
-
-
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -107,6 +101,19 @@ class TestEval:
         result = runner.invoke(main, ["eval", src])
         assert result.exit_code == 1
         assert "overflows" in result.stderr
+
+    @pytest.mark.parametrize("src, reason", [
+        ("-motion", "mode names are only valid as the last argument of apply"),
+        ("~motion", "mode names are only valid as the last argument of apply"),
+        ("1e308*10*e1", "overflows"),
+        ("e1*1e200*1e200", "overflows"),
+    ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow"])
+    def test_refused_operand_exit_1_without_traceback(self, runner, src, reason):
+        result = runner.invoke(main, ["eval", src])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.stderr.startswith("error:") and reason in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
     def test_unbound_name_exit_1(self, runner):
         result = runner.invoke(main, ["eval", "wibble + e1"])
@@ -247,13 +254,16 @@ class TestSceneInput:
         ["classify"],
         ["transform", "--versor", "translator(1,0,0)", "--mode", "motion"],
     ], ids=["classify", "transform"])
-    def test_scene_tolerance_ends_with_the_command(self, runner, tmp_path, command):
+    def test_scene_tolerance_ends_with_the_command(self, runner, tmp_path, monkeypatch, command):
         scene_path = tmp_path / "s.json"
         scene_path.write_text(json.dumps({"tolerance": {"rel": 1e-3}, "objects": {"q": {"e0": 1.0}}}))
         argv = [command[0], "--scene", str(scene_path), *command[1:]]
+        default = tolerance.rel_eps()
+        seen = spy_tolerance(monkeypatch, cli, "classify_batch" if command[0] == "classify" else "apply")
         result = runner.invoke(main, argv, env={"GA_TOLERANCE": "1e-6"})
         assert result.exit_code == 0, result.stderr
-        assert tolerance.rel_eps() == 1e-6
+        assert seen == [1e-3]
+        assert tolerance.rel_eps() == default
 
     @pytest.mark.parametrize("doc", [
         '{"objects": {"p": {"e1": NaN, "e0": 1.0}}}',
@@ -383,11 +393,35 @@ class TestTrain:
         assert json.loads(result.output)["parity"] == "odd"
 
 
+def spy_tolerance(monkeypatch, owner, attr) -> list:
+    """Record rel_eps() each time owner.attr is called during a command."""
+    seen = []
+    original = getattr(owner, attr)
+
+    def spy(*args, **kwargs):
+        seen.append(tolerance.rel_eps())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+    return seen
+
+
 class TestToleranceEnv:
-    def test_env_override_applies(self, runner):
+    def test_env_override_applies(self, runner, monkeypatch):
+        default = tolerance.rel_eps()
+        seen = spy_tolerance(monkeypatch, cli.expr, "render")
         result = runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "1e-3"})
         assert result.exit_code == 0
-        assert tolerance.rel_eps() == 1e-3
+        assert seen == [1e-3]
+        assert tolerance.rel_eps() == default
+
+    def test_env_override_does_not_leak_into_the_next_call(self, runner, monkeypatch):
+        default = tolerance.rel_eps()
+        assert runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "1e-3"}).exit_code == 0
+        assert tolerance.rel_eps() == default
+        seen = spy_tolerance(monkeypatch, cli.expr, "render")
+        assert runner.invoke(main, ["eval", "e1"]).exit_code == 0
+        assert seen == [default]
 
     def test_invalid_env_value_exit_2(self, runner):
         result = runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "abc"})

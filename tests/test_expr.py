@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from confga import (
     versor_inverse,
 )
 from confga.conformal import ALG, e0, e1, e2, e3, einf
+from confga import expr as expr_module
 from confga.expr import default_env, evaluate, parse, tokenize
 
 from conftest import assert_mv_close
@@ -193,6 +196,17 @@ class TestParse:
         assert_mv_close(ev("sphere(0,0,0;1)"), ev("sphere(0, 0, 0, 1)"))
 
 
+def test_readme_lists_every_builtin_overload():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    constructors = text[text.index("Constructors:"):text.index("## Command line")]
+    listed = {}
+    for name, args in re.findall(r"`([a-z_]+)\(([^)`]*)\)`", constructors):
+        listed.setdefault(name, []).append(len(args.split(",")) if args else 0)
+    assert sorted(listed) == sorted(expr_module._BUILTINS)
+    for name, (_, overloads) in expr_module._BUILTINS.items():
+        assert sorted(listed[name]) == sorted(map(len, overloads)), name
+
+
 class TestEval:
     def test_difference_of_squares(self):
         # (e1+e2)(e1-e2) = 1 - e12 - e12 - 1 = -2 e12
@@ -281,10 +295,22 @@ class TestEval:
             ev("point + e1")
 
     def test_mode_names_only_valid_in_apply(self):
-        with pytest.raises(DomainError):
-            ev("motion")
-        with pytest.raises(DomainError):
-            ev("motion + 1")
+        for text in ["motion", "motion + 1", "e1 ^ reflection", "-motion", "~motion", "!reflection", "--motion"]:
+            with pytest.raises(DomainError) as info:
+                ev(text)
+            assert str(info.value) == "mode names are only valid as the last argument of apply", text
+
+    @pytest.mark.parametrize("text, bad", [
+        ("1e308*10*e1", "inf"),
+        ("(1e308*10 - 1e308*10)*e1", "inf"),
+        ("e1*1e200*1e200", "inf"),
+        ("-1e200*e12 ^ (1e200*e3)", "-inf"),
+        ("(1e200*e1 + 1e200*e2) | (1e200*e1 - 1e200*e2)", "nan"),
+    ])
+    def test_non_finite_arithmetic_is_refused(self, text, bad):
+        with pytest.raises(DomainError, match="overflows") as info:
+            ev(text)
+        assert str(info.value).endswith(f" {bad}"), str(info.value)
 
     def test_reflection_of_normal_vector(self):
         assert_mv_close(ev("apply(e1, e1, reflection)"), -e1)
