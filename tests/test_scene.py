@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confga import (
     DomainError,
@@ -19,7 +21,7 @@ from confga import (
     translator,
     write_scene,
 )
-from confga.algebra import algebra
+from confga.algebra import Multivector, algebra
 from confga.conformal import ALG, e0, e1, e2, einf
 from confga.expr import tokenize
 
@@ -229,3 +231,100 @@ def test_blade_name_errors_keep_their_messages():
         ALG.blade_bits("e21")
     with pytest.raises(ValueError, match="strictly ascending in 'e4\\+'"):
         ALG.blade_bits("e4+")
+
+
+# -- the writer is json.dumps, the reader is the per-entry loop ---------------
+
+_SPECIAL = [-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-05, 1e22, -1.5e-07, 0.1, 1 / 3, 1.7976931348623157e308]
+_coefficients = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+_names = st.one_of(
+    st.sampled_from(['a"b', "back\\slash", "tab\there", "new\nline", "\x00\x1f\x7f", "ünï", "雪", "\u2028", "😀", ""]),
+    st.text(max_size=6),
+)
+_sections = st.one_of(
+    st.none(), st.dictionaries(_names, st.dictionaries(st.integers(0, ALG.dim - 1), _coefficients, max_size=8), max_size=5)
+)
+_tolerances = st.one_of(st.none(), st.sampled_from([1e-09, 1e-05, 0.001]), st.floats(min_value=1e-300, max_value=1.0))
+
+
+def _mv(columns: dict) -> Multivector:
+    coeffs = np.zeros(ALG.dim)
+    for bits, value in columns.items():
+        coeffs[bits] = value
+    return Multivector(ALG, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=_sections, versors=_sections, tol=_tolerances)
+def test_writer_is_json_dumps_byte_for_byte(objects, versors, tol):
+    sections = {}
+    for title, table in (("objects", objects), ("versors", versors)):
+        if table is not None:
+            sections[title] = {name: _mv(columns) for name, columns in table.items()}
+    payload = {} if tol is None else {"tolerance": {"rel": tol}}
+    for title in ("objects", "versors"):
+        mvs = sections.get(title, {})
+        payload[title] = {name: mv_entries(mvs[name]) for name in sorted(mvs)}
+    want = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    assert scene_to_json(Scene(**sections, tolerance_rel=tol)) == want
+
+
+def _reference_coeffs(entries: dict) -> np.ndarray:
+    # the reader's arithmetic, one entry at a time in file order
+    coeffs = np.zeros(ALG.dim)
+    for key, value in entries.items():
+        value = float(value)
+        if key in ("e0", "einf"):
+            coeffs += value * (e0 if key == "e0" else einf).coeffs
+        else:
+            coeffs[ALG.blade_bits(key)] += value
+    return coeffs
+
+
+_KEYS = ["e0", "einf", "e45", "e4", "e1+-", "e145"] + ALG.blade_names
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.dictionaries(
+    st.sampled_from(_KEYS),
+    st.one_of(_coefficients, st.integers(-(2 ** 60), 2 ** 60)),
+    max_size=12,
+))
+def test_reader_matches_per_entry_arithmetic(entries):
+    got = scene_from_dict({"objects": {"a": entries}}).objects["a"]
+    assert np.array_equal(got.coeffs, _reference_coeffs(entries))
+    assert not np.signbit(got.coeffs[got.coeffs == 0.0]).any()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"objects": {"a": [1, 2]}}, "entry 'a' must map blade names to numbers"),
+    ({"versors": {"v": 1.0}}, "entry 'v' must map blade names to numbers"),
+    ({"objects": {"a": {"e1": float("nan")}}}, "coefficient for a.e1 must be a number and finite, got nan"),
+    ({"objects": {"a": {"e1": float("inf")}}}, "coefficient for a.e1 must be a number and finite, got inf"),
+    ({"objects": {"a": {"e0": float("-inf")}}}, "coefficient for a.e0 must be a number and finite, got -inf"),
+    ({"objects": {"a": {"e1": True}}}, "coefficient for a.e1 must be a number and finite, got True"),
+    ({"objects": {"a": {"e1": "big"}}}, "coefficient for a.e1 must be a number and finite, got 'big'"),
+    ({"objects": {"a": {"e1": None}}}, "coefficient for a.e1 must be a number and finite, got None"),
+    ({"objects": {"a": {"e1": 10 ** 400}}}, f"coefficient for a.e1 must be a number and finite, got {10 ** 400!r}"),
+    ({"objects": {"a": {"e21": 1.0}}}, "bad blade key 'e21'"),
+    ({"objects": {"a": {"e4+": 1.0}}}, "bad blade key 'e4+'"),
+    ({"objects": {"a": {"e6": 1.0}}}, "bad blade key 'e6'"),
+    ({"objects": {"a": {"E1": 1.0}}}, "bad blade key 'E1'"),
+    ({"objects": {"a": {"e21": float("nan")}}}, "coefficient for a.e21 must be a number and finite, got nan"),
+    ({"objects": {"a": {"e1": 1.0, "e21": 1.0, "e2": float("nan")}}}, "bad blade key 'e21'"),
+    ({"objects": {"a": {"e1": 1.0}, "b": {"e2": float("nan")}, "c": []}}, "coefficient for b.e2 must be a number and finite, got nan"),
+    ({"objects": {"a": {"e1": 1.0}}, "versors": {"v": {"x": 1.0}}}, "bad blade key 'x'"),
+    ({"tolerance": {"rel": float("nan")}}, "tolerance rel must be a number and finite, got nan"),
+    ({"objects": {}, "extras": {}}, "unknown scene sections: ['extras']"),
+    ([1, 2], "scene must be a JSON object"),
+])
+def test_reader_error_messages(doc, message):
+    with pytest.raises(DomainError) as info:
+        scene_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_reader_expands_null_and_alias_keys():
+    scene = scene_from_dict({"objects": {"p": {"e1": 1.0, "e0": 1.0, "einf": 0.5}, "q": {"e45": 2.0, "e+-": 1}}})
+    assert np.array_equal(scene.objects["p"].coeffs, (e1 + e0 + 0.5 * einf).coeffs)
+    assert np.array_equal(scene.objects["q"].coeffs, ALG.blade(0b11000, 3.0).coeffs)
