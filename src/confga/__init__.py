@@ -91,7 +91,7 @@ from .neuron import (
 )
 from .expr import default_env, eval_expression, render
 from .oracle import oracle_product
-from .scene import Scene, mv_entries, read_scene, scene_from_dict, scene_to_json, write_scene
+from .scene import Scene, Section, mv_entries, read_scene, scene_from_dict, scene_to_json, write_scene
 from .versor import (
     Versor,
     apply,

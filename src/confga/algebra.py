@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tolerance
 from .errors import (
+    DomainError,
     GradeError,
     NotExponentiableError,
     NotVersorError,
@@ -417,6 +418,16 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return a * b
 
 
+def finite_product(a: Multivector, b: Multivector, what: str) -> Multivector:
+    """a * b, refused with a DomainError naming `what` if a coefficient
+    overflows; a finite a * a also bounds a.max_abs() ** 2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a * b
+    if not np.isfinite(out.coeffs).all():
+        raise DomainError(f"{what} overflows; the largest coefficient is {max(a.max_abs(), b.max_abs())!r}")
+    return out
+
+
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
     return a ^ b
 
@@ -450,7 +461,7 @@ def vector_inverse(a: Multivector) -> Multivector:
     gs = a.grades()
     if gs and gs != frozenset({1}):
         raise GradeError(f"vector_inverse needs a grade-1 vector, got grades {sorted(gs)}")
-    sq = (a * a).scalar_part()
+    sq = finite_product(a, a, "a * a").scalar_part()
     if abs(sq) <= tolerance.threshold(a.max_abs() ** 2):
         raise NullVectorError("vector has (near-)zero square and no inverse")
     return a / sq
@@ -458,7 +469,7 @@ def vector_inverse(a: Multivector) -> Multivector:
 
 def versor_inverse(v: Multivector) -> Multivector:
     """Inverse ~v / <v ~v>_0 for v with scalar v ~v."""
-    m = v * ~v
+    m = finite_product(v, ~v, "v * ~v")
     s = m.scalar_part()
     off = m - m.grade(0)
     if not off.is_zero(scale=max(abs(s), m.max_abs())):
@@ -479,7 +490,7 @@ def exp_special(b: Multivector) -> Multivector:
     gs = b.grades()
     if gs and gs != frozenset({2}):
         raise NotExponentiableError(f"exp_special needs a grade-2 argument, got grades {sorted(gs)}")
-    sq = b * b
+    sq = finite_product(b, b, "the square of exp's argument")
     s = sq.scalar_part()
     scale = b.max_abs() ** 2
     if not (sq - sq.grade(0)).is_zero(scale=max(abs(s), scale)):

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections import ChainMap
 from pathlib import Path
 
 import click
@@ -26,11 +27,11 @@ import numpy as np
 
 from . import expr, tolerance
 from .algebra import format_coeff
-from .conformal import ALG, classify_batch
+from .conformal import classify_batch
 from .errors import GAError, ParseError
 from .neuron import TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
-from .scene import Scene, mv_entries, read_scene, scene_to_json
+from .scene import Scene, Section, mv_entries, read_scene, scene_to_json
 from .versor import apply, compose, make_versor
 
 _FORMAT = click.option(
@@ -109,12 +110,13 @@ def transform_cmd(scene_path, versor_spec, chain_specs, mode, out_path, fmt):
         raise click.UsageError("provide exactly one of --versor or --chain")
     scene = read_scene(scene_path)
     with tolerance.scope(scene.tolerance_rel):
-        env = {**expr.default_env(), **scene.objects, **scene.versors}
+        env = ChainMap(scene.versors, scene.objects, expr.default_env())
         specs = [versor_spec] if versor_spec is not None else list(chain_specs)
         versors = [make_versor(expr.eval_expression(s, env), allow_null=True) for s in specs]
         v = versors[0] if len(versors) == 1 else compose(versors)
-        moved = dict(zip(scene.objects, apply(v, list(scene.objects.values()), mode)))
-    out = Scene(objects=moved, versors=dict(scene.versors), tolerance_rel=scene.tolerance_rel)
+        with np.errstate(over="ignore", invalid="ignore"):  # Section names a row that overflowed
+            moved = apply(v, scene.objects.rows, mode)
+    out = Scene(Section(scene.objects.names, moved), scene.versors, scene.tolerance_rel)
     text = scene_to_json(out)
     if out_path is not None:
         Path(out_path).write_text(text)
@@ -138,8 +140,8 @@ def classify_cmd(scene_path, fmt):
     """Report the kind and parameters of every object in a scene."""
     scene = read_scene(scene_path)
     with tolerance.scope(scene.tolerance_rel):
-        names = sorted(scene.objects)
-        outcomes = classify_batch(np.array([scene.objects[name].coeffs for name in names]).reshape(-1, ALG.dim))
+        names, rows = scene.objects.by_name()
+        outcomes = classify_batch(rows)
     results = {
         name: {"error": str(o)} if isinstance(o, GAError) else {"kind": o.kind, "params": o.params}
         for name, o in zip(names, outcomes)

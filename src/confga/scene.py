@@ -8,12 +8,17 @@ A scene is a JSON object with optional "tolerance" ({"rel": float}),
 canonical: sections in a fixed order, names sorted, blades ordered by
 grade then bitset, zero coefficients dropped, two-space indention, and
 a trailing newline, so a written file round-trips byte for byte.
+
+In memory a section is a `Section`: its names in file order and one
+read-only (N, ALG.dim) array of rows, read and written without a
+Multivector per object; `scene.objects[name]` is a view of its row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,11 +29,48 @@ from .conformal import ALG, e0, einf
 from .errors import DomainError
 
 
+class Section(Mapping):
+    """Named multivectors as one read-only (N, ALG.dim) array of finite
+    rows, names in file order."""
+
+    def __init__(self, names, rows):
+        self.names = list(names)
+        self.rows = np.array(rows, dtype=np.float64).reshape(len(self.names), ALG.dim)
+        finite = np.isfinite(self.rows)
+        if not finite.all():
+            r, k = np.argwhere(~finite)[0].tolist()
+            raise DomainError(f"entry {self.names[r]!r} has a non-finite coefficient, {self.rows[r, k]} on {ALG.blade_names[k]}")
+        self.rows.setflags(write=False)
+        self._index = {name: i for i, name in enumerate(self.names)}
+
+    def by_name(self) -> tuple[list, np.ndarray]:
+        """The names sorted, and their rows in that order."""
+        order = sorted(range(len(self.names)), key=self.names.__getitem__)
+        return [self.names[i] for i in order], self.rows[order]
+
+    def __getitem__(self, name) -> Multivector:
+        return Multivector(ALG, self.rows[self._index[name]], copy=False)
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
 @dataclass
 class Scene:
-    objects: dict[str, Multivector] = field(default_factory=dict)
-    versors: dict[str, Multivector] = field(default_factory=dict)
+    """Each section is a Section, or any {name: Multivector} mapping to stack into one."""
+
+    objects: Mapping = field(default_factory=dict)
+    versors: Mapping = field(default_factory=dict)
     tolerance_rel: float | None = None
+
+    def __post_init__(self):
+        for title in ("objects", "versors"):
+            mvs = getattr(self, title)
+            if not isinstance(mvs, Section):
+                setattr(self, title, Section(mvs, [mv.coeffs for mv in mvs.values()]))
 
 
 def _is_number(value) -> bool:
@@ -39,24 +81,34 @@ def _is_number(value) -> bool:
         return False
 
 
-def _mv_from_entries(name: str, entries) -> Multivector:
-    if not isinstance(entries, dict):
-        raise DomainError(f"entry {name!r} must map blade names to numbers")
-    coeffs = np.zeros(ALG.dim)
-    for key, value in entries.items():
-        if not _is_number(value):
-            raise DomainError(f"coefficient for {name}.{key} must be a number and finite, got {value!r}")
-        value = float(value)
-        if key == "e0":
-            coeffs += value * e0.coeffs
-        elif key == "einf":
-            coeffs += value * einf.coeffs
-        else:
-            try:
-                coeffs[ALG.blade_bits(key)] += value
-            except ValueError as exc:
-                raise DomainError(f"bad blade key {key!r}") from exc
-    return Multivector(ALG, coeffs, copy=False)
+_COLUMN = {name: bits for bits, name in enumerate(ALG.blade_names)}
+# the null-direction keys as (column, coefficient) pairs, zeros left out
+_NULL_TERMS = {key: [(k, c) for k, c in enumerate(mv.coeffs.tolist()) if c] for key, mv in (("e0", e0), ("einf", einf))}
+
+
+def _section(table: dict) -> Section:
+    """Add each entry into zeros in file order; a finite float on a
+    canonical blade name needs no further check."""
+    flat = [0.0] * (len(table) * ALG.dim)
+    for base, (name, entries) in zip(range(0, len(flat), ALG.dim), table.items()):
+        if not isinstance(entries, dict):
+            raise DomainError(f"entry {name!r} must map blade names to numbers")
+        for key, value in entries.items():
+            bits = _COLUMN.get(key)
+            if bits is not None and type(value) is float and value - value == 0.0:
+                flat[base + bits] += value
+                continue
+            if not _is_number(value):
+                raise DomainError(f"coefficient for {name}.{key} must be a number and finite, got {value!r}")
+            terms = _NULL_TERMS.get(key)
+            if terms is None:
+                try:
+                    terms = [(ALG.blade_bits(key), 1.0)]
+                except ValueError as exc:
+                    raise DomainError(f"bad blade key {key!r}") from exc
+            for bits, unit in terms:
+                flat[base + bits] += float(value) * unit
+    return Section(table, flat)
 
 
 def mv_entries(mv: Multivector) -> dict:
@@ -79,11 +131,7 @@ def scene_from_dict(data) -> Scene:
             if not _is_number(tol["rel"]):
                 raise DomainError(f"tolerance rel must be a number and finite, got {tol['rel']!r}")
             rel = float(tol["rel"])
-    scene = Scene(tolerance_rel=rel)
-    for section, table in (("objects", scene.objects), ("versors", scene.versors)):
-        for name, entries in (data.get(section) or {}).items():
-            table[name] = _mv_from_entries(name, entries)
-    return scene
+    return Scene(_section(data.get("objects") or {}), _section(data.get("versors") or {}), rel)
 
 
 def read_scene(path) -> Scene:
@@ -95,13 +143,25 @@ def read_scene(path) -> Scene:
     return scene_from_dict(data)
 
 
+# what json.dumps(indent=2) writes before a coefficient, in canonical blade order
+_PREFIXES = ["      " + json.dumps(ALG.blade_names[bits]) + ": " for bits in ALG.blade_order]
+
+
+def _section_text(title: str, section: Section) -> str:
+    """One section as json.dumps(indent=2) lays it out, names sorted."""
+    names, rows = section.by_name()
+    parts = []
+    for name, values in zip(names, rows[:, ALG.blade_order].tolist()):
+        body = ",\n".join([p + repr(v) for p, v in zip(_PREFIXES, values) if v != 0.0])
+        parts.append(f"    {json.dumps(name)}: " + ("{\n" + body + "\n    }" if body else "{}"))
+    return f'  "{title}": ' + ("{\n" + ",\n".join(parts) + "\n  }" if parts else "{}")
+
+
 def scene_to_json(scene: Scene) -> str:
-    payload: dict = {}
+    sections = [_section_text("objects", scene.objects), _section_text("versors", scene.versors)]
     if scene.tolerance_rel is not None:
-        payload["tolerance"] = {"rel": scene.tolerance_rel}
-    payload["objects"] = {name: mv_entries(scene.objects[name]) for name in sorted(scene.objects)}
-    payload["versors"] = {name: mv_entries(scene.versors[name]) for name in sorted(scene.versors)}
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        sections.insert(0, '  "tolerance": {\n    "rel": ' + json.dumps(scene.tolerance_rel, allow_nan=False) + "\n  }")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
 def write_scene(scene: Scene, path) -> None:

@@ -20,8 +20,8 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 (projectively invisible) sign on even ones.
 
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
-folded in (`_action_matrix`, shared with the neuron), so `apply` on a
-sequence of multivectors is a single (N, 32) @ (32, 32) product.
+folded in (`_action_matrix`, shared with the neuron), so `apply` on N
+rows or multivectors is a single (N, 32) @ (32, 32) product.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerance
-from .algebra import Multivector, exp_special
+from .algebra import Multivector, exp_special, finite_product
 from .conformal import (
     ALG,
     E,
@@ -90,7 +90,7 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
         raise NotVersorError("zero multivector is not a versor")
     if parity == "mixed":
         raise MixedParityError("versor must be purely even or purely odd")
-    m = mv * ~mv
+    m = finite_product(mv, ~mv, "v * ~v")
     s = m.scalar_part()
     off = m - m.grade(0)
     if not off.is_zero(scale=max(abs(s), mv.max_abs() ** 2)):
@@ -118,7 +118,10 @@ def reflector_sphere(center, r: float) -> Versor:
     """Inversion in the sphere; sigma = P(center) - (1/2) r^2 einf, sigma^2 = r^2."""
     if r <= 0:
         raise DomainError(f"sphere mirror needs r > 0, got {r}")
-    return make_versor(embed_point(center) - (0.5 * r * r) * einf)
+    half_r2 = 0.5 * float(r) * float(r)
+    if not math.isfinite(half_r2):
+        raise DomainError(f"sphere mirror radius {r!r} overflows: r^2/2 is not finite")
+    return make_versor(embed_point(center) - half_r2 * einf)
 
 
 def reflector_point(p) -> Versor:
@@ -147,7 +150,7 @@ def rotor(i: Multivector, theta: float) -> Versor:
     e1 to e2 for i = e12, theta = pi/2."""
     if i.grades() != frozenset({2}):
         raise GradeError("rotation plane must be a bivector")
-    sq = i * i
+    sq = finite_product(i, i, "the square of the rotation plane")
     s = sq.scalar_part()
     if not (sq - sq.grade(0)).is_zero(scale=i.max_abs() ** 2) or s >= 0:
         raise DomainError("rotation plane must square to a negative scalar")
@@ -199,9 +202,10 @@ def _action_matrix(
 
 
 def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
-    """Act on a multivector, a classified object, or a sequence of
-    multivectors (a list back, from one matrix product); 'motion' demands
-    an even versor and 'reflection' an odd one."""
+    """Act on a multivector, a classified object, a sequence of multivectors
+    (a list back) or an (N, dim) array of rows (an array back), by one matrix
+    product; 'motion' demands an even versor and 'reflection' an odd one. A
+    batch row equals that row applied alone only to rounding (gemm vs gemv)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if convention not in CONVENTIONS:
@@ -209,13 +213,17 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     want = "even" if mode == "motion" else "odd"
     if v.parity != want:
         raise ParityModeError(f"{mode} mode needs an {want} versor, got {v.parity}")
+    is_array = isinstance(X, np.ndarray)
     single = isinstance(X, (Multivector, ConformalObject))
-    mvs = [X.mv if isinstance(X, ConformalObject) else X] if single else list(X)
-    for mv in mvs:
-        v.mv._check_same(mv)
+    if not is_array:
+        mvs = [X.mv if isinstance(X, ConformalObject) else X] if single else list(X)
+        for mv in mvs:
+            v.mv._check_same(mv)
     left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
     K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
-    rows = np.array([mv.coeffs for mv in mvs]).reshape(-1, ALG.dim) @ K.T
+    rows = (X if is_array else np.array([mv.coeffs for mv in mvs]).reshape(-1, ALG.dim)) @ K.T
+    if is_array:
+        return rows
     out = [Multivector(ALG, row, copy=False) for row in rows]
     if isinstance(X, ConformalObject):
         return classify(out[0])

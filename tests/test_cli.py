@@ -29,7 +29,8 @@ from confga import (
 )
 from confga import cli, tolerance
 from confga.cli import main
-from confga.conformal import classify, e1, e2
+from confga.algebra import Multivector
+from confga.conformal import ALG, classify, e1, e2
 
 
 @pytest.fixture
@@ -107,7 +108,14 @@ class TestEval:
         ("~motion", "mode names are only valid as the last argument of apply"),
         ("1e308*10*e1", "overflows"),
         ("e1*1e200*1e200", "overflows"),
-    ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow"])
+        ("translator(1e200,0,0)", "v * ~v overflows"),
+        ("rotor(e12,1e300)", "the square of exp's argument overflows"),
+        ("exp(1e300*e12)", "the square of exp's argument overflows"),
+        ("rotor(1e200*e12,1)", "the square of the rotation plane overflows"),
+        ("inv(1e200*e12)", "v * ~v overflows"),
+        ("mirror_sphere(0,0,0,1e200)", "sphere mirror radius 1e+200 overflows"),
+    ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow", "translator-overflow",
+            "rotor-angle-overflow", "exp-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow"])
     def test_refused_operand_exit_1_without_traceback(self, runner, src, reason):
         result = runner.invoke(main, ["eval", src])
         assert result.exit_code == 1
@@ -247,6 +255,41 @@ class TestTransform:
                 want = apply(v, mv, mode)
                 err = np.max(np.abs(moved[name].coeffs - want.coeffs))
                 assert err <= 1e-13 * max(1.0, want.max_abs()), (spec, name, err)
+
+
+    @pytest.mark.parametrize("spec", ["translator(1,0,0)", "scalor(1000)"])
+    def test_overflowing_result_exit_1_without_traceback(self, runner, tmp_path, spec):
+        scene_path = tmp_path / "s.json"
+        scene_path.write_text('{"objects": {"q": {"e1": 1.0}, "p": {"e1": 1e308, "e4": 1e308, "e5": 1e308}}}')
+        out = tmp_path / "out.json"
+        argv = ["transform", "--scene", str(scene_path), "--versor", spec, "--mode", "motion", "--out", str(out)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.stderr.startswith("error: entry 'p' has a non-finite coefficient, inf on e+")
+        assert "Traceback" not in result.stderr and not out.exists()
+
+    def test_general_scene_matches_batched_apply(self, runner, tmp_path, rng):
+        # the CLI moves all rows in one product, as the library does on the
+        # stacked array; one row applied alone agrees only to rounding
+        names = [f"o{i:03d}" for i in range(300)]
+        scene_path = tmp_path / "s.json"
+        rows = rng.uniform(-10.0, 10.0, (len(names), 32)) * 10.0 ** rng.integers(-3, 4, (len(names), 1))
+        scene_path.write_text(json.dumps({"objects": {n: mv_entries(Multivector(ALG, r)) for n, r in zip(names, rows)}}))
+        scene = read_scene(scene_path)
+        for spec, mode in [("motor(e12, 0.7, 1, 0, -0.5)", "motion"), ("mirror_sphere(0.5, 0, 0, 2)", "reflection")]:
+            out = tmp_path / "out.json"
+            result = runner.invoke(main, ["transform", "--scene", str(scene_path), "--versor", spec,
+                                          "--mode", mode, "--out", str(out)])
+            assert result.exit_code == 0, result.stderr
+            moved = read_scene(out).objects
+            v = make_versor(eval_expression(spec), allow_null=True)
+            want = apply(v, scene.objects.rows, mode)
+            assert moved.names == names
+            assert np.array_equal(moved.rows, want)
+            for name, row in zip(names, want):
+                one = apply(v, scene.objects[name], mode)
+                assert np.max(np.abs(one.coeffs - row)) <= 1e-13 * max(1.0, one.max_abs()), (spec, name)
 
 
 class TestSceneInput:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from confga import (
     DomainError,
     Scene,
+    Section,
     embed_point,
     mv_entries,
     read_scene,
@@ -112,6 +113,52 @@ def test_blade_names_parse_alike_everywhere(bits):
             assert (tok.kind, tok.value) == ("blade", bits)
         scene = scene_from_dict({"objects": {"a": {spelling: 1.0}}})
         assert scene.objects["a"] == ALG.blade(bits)
+
+
+class TestSection:
+    def test_rows_in_file_order_and_views(self):
+        scene = scene_from_dict({"objects": {"b": {"e1": 1.0}, "a": {"e2": 2.0}}})
+        assert list(scene.objects) == ["b", "a"] and len(scene.objects) == 2
+        assert np.array_equal(scene.objects.rows, np.stack([e1.coeffs, 2.0 * e2.coeffs]))
+        assert np.shares_memory(scene.objects["a"].coeffs, scene.objects.rows)
+        assert "a" in scene.objects and "c" not in scene.objects and "c" not in scene.versors
+
+    def test_read_only(self):
+        scene = Scene(objects={"a": e1})
+        with pytest.raises(TypeError):
+            scene.objects["b"] = e2
+        with pytest.raises(ValueError):
+            scene.objects.rows[0, 1] = 2.0
+        assert scene.objects == {"a": e1} and scene.versors == {}
+
+    def test_from_mapping_keeps_order_and_copies(self):
+        mvs = {"z": e1, "y": e2 + 3.0 * einf}
+        scene = Scene(objects=mvs)
+        assert scene.objects.names == ["z", "y"]
+        assert scene.objects["y"] == mvs["y"]
+        assert not np.shares_memory(scene.objects.rows, mvs["y"].coeffs)
+
+    def test_non_finite_rows_refused_by_name(self):
+        bad = Multivector(ALG, np.where(np.arange(ALG.dim) == 8, np.inf, 0.0))
+        with pytest.raises(DomainError, match="entry 'c' has a non-finite coefficient, inf on e\\+"):
+            Scene(objects={"a": e1, "c": bad, "b": bad})
+        with pytest.raises(DomainError, match="entry 'v' has a non-finite coefficient, nan on 1"):
+            Scene(versors={"v": Multivector(ALG, np.full(ALG.dim, np.nan))})
+
+    def test_overflowing_sum_of_entries_refused(self):
+        # alias spellings of one blade add up; their sum may overflow
+        with pytest.raises(DomainError, match="entry 'a' has a non-finite coefficient, inf on e1\\+-"):
+            scene_from_dict({"objects": {"a": {"e145": 1e308, "e1+-": 1e308}}})
+
+    def test_rows_must_match_names(self):
+        with pytest.raises(ValueError):
+            Section(["a", "b"], np.zeros((1, ALG.dim)))
+
+    def test_rows_are_a_copy(self):
+        rows = np.zeros((1, ALG.dim))
+        section = Section(["a"], rows)
+        rows[0, 0] = 1.0
+        assert section["a"] == ALG.zero()
 
 
 class TestEntries:
@@ -291,8 +338,14 @@ _KEYS = ["e0", "einf", "e45", "e4", "e1+-", "e145"] + ALG.blade_names
     max_size=12,
 ))
 def test_reader_matches_per_entry_arithmetic(entries):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_coeffs(entries)
+    if not np.isfinite(want).all():
+        with pytest.raises(DomainError, match="entry 'a' has a non-finite coefficient"):
+            scene_from_dict({"objects": {"a": entries}})
+        return
     got = scene_from_dict({"objects": {"a": entries}}).objects["a"]
-    assert np.array_equal(got.coeffs, _reference_coeffs(entries))
+    assert np.array_equal(got.coeffs, want)
     assert not np.signbit(got.coeffs[got.coeffs == 0.0]).any()
 
 
