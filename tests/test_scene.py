@@ -301,7 +301,7 @@ def _mv(columns: dict) -> Multivector:
     return Multivector(ALG, coeffs)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(objects=_sections, versors=_sections, tol=_tolerances)
 def test_writer_is_json_dumps_byte_for_byte(objects, versors, tol):
     sections = {}
@@ -331,7 +331,7 @@ def _reference_coeffs(entries: dict) -> np.ndarray:
 _KEYS = ["e0", "einf", "e45", "e4", "e1+-", "e145"] + ALG.blade_names
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(entries=st.dictionaries(
     st.sampled_from(_KEYS),
     st.one_of(_coefficients, st.integers(-(2 ** 60), 2 ** 60)),
