@@ -79,7 +79,6 @@ from .errors import (
 )
 from .neuron import (
     GeometricNeuron,
-    Sample,
     TrainConfig,
     forward,
     from_versor,

@@ -288,10 +288,11 @@ def _builtin(name: str):
 
     def call(args):
         constructor = overloads.get("".join(map(_kind, args)))
-        value = None if constructor is None else constructor(*args)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite reports the overflow instead
+            value = None if constructor is None else constructor(*args)
         if value is None:
             raise DomainError(f"{name} expects {expects}")
-        return value
+        return _finite(name, value)
 
     return call
 

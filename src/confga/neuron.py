@@ -16,17 +16,18 @@ pure scalar, under plain gradient descent with a parity projection of W
 after every step. The normalization <W ~W>_0 must stay away from zero;
 a null weight (the degenerate point mirror) raises SingularWeightError.
 
-The data are rows of Z = [X | c | T] with c the all-ones column, and
-the residuals R = X K^T / <W ~W>_0 + c Theta^T - T are Z times a matrix
-that depends only on the weights. So the loss |R|^2 / N, the bias
-gradient c^T R and the products X^T R the weight gradient needs are the
-same for Z and for the triangular factor Rz of a thin QR, Z = Q Rz.
-`train` takes that QR once (`compress`: at most 65 rows for any N) and
-runs every epoch on Rz, so an epoch costs the same whatever the number
-of samples. A QR rather than the Gram matrix Z^T Z keeps the loss a
-sum of squares, free of the cancellation a difference of |T|^2 terms
-would suffer near convergence (Golub and Van Loan, Matrix Computations,
-ch. 5).
+The data are an (X, T) pair of (N, 32) input and target coefficient
+arrays (`generate_dataset` draws one), the rows of Z = [X | c | T] with
+c the all-ones column; the residuals R = X K^T / <W ~W>_0 + c Theta^T - T
+are Z times a matrix that depends only on the weights. So the loss
+|R|^2 / N, the bias gradient c^T R and the products X^T R the weight
+gradient needs are the same for Z and for the triangular factor Rz of a
+thin QR, Z = Q Rz. `train` takes that QR once (`compress`: at most 65
+rows for any N) and runs every epoch on Rz, so an epoch costs the same
+whatever the number of samples. A QR rather than the Gram matrix Z^T Z
+keeps the loss a sum of squares, free of the cancellation a difference
+of |T|^2 terms would suffer near convergence (Golub and Van Loan,
+Matrix Computations, ch. 5).
 
 The analytic gradient takes its partial products U1 = x' W and
 U2 = ~W x' from the same action matrix with a unit left or right
@@ -54,6 +55,10 @@ from .errors import DivergenceError, SingularWeightError
 from .versor import CONVENTIONS, Versor, _action_matrix, apply
 
 PARITIES = ("even", "odd")
+# the weight of the penalty on the non-scalar part of W ~W, and the weight
+# peak or data loss past which `train` stops with DivergenceError
+PENALTY = 0.1
+DIVERGENCE_LIMIT = 1e12
 
 _SIGN = ALG.sign_table
 _XOR = ALG.xor_table
@@ -85,16 +90,10 @@ class GeometricNeuron:
         return ALG.mv(self.theta.copy())
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: Multivector
-    target: Multivector
-
-
 class Rows(NamedTuple):
     """Training data as rows of Z = [X | c | T]: the residuals are
     R = X K^T / <W ~W>_0 + c Theta^T - T and the data loss is |R|^2 / n.
-    Stacked samples have c all ones and n rows; `compress` keeps n and
+    An (X, T) pair has c all ones and n rows; `compress` keeps n and
     replaces the rows by at most 65 that give the same loss and gradient."""
 
     x: np.ndarray
@@ -108,8 +107,6 @@ class TrainConfig:
     lr: float = 0.015
     epochs: int = 5000
     tolerance: float = 1e-10
-    penalty: float = 0.1
-    divergence_limit: float = 1e12
 
 
 def parity_mask(parity: str) -> np.ndarray:
@@ -150,17 +147,14 @@ def _outputs(neuron: GeometricNeuron, X: np.ndarray, c: np.ndarray) -> np.ndarra
 
 
 def _stack(samples) -> Rows:
-    """Rows of the data, one per sample, from a sequence of Samples or an
-    already-stacked (X, T) pair of (N, 32) arrays; Rows pass through."""
+    """Rows of an (X, T) pair of (N, 32) input and target arrays, N >= 1;
+    Rows pass through."""
     if isinstance(samples, Rows):
         return samples
-    if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], np.ndarray):
-        X, T = samples
-    else:
-        if not samples:
-            raise ValueError("need at least one sample")
-        X = np.stack([s.x.coeffs for s in samples])
-        T = np.stack([s.target.coeffs for s in samples])
+    X, T = samples
+    if not (isinstance(X, np.ndarray) and isinstance(T, np.ndarray) and X.shape == T.shape
+            and X.ndim == 2 and X.shape[0] and X.shape[1] == ALG.dim):
+        raise ValueError(f"need an (X, T) pair of (N, {ALG.dim}) arrays, N >= 1; got {np.shape(X)} and {np.shape(T)}")
     return Rows(X, np.ones(X.shape[0]), T, X.shape[0])
 
 
@@ -182,8 +176,8 @@ def forward(neuron: GeometricNeuron, x: Multivector) -> Multivector:
 
 
 def loss(neuron: GeometricNeuron, samples) -> float:
-    """Mean over samples of the summed squared coefficient error; takes
-    Samples, an already-stacked (X, T) pair or Rows, like `gradient`."""
+    """Mean over samples of the summed squared coefficient error; takes an
+    (X, T) pair or Rows, like `gradient`."""
     d = _stack(samples)
     Y = _outputs(neuron, d.x, d.c)
     return float(np.sum(np.sum((Y - d.t) ** 2, axis=1)) / d.n)
@@ -199,15 +193,14 @@ def penalty_value(w: np.ndarray) -> float:
     return float(np.sum(m[1:] ** 2))
 
 
-def gradient(neuron, samples, penalty: float = 0.1, method: str = "analytic"):
+def gradient(neuron, samples, penalty: float = PENALTY, method: str = "analytic"):
     """Gradient of data loss + penalty with respect to (W, Theta), and the
     data loss itself: returns (grad_w, grad_theta, data_loss).
 
-    `samples` is a sequence of Samples, an already-stacked (X, T) pair
-    of (N, 32) input and target coefficient arrays, or Rows (`compress`
-    gives the same result on at most 65 rows). `data_loss` is what `loss`
-    returns for the same weights, taken from the residuals the gradient
-    forms anyway.
+    `samples` is an (X, T) pair of (N, 32) input and target coefficient
+    arrays, or Rows (`compress` gives the same result on at most 65 rows).
+    `data_loss` is what `loss` returns for the same weights, taken from the
+    residuals the gradient forms anyway.
 
     The analytic path differentiates the sandwich through the left/right
     multiplication operators. With residuals R = Y - T and per-sample
@@ -279,12 +272,12 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
     """Plain gradient descent; returns the data-loss history (the first
     entry is the starting loss, then one entry per step).
 
-    The samples are stacked and compressed to at most 65 rows once
-    (`compress`), so each epoch costs the same for any number of samples
-    and does one forward pass: the module-level `gradient` is called with
-    the compressed Rows once per step and once at the weights where
-    training stops, and the data loss it returns is the history entry for
-    those weights.
+    The (X, T) pair is compressed to at most 65 rows once (`compress`),
+    so each epoch costs the same for any number of samples and does one
+    forward pass: the module-level `gradient` is called with the
+    compressed Rows once per step and once at the weights where training
+    stops, and the data loss it returns is the history entry for those
+    weights.
 
     W is projected back onto its parity after every step; Theta is free.
     Raises DivergenceError (carrying the history) if the loss blows up."""
@@ -292,7 +285,7 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
     mask = parity_mask(neuron.parity)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_w, grad_theta, data = gradient(neuron, rows, penalty=cfg.penalty)
+        grad_w, grad_theta, data = gradient(neuron, rows, penalty=PENALTY)
         history = [data]
         for _ in range(cfg.epochs):
             if data <= cfg.tolerance:
@@ -300,11 +293,11 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
             neuron.w = (neuron.w - cfg.lr * grad_w) * mask
             neuron.theta = neuron.theta - cfg.lr * grad_theta
             peak = float(np.max(np.abs(neuron.w)))
-            if not np.isfinite(peak) or peak > cfg.divergence_limit:
+            if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"weight norm diverged to {peak}", history=history)
-            grad_w, grad_theta, data = gradient(neuron, rows, penalty=cfg.penalty)
+            grad_w, grad_theta, data = gradient(neuron, rows, penalty=PENALTY)
             history.append(data)
-            if not np.isfinite(data) or data > cfg.divergence_limit:
+            if not np.isfinite(data) or data > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged to {data}", history=history)
     return history
 
@@ -321,18 +314,19 @@ def generate_dataset(
     noise: float = 0.0,
     convention: str = "twisted-adjoint",
     normalize_point_targets: bool = False,
-):
-    """Samples (P(p), v acting on P(p)) with p uniform in [-2, 2]^3.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, T) pair of (n, 32) arrays: rows P(p) with p uniform in
+    [-2, 2]^3, and v acting on each row.
 
     Targets keep the raw sandwich coefficients so that exact versor
     weights reach exactly zero loss; optional normalization rescales each
     target to unit e0 coefficient, and noise perturbs target coefficients."""
     rng = np.random.default_rng(seed)
     mode = "motion" if v.parity == "even" else "reflection"
-    xs = [Multivector(ALG, x, copy=False) for x in embed_points(rng.uniform(-2.0, 2.0, size=(n, 3)))]
-    Y = np.array([y.coeffs for y in apply(v, xs, mode, convention=convention)]).reshape(-1, ALG.dim)
+    X = embed_points(rng.uniform(-2.0, 2.0, size=(n, 3)))
+    T = apply(v, X, mode, convention=convention)
     if normalize_point_targets:
-        Y /= (Y[:, 0b10000] - Y[:, 0b01000])[:, None]
+        T /= (T[:, 0b10000] - T[:, 0b01000])[:, None]
     if noise:
-        Y += rng.normal(0.0, noise, Y.shape)
-    return [Sample(x=x, target=ALG.mv(y)) for x, y in zip(xs, Y)]
+        T += rng.normal(0.0, noise, T.shape)
+    return X, T

@@ -37,7 +37,3 @@ def scope(rel: float | None):
 def threshold(scale: float) -> float:
     """Zero threshold for coefficients of an object of the given magnitude."""
     return EPS_ABS + _REL_EPS.get() * abs(scale)
-
-
-def is_zero(value: float, scale: float) -> bool:
-    return abs(value) <= threshold(scale)

@@ -20,8 +20,8 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 (projectively invisible) sign on even ones.
 
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
-folded in (`_action_matrix`, shared with the neuron), so `apply` on N
-rows or multivectors is a single (N, 32) @ (32, 32) product.
+folded in (`_action_matrix`, shared with the neuron), so `apply` on an
+(N, 32) array is one (N, 32) @ (32, 32) product; a multivector is one row.
 """
 
 from __future__ import annotations
@@ -108,9 +108,12 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
 def reflector_plane(n, d: float) -> Versor:
     """Mirror in the plane {x : n.x = d}; mu = unit(n) + d einf, mu^2 = 1."""
     arr = as_vec3(n)
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise DegenerateError("plane mirror needs a nonzero normal")
+    if not math.isfinite(norm):
+        raise DomainError(f"|n|^2 of plane normal {tuple(arr.tolist())} overflows")
     return make_versor(euclid_vector(arr / norm) + float(d) * einf)
 
 
@@ -202,10 +205,10 @@ def _action_matrix(
 
 
 def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
-    """Act on a multivector, a classified object, a sequence of multivectors
-    (a list back) or an (N, dim) array of rows (an array back), by one matrix
-    product; 'motion' demands an even versor and 'reflection' an odd one. A
-    batch row equals that row applied alone only to rounding (gemm vs gemv)."""
+    """Act on a multivector, a classified object, or an (N, dim) array of
+    rows (an array back) by one matrix product, a multivector as one row;
+    'motion' demands an even versor and 'reflection' an odd one. A batch row
+    equals that row applied alone only to rounding (gemm vs gemv)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if convention not in CONVENTIONS:
@@ -213,21 +216,17 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     want = "even" if mode == "motion" else "odd"
     if v.parity != want:
         raise ParityModeError(f"{mode} mode needs an {want} versor, got {v.parity}")
-    is_array = isinstance(X, np.ndarray)
-    single = isinstance(X, (Multivector, ConformalObject))
-    if not is_array:
-        mvs = [X.mv if isinstance(X, ConformalObject) else X] if single else list(X)
-        for mv in mvs:
-            v.mv._check_same(mv)
+    mv = X.mv if isinstance(X, ConformalObject) else X
+    if isinstance(mv, Multivector):
+        v.mv._check_same(mv)
+    elif not isinstance(X, np.ndarray):
+        raise TypeError(f"apply takes a Multivector, a ConformalObject or an (N, dim) array, not {type(X).__name__}")
     left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
     K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
-    rows = (X if is_array else np.array([mv.coeffs for mv in mvs]).reshape(-1, ALG.dim)) @ K.T
-    if is_array:
-        return rows
-    out = [Multivector(ALG, row, copy=False) for row in rows]
-    if isinstance(X, ConformalObject):
-        return classify(out[0])
-    return out[0] if single else out
+    if isinstance(X, np.ndarray):
+        return X @ K.T
+    out = Multivector(ALG, (mv.coeffs[None, :] @ K.T)[0], copy=False)
+    return classify(out) if isinstance(X, ConformalObject) else out
 
 
 def compose(versors: Sequence[Versor]) -> Versor:

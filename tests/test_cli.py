@@ -114,8 +114,12 @@ class TestEval:
         ("rotor(1e200*e12,1)", "the square of the rotation plane overflows"),
         ("inv(1e200*e12)", "v * ~v overflows"),
         ("mirror_sphere(0,0,0,1e200)", "sphere mirror radius 1e+200 overflows"),
+        ("apply(translator(1,0,0), 1e308*e1 + 1e308*e+ + 1e308*e-, motion)", "'apply' overflows: it gives inf"),
+        ("mirror_plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
+        ("plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
     ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow", "translator-overflow",
-            "rotor-angle-overflow", "exp-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow"])
+            "rotor-angle-overflow", "exp-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow",
+            "apply-overflow", "plane-mirror-overflow", "ipns-plane-overflow"])
     def test_refused_operand_exit_1_without_traceback(self, runner, src, reason):
         result = runner.invoke(main, ["eval", src])
         assert result.exit_code == 1

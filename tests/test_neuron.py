@@ -11,6 +11,7 @@ from confga import (
     SingularWeightError,
     apply,
     embed_point,
+    embed_points,
     extract_point,
     forward,
     from_versor,
@@ -28,7 +29,6 @@ from confga import (
     translator,
     make_line,
     GeometricNeuron,
-    Sample,
     TrainConfig,
 )
 from confga import neuron as nn
@@ -68,11 +68,10 @@ def gather_reference_gradient(net, samples, penalty):
 
 @functools.cache
 def versor_samples(parity, mode, n, noise):
-    """n samples of a versor of the given parity as a stacked (X, T) pair
-    (cached: N = 20000 takes ~0.2 s to generate and stack)."""
+    """n samples of a versor of the given parity as an (X, T) pair (cached:
+    many tests share the N = 20000 sets)."""
     v = motor(e1 ^ e2, 0.7, [0.4, -0.2, 0.3]) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
-    rows = nn._stack(generate_dataset(v, n, seed=17, convention=mode, noise=noise))
-    return rows.x, rows.t
+    return generate_dataset(v, n, seed=17, convention=mode, noise=noise)
 
 
 def perturbed_fit(rng, parity, mode, n=200, noise=0.0):
@@ -235,25 +234,13 @@ class TestGradient:
                 assert np.max(np.abs(g - w)) <= 1e-6 * max(1.0, np.max(np.abs(w)))
             assert_loss_close(got[2], want[2])
 
-    def test_stack_accepts_samples_pairs_and_rows(self):
-        samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.2), 7, seed=4)
-        X = np.stack([s.x.coeffs for s in samples])
-        T = np.stack([s.target.coeffs for s in samples])
-        for rows in (nn._stack(samples), nn._stack((X, T))):
-            assert np.array_equal(rows.x, X) and np.array_equal(rows.t, T)
-            assert np.array_equal(rows.c, np.ones(7)) and rows.n == 7
-        compressed = nn.compress(samples)
+    def test_stack_accepts_pairs_and_rows(self):
+        X, T = generate_dataset(reflector_plane([0, 1.0, 0], 0.2), 7, seed=4)
+        rows = nn._stack((X, T))
+        assert rows.x is X and rows.t is T
+        assert np.array_equal(rows.c, np.ones(7)) and rows.n == 7
+        compressed = nn.compress((X, T))
         assert nn._stack(compressed) is compressed
-
-    def test_stacked_pair_matches_samples(self, rng):
-        net = new_neuron("odd", seed=2)
-        net.theta = rng.normal(0, 0.2, 32)
-        samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.2), 20, seed=4)
-        rows = nn._stack(samples)
-        stacked = (rows.x, rows.t)
-        for method in ("analytic", "fd"):
-            for a, b in zip(gradient(net, samples, method=method), gradient(net, stacked, method=method)):
-                assert np.array_equal(a, b)
 
     def test_fd_restores_weights_when_objective_raises(self):
         # <W ~W>_0 = 4e-6: stepping w[e1] down by h = 2e-6 makes it singular
@@ -293,7 +280,27 @@ class TestGradient:
     def test_rejects_empty_samples(self):
         net = new_neuron("even", seed=0)
         with pytest.raises(ValueError):
-            loss(net, [])
+            loss(net, (np.zeros((0, 32)), np.zeros((0, 32))))
+
+    @pytest.mark.parametrize("shapes", [
+        ((5, 31), (5, 31)), ((5, 3), (5, 3)), ((5, 33), (5, 33)), ((0, 32), (0, 32)),
+        ((5, 32), (4, 32)), ((5, 32), (5, 31)), ((32,), (32,)), ((1, 5, 32), (1, 5, 32)),
+    ], ids=["width-31", "width-3", "width-33", "empty", "unequal-n", "unequal-width", "one-row-1d", "3d"])
+    @pytest.mark.parametrize("call", ["loss", "gradient", "fd", "compress", "train"])
+    def test_rejects_malformed_pairs(self, shapes, call):
+        # refused before any arithmetic: compress would pad a narrow pair's
+        # columns, and an empty pair divides by N = 0
+        net = new_neuron("even", seed=0)
+        pair = tuple(np.ones(shape) for shape in shapes)
+        run = {
+            "loss": lambda: loss(net, pair),
+            "gradient": lambda: gradient(net, pair),
+            "fd": lambda: gradient(net, pair, method="fd"),
+            "compress": lambda: nn.compress(pair),
+            "train": lambda: train(net, pair, TrainConfig(epochs=2)),
+        }[call]
+        with pytest.raises(ValueError, match=r"need an \(X, T\) pair of \(N, 32\) arrays, N >= 1"):
+            run()
 
 
 class TestTrain:
@@ -393,29 +400,46 @@ class TestDataset:
         v = translator([0.1, 0.2, 0.3])
         a = generate_dataset(v, 10, seed=5)
         b = generate_dataset(v, 10, seed=5)
-        for sa, sb in zip(a, b):
-            assert sa.x == sb.x and sa.target == sb.target
+        for xa, xb in zip(a, b):
+            assert xa.shape == (10, 32) and np.array_equal(xa, xb)
 
     def test_points_in_range(self):
-        for s in generate_dataset(scalor(2.0), 50, seed=8):
-            p = extract_point(s.x)
+        X, _ = generate_dataset(scalor(2.0), 50, seed=8)
+        for x in X:
+            p = extract_point(ALG.mv(x))
             assert np.all(np.abs(p) <= 2.0)
 
     def test_noise_perturbs_targets(self):
         v = translator([0.1, 0.0, 0.0])
-        noisy = generate_dataset(v, 5, seed=9, noise=0.01)
-        diffs = [(s.target - apply(v, s.x, "motion")).max_abs() for s in noisy]
+        X, T = generate_dataset(v, 5, seed=9, noise=0.01)
+        diffs = [(ALG.mv(t) - apply(v, ALG.mv(x), "motion")).max_abs() for x, t in zip(X, T)]
         assert all(0 < d < 0.1 for d in diffs)
 
     def test_normalized_targets_have_unit_weight(self):
         v = scalor(3.0)
-        for s in generate_dataset(v, 10, seed=2, normalize_point_targets=True):
-            c0 = s.target.coeff(0b10000) - s.target.coeff(0b01000)
+        _, T = generate_dataset(v, 10, seed=2, normalize_point_targets=True)
+        for t in T:
+            c0 = t[0b10000] - t[0b01000]
             assert abs(c0 - 1.0) <= 1e-12
 
     def test_mirror_targets_use_reflection(self, rng):
         v = reflector_plane([0, 0, 1.0], 0.0)
-        for s in generate_dataset(v, 5, seed=12):
-            p = extract_point(s.x)
-            q = extract_point(s.target)
+        for x, t in zip(*generate_dataset(v, 5, seed=12)):
+            p = extract_point(ALG.mv(x))
+            q = extract_point(ALG.mv(t))
             assert np.max(np.abs(q - p * [1, 1, -1])) <= 1e-10
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
+    @pytest.mark.parametrize("versor", ["motor", "sphere"])
+    def test_arrays_are_embedded_draws_and_their_images(self, versor, mode, noise):
+        # X is embed_points of the seeded draws and T is apply on X, exactly;
+        # the noise comes from the same generator, after all the points
+        v = motor(e2 ^ e3, 0.6, [0.3, 0.2, -0.1]) if versor == "motor" else reflector_sphere([0.2, 0, 0], 1.3)
+        X, T = generate_dataset(v, 40, seed=3, noise=noise, convention=mode)
+        draws = np.random.default_rng(3)
+        want_x = embed_points(draws.uniform(-2.0, 2.0, size=(40, 3)))
+        want_t = apply(v, want_x, "motion" if v.parity == "even" else "reflection", convention=mode)
+        if noise:
+            want_t += draws.normal(0.0, noise, want_t.shape)
+        assert np.array_equal(X, want_x) and np.array_equal(T, want_t)

@@ -33,7 +33,7 @@ from confga import (
     sphere_ipns,
     translator,
 )
-from confga.conformal import ALG, E, e0, e1, e2, e3, einf
+from confga.conformal import ALG, E, e0, e1, e2, e3, einf, euclid_vector
 
 from conftest import assert_mv_close, assert_proportional, random_mv
 
@@ -181,6 +181,19 @@ class TestPlaneMirror:
     def test_zero_normal(self):
         with pytest.raises(DegenerateError):
             reflector_plane([0.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("n", [[1e200, 0, 0], [0, -1e155, 1e155], [1e308, 1e308, 1e308]])
+    def test_overflowing_normal_refused(self, n):
+        # |n| overflows in np.linalg.norm's dot; refused before the versor
+        # test could call the unit-less result "v * ~v vanishes"
+        with pytest.raises(DomainError, match=r"\|n\|\^2 of plane normal .* overflows"):
+            reflector_plane(n, 1.0)
+
+    @pytest.mark.parametrize("n", [[3.0, 4.0, 12.0], [1e150, -1e150, 3e149], [1e-150, 0, 2e-150], [0.1, 0.2, 0.3]])
+    def test_finite_normal_keeps_linalg_norm(self, n):
+        arr = np.array(n)
+        want = euclid_vector(arr / np.linalg.norm(arr)) + 0.5 * einf
+        assert np.array_equal(reflector_plane(n, 0.5).mv.coeffs, want.coeffs)
 
     def test_reflecting_a_sphere(self):
         m = reflector_plane([0, 0, 1.0], 0.0)
@@ -426,19 +439,24 @@ class TestActionMatrix:
         mode = "motion" if v.parity == "even" else "reflection"
         inputs = [random_mv(ALG, rng, grade=g) for g in range(ALG.n + 1) for _ in range(3)]
         inputs.append(random_mv(ALG, rng))
-        batch = apply(v, inputs, mode, convention=convention)
-        for X, got_batch in zip(inputs, batch):
+        batch = apply(v, np.stack([X.coeffs for X in inputs]), mode, convention=convention)
+        assert batch.shape == (len(inputs), ALG.dim)
+        for X, row in zip(inputs, batch):
             want = product_sandwich(v, X, convention)
             got = apply(v, X, mode, convention=convention)
             assert_mv_close(got, want, tol=1e-13)
-            assert_mv_close(got_batch, want, tol=1e-13)
+            assert_mv_close(ALG.mv(row), want, tol=1e-13)
             # a single multivector is a one-row batch
-            assert np.array_equal(got.coeffs, apply(v, [X], mode, convention=convention)[0].coeffs)
+            assert np.array_equal(got.coeffs, apply(v, X.coeffs[None, :], mode, convention=convention)[0])
 
     def test_empty_and_invalid_batches(self):
         R = rotor(e12, 0.8)
-        assert apply(R, [], "motion") == []
+        empty = apply(R, np.zeros((0, ALG.dim)), "motion")
+        assert isinstance(empty, np.ndarray) and empty.shape == (0, ALG.dim)
         with pytest.raises(ParityModeError):
-            apply(R, [e1, e2], "reflection")
+            apply(R, np.stack([e1.coeffs, e2.coeffs]), "reflection")
         with pytest.raises(SignatureMismatchError):
-            apply(R, [e1, algebra(3, 0).blade(1)], "motion")
+            apply(R, algebra(3, 0).blade(1), "motion")
+        # a sequence of multivectors is refused, not stacked
+        with pytest.raises(TypeError, match="list"):
+            apply(R, [e1, e2], "motion")
