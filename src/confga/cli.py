@@ -29,10 +29,10 @@ from . import expr, tolerance
 from .algebra import format_coeff
 from .conformal import classify_batch
 from .errors import GAError, ParseError
-from .neuron import TrainConfig, generate_dataset, new_neuron
+from .neuron import PARITIES, TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
 from .scene import Scene, Section, mv_entries, read_scene, scene_to_json
-from .versor import apply, compose, make_versor
+from .versor import CONVENTIONS, MODES, apply, compose, make_versor
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
@@ -97,7 +97,7 @@ def eval_cmd(expression: str, fmt: str):
 @click.option("--scene", "scene_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--versor", "versor_spec", default=None, help="Versor expression.")
 @click.option("--chain", "chain_specs", multiple=True, help="Versor expressions composed in application order.")
-@click.option("--mode", required=True, type=click.Choice(["motion", "reflection"]))
+@click.option("--mode", required=True, type=click.Choice(MODES))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False, writable=True))
 @_FORMAT
 @_guarded
@@ -161,13 +161,12 @@ def classify_cmd(scene_path, fmt):
 @click.option("--versor", "versor_spec", required=True, help="Target versor expression.")
 @click.option("--n", "n_samples", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--epochs", default=5000, show_default=True, type=click.IntRange(min=0))
-@click.option("--lr", default=0.015, show_default=True, type=click.FloatRange(min=0.0, min_open=True),
+@click.option("--epochs", default=TrainConfig.epochs, show_default=True, type=click.IntRange(min=0))
+@click.option("--lr", default=TrainConfig.lr, show_default=True, type=click.FloatRange(min=0.0, min_open=True),
               callback=_finite)
-@click.option("--parity", type=click.Choice(["even", "odd"]), default=None,
+@click.option("--parity", type=click.Choice(PARITIES), default=None,
               help="Neuron parity; defaults to the target versor's parity.")
-@click.option("--mode", type=click.Choice(["twisted-adjoint", "paper-literal"]),
-              default="twisted-adjoint", show_default=True)
+@click.option("--mode", type=click.Choice(CONVENTIONS), default="twisted-adjoint", show_default=True)
 @click.option("--noise", default=0.0, show_default=True, type=click.FloatRange(min=0.0),
               callback=_finite, help="Std dev of Gaussian noise on target coefficients.")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False, writable=True),

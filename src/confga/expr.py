@@ -9,6 +9,9 @@ associative):
     unary           ~  !  -          (reverse, grade involution, negate)
     primary         number | blade | name | name(args) | ( expr )
 
+One operator table (``_BINARY`` and ``_UNARY``) holds these operators and
+their binding levels; the tokenizer, the parser and the evaluator all read it.
+
 Blade literals start with ``e`` followed by generators in strictly
 ascending order: digits 1-3 for the Euclidean directions and ``+``/``-``
 (or the digit aliases 4/5) for the two extra directions, e.g. ``e12``,
@@ -53,10 +56,29 @@ from .conformal import (
 from .errors import DomainError, ParseError, UnboundNameError
 from . import versor as _versor
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_BLADE_BODY = re.compile(r"e[1-5]*\Z")
-_OPS = set("~!^|*+-(),;")
+# The operator table, loosest binding first.  Binary operator -> (binding
+# level, function, whether two numbers stay a number); every binary level is
+# left associative.  Unary operators bind tighter than any binary one.
+_BINARY = {
+    "+": (1, operator.add, True),
+    "-": (1, operator.sub, True),
+    "*": (2, operator.mul, True),
+    "^": (3, operator.xor, False),
+    "|": (3, operator.or_, False),
+}
+_UNARY = {"~": lambda v: ~_as_mv(v), "!": lambda v: _as_mv(v).involute(), "-": operator.neg}
+
+# One token per match, after any blanks.  A blade is an identifier of the
+# form e[1-5]* (not bare ``e``) plus the run of +/- signs that follows it.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)"
+    r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<blade>e(?=[1-5+-])[1-5]*(?![A-Za-z0-9_])[+-]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[" + re.escape("".join(sorted({*_BINARY, *_UNARY, *"(),;"}))) + r"])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))"
+)
 
 
 class _Token:
@@ -74,56 +96,31 @@ class _Token:
 
 def tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
+    pos, line, line_start = 0, 1, 0
+    kind = None
+    while kind != "eof":
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "newline":
+            line, line_start = line + 1, pos
             continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            value = float(m.group())
-            if math.isinf(value):
-                raise DomainError(f"number {m.group()} at {line}:{col} overflows")
-            tokens.append(_Token("number", value, line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        m = _IDENT.match(text, pos)
-        if m:
-            name = m.group()
-            start_col = col
-            pos = m.end()
-            col += len(name)
-            absorbed = ""
-            if _BLADE_BODY.match(name):
-                while pos < n and text[pos] in "+-":
-                    absorbed += text[pos]
-                    pos += 1
-                    col += 1
-            if absorbed or (name != "e" and _BLADE_BODY.match(name)):
-                try:
-                    bits = ALG.blade_bits(name + absorbed)
-                except ValueError as exc:
-                    raise ParseError(str(exc), line, start_col) from exc
-                tokens.append(_Token("blade", bits, line, start_col))
-            else:
-                tokens.append(_Token("name", name, line, start_col))
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
+        value, col = text[start:pos], start - line_start + 1
+        if kind == "number":
+            number = float(value)
+            if math.isinf(number):
+                raise DomainError(f"number {value} at {line}:{col} overflows")
+            value = number
+        elif kind == "blade":
+            try:
+                value = ALG.blade_bits(value)
+            except ValueError as exc:
+                raise ParseError(str(exc), line, col) from exc
+        elif kind == "eof":
+            value = None
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        tokens.append(_Token(kind, value, line, col))
     return tokens
 
 
@@ -148,36 +145,25 @@ class _Parser:
         self.i += 1
 
     def parse(self):
-        node = self.additive()
+        node = self.binary()
         t = self.tok
         if t.kind != "eof":
             raise ParseError("unexpected trailing input", t.line, t.col)
         return node
 
-    def additive(self):
-        node = self.multiplicative()
-        while self.tok.kind == "op" and self.tok.value in "+-":
-            op = self._advance().value
-            node = ("binary", op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self):
-        node = self.wedge()
-        while self.tok.kind == "op" and self.tok.value == "*":
-            self._advance()
-            node = ("binary", "*", node, self.wedge())
-        return node
-
-    def wedge(self):
+    def binary(self, level: int = 1):
+        """Operands joined by binary operators of binding level >= level."""
         node = self.unary()
-        while self.tok.kind == "op" and self.tok.value in "^|":
-            op = self._advance().value
-            node = ("binary", op, node, self.unary())
-        return node
+        while True:
+            t = self.tok
+            if t.kind != "op" or t.value not in _BINARY or _BINARY[t.value][0] < level:
+                return node
+            self.i += 1
+            node = ("binary", t.value, node, self.binary(_BINARY[t.value][0] + 1))
 
     def unary(self):
         t = self.tok
-        if t.kind == "op" and t.value in "~!-":
+        if t.kind == "op" and t.value in _UNARY:
             self._advance()
             return ("unary", t.value, self.unary())
         return self.primary()
@@ -193,15 +179,15 @@ class _Parser:
                 self._advance()
                 args = []
                 if not (self.tok.kind == "op" and self.tok.value == ")"):
-                    args.append(self.additive())
+                    args.append(self.binary())
                     while self.tok.kind == "op" and self.tok.value in ",;":
                         self._advance()
-                        args.append(self.additive())
+                        args.append(self.binary())
                 self._expect_op(")")
                 return ("call", t.value, args, t.line, t.col)
             return ("name", t.value, t.line, t.col)
         if t.kind == "op" and t.value == "(":
-            node = self.additive()
+            node = self.binary()
             self._expect_op(")")
             return node
         raise ParseError("expected an operand", t.line, t.col)
@@ -308,14 +294,10 @@ def default_env() -> dict:
         "E": E,
         "I3": I3,
         "I5": I5,
-        "motion": "motion",
-        "reflection": "reflection",
+        **{mode: mode for mode in _versor.MODES},
     }
     env.update(_BOUND)
     return env
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.xor, "|": operator.or_}
 
 
 def _operand(v):
@@ -352,18 +334,15 @@ def _eval(node, env):
             raise DomainError(f"{name} is not a function")
         return value([_eval(a, env) for a in node[2]])
     if kind == "unary":
-        _, op, inner = node
-        v = _operand(_eval(inner, env))
-        if op == "-":
-            return -v
-        return ~_as_mv(v) if op == "~" else _as_mv(v).involute()
-    # binary: two numbers stay floats under + - *; otherwise numbers become scalars
+        return _UNARY[node[1]](_operand(_eval(node[2], env)))
+    # binary: two numbers stay a number where the table says so; otherwise numbers become scalars
     _, op, lnode, rnode = node
+    _, fn, numeric = _BINARY[op]
     a, b = _operand(_eval(lnode, env)), _operand(_eval(rnode, env))
-    if not (_num(a) and _num(b) and op in "+-*"):
+    if not (numeric and _num(a) and _num(b)):
         a, b = _as_mv(a), _as_mv(b)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports the overflow instead
-        return _finite(op, _BINARY[op](a, b))
+        return _finite(op, fn(a, b))
 
 
 def evaluate(node, env=None) -> Multivector:

@@ -27,6 +27,7 @@ folded in (`_action_matrix`, shared with the neuron), so `apply` on an
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,6 +59,7 @@ from .errors import (
 
 MODES = ("motion", "reflection")
 CONVENTIONS = ("twisted-adjoint", "paper-literal")
+_SQRT_SMALLEST_NORMAL = math.sqrt(sys.float_info.min)  # 2**-511: below it, |n|^2 is subnormal or 0
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,12 @@ def reflector_plane(n, d: float) -> Versor:
     arr = as_vec3(n)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise DegenerateError("plane mirror needs a nonzero normal")
+    if norm < _SQRT_SMALLEST_NORMAL:  # |n|^2 underflowed: take the norm of n / max|n_i| instead
+        big = float(np.abs(arr).max())
+        if big == 0.0:
+            raise DegenerateError("plane mirror needs a nonzero normal")
+        arr = arr / big
+        norm = float(np.linalg.norm(arr))
     if not math.isfinite(norm):
         raise DomainError(f"|n|^2 of plane normal {tuple(arr.tolist())} overflows")
     return make_versor(euclid_vector(arr / norm) + float(d) * einf)

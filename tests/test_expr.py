@@ -150,6 +150,27 @@ class TestTokenize:
         assert (toks[1].line, toks[1].col) == (1, 4)
         assert (toks[2].line, toks[2].col) == (2, 3)
 
+    def test_positions_across_tabs_returns_and_newlines(self):
+        toks = tokenize("\te1 +\r2\n\n  (e12\t*\r\n~x)  \n")
+        assert [(t.kind, t.value, t.line, t.col) for t in toks] == [
+            ("blade", 0b1, 1, 2), ("op", "+", 1, 5), ("number", 2.0, 1, 7),
+            ("op", "(", 3, 3), ("blade", 0b11, 3, 4), ("op", "*", 3, 8),
+            ("op", "~", 4, 1), ("name", "x", 4, 2), ("op", ")", 4, 3),
+            ("eof", None, 5, 1),
+        ]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("e1 +\n2 *\n\t* e3", ParseError, "syntax error at 3:2: expected an operand"),
+        ("e1\r\n\n  e2 @", ParseError, "syntax error at 3:6: unexpected character '@'"),
+        ("e1 +\n\n e21", ParseError, "syntax error at 3:2: "),
+        ("(1\n+ 2\n\t\t+ 3", ParseError, "syntax error at 3:6: expected ')'"),
+        ("1\n2\n\t1e999", DomainError, "number 1e999 at 3:2 overflows"),
+    ])
+    def test_error_on_line_3(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert str(info.value).startswith(message)
+
     def test_overflowing_number_is_refused(self):
         with pytest.raises(DomainError, match=r"1e999 at 1:6"):
             tokenize("2 * (1e999 * e1)")
@@ -187,6 +208,22 @@ class TestParse:
     def test_left_associative_subtraction(self):
         assert ev("1 - 2 - 3").scalar_part() == -4.0
 
+    @pytest.mark.parametrize("op1, op2", itertools.product(expr_module._BINARY, repeat=2))
+    def test_every_binary_pair_groups_as_the_table_says(self, op1, op2):
+        # a tighter operator on the right groups right; otherwise left to right
+        a, b, c = ("blade", 0b1), ("blade", 0b10), ("blade", 0b100)
+        if expr_module._BINARY[op1][0] >= expr_module._BINARY[op2][0]:
+            want, grouped = ("binary", op2, ("binary", op1, a, b), c), f"(e1 {op1} e2) {op2} e3"
+        else:
+            want, grouped = ("binary", op1, a, ("binary", op2, b, c)), f"e1 {op1} (e2 {op2} e3)"
+        assert parse(f"e1 {op1} e2 {op2} e3") == parse(grouped) == want
+
+    @pytest.mark.parametrize("u, op", itertools.product(expr_module._UNARY, expr_module._BINARY))
+    def test_unary_binds_tighter_than_every_binary(self, u, op):
+        a, b = ("blade", 0b1), ("blade", 0b10)
+        assert parse(f"{u}e1 {op} e2") == parse(f"({u}e1) {op} e2") == ("binary", op, ("unary", u, a), b)
+        assert parse(f"e1 {op} {u}e2") == parse(f"e1 {op} ({u}e2)") == ("binary", op, a, ("unary", u, b))
+
     def test_unary_chains(self):
         assert_mv_close(ev("--e1"), e1)
         assert_mv_close(ev("~~e12"), e12)
@@ -205,6 +242,21 @@ def test_readme_lists_every_builtin_overload():
     assert sorted(listed) == sorted(expr_module._BUILTINS)
     for name, (_, overloads) in expr_module._BUILTINS.items():
         assert sorted(listed[name]) == sorted(map(len, overloads)), name
+
+
+def test_docs_list_operators_in_table_order():
+    # binary operators grouped by binding level, loosest first, then the unary ones
+    levels = sorted({level for level, _, _ in expr_module._BINARY.values()})
+    table = [[op for op, (lv, _, _) in expr_module._BINARY.items() if lv == level] for level in levels]
+    table.append(list(expr_module._UNARY))
+    symbols = {*expr_module._BINARY, *expr_module._UNARY}
+    doc = expr_module.__doc__
+    grammar = doc[doc.index("Grammar"):doc.index("    primary")].splitlines()
+    assert [ops for ops in ([w for w in line.split() if w in symbols] for line in grammar) if ops] == table
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("Binding from loosest to tightest:")
+    sentence = text[start:text.index(".", start)]
+    assert [" ".join(re.findall(r"`([^`]+)`", part)).split() for part in sentence.split(", then ")] == table
 
 
 class TestEval:

@@ -195,6 +195,19 @@ class TestPlaneMirror:
         want = euclid_vector(arr / np.linalg.norm(arr)) + 0.5 * einf
         assert np.array_equal(reflector_plane(n, 0.5).mv.coeffs, want.coeffs)
 
+    @pytest.mark.parametrize("n, unit", [
+        ([1e-170, 0, 0], [1.0, 0, 0]),
+        ([0, -5e-324, 0], [0, -1.0, 0]),
+        ([1e-160, 0, 2e-160], [1.0, 0, 2.0]),
+        ([3e-155, 4e-155, 0], [3.0, 4.0, 0]),
+    ])
+    def test_tiny_normal_is_a_unit_mirror(self, n, unit):
+        # |n|^2 underflows (to 0, or to a subnormal that has lost digits):
+        # the mirror is still the one of the same direction at unit length
+        m = reflector_plane(n, 0.5)
+        assert abs(m.norm2 - 1.0) <= 4e-16
+        assert_mv_close(m.mv, reflector_plane(unit, 0.5).mv, tol=4e-16)
+
     def test_reflecting_a_sphere(self):
         m = reflector_plane([0, 0, 1.0], 0.0)
         obj = apply(m, sphere_ipns([1.0, 2.0, 3.0], 0.5), "reflection")
