@@ -78,12 +78,9 @@ class Algebra:
         self.outer_sign = np.where(grade_out == grade_sum, self.sign_table, 0).astype(np.int8)
         self.lcont_sign = np.where(grade_out == grade_diff, self.sign_table, 0).astype(np.int8)
 
-        # Gather tables of the row-wise product kernel, by (product, output
-        # blades): coefficient k of the product is sum_i a_i * b_(i^k) * T[i, k]
-        # with T[i, k] = S[i, i^k]. Tables for a subset of output blades are
-        # added on first use; there is one per subset a caller asks for.
-        self._product_tables = {
-            (name, None): (self.xor_table, table[idx[:, None], self.xor_table].astype(np.float64))
+        # Gather tables (xor, signs) of `row_product`, by product: signs[i, k] = S[i, i^k]
+        self.product_tables = {
+            name: (self.xor_table, table[idx[:, None], self.xor_table].astype(np.float64))
             for name, table in (("gp", self.sign_table), ("outer", self.outer_sign), ("lcont", self.lcont_sign))
         }
 
@@ -183,33 +180,9 @@ class Algebra:
 
     # -- product kernels -----------------------------------------------------
 
-    def product(self, kind: str, a: np.ndarray, b: np.ndarray, blades: tuple | None = None) -> np.ndarray:
-        """Row-wise product kernel: coefficients of a * b ("gp"), a ^ b
-        ("outer") or a | b ("lcont") for coefficient rows a, b of shape
-        (dim,) or (N, dim), which broadcast against each other.
-
-        out[..., k] = sum_i (a[..., i] * b[..., i ^ k]) * S[i, i ^ k], summed
-        over i in ascending order, so a row's result does not depend on the
-        rows around it. `blades` is a tuple of the output blades to compute
-        (all by default), e.g. (0,) for the scalar part alone."""
-        tables = self._product_tables.get((kind, blades))
-        if tables is None:
-            xor, signs = self._product_tables[kind, None]
-            tables = self._product_tables[kind, blades] = (xor[:, list(blades)], signs[:, list(blades)])
-        xor, signs = tables
-        # numpy sums an axis in plain ascending order only when it is not the
-        # innermost one in memory (else pairwise): hence C order for the
-        # terms (take returns it, and multiplying in place keeps it), and
-        # accumulate for a lone output blade
-        terms = b.take(xor, axis=-1)
-        if a.shape[:-1] in ((), b.shape[:-1]):
-            terms *= a[..., :, None]
-        else:
-            terms = np.multiply(a[..., :, None], terms, order="C")
-        terms *= signs
-        if terms.shape[-1] == 1:
-            return np.add.accumulate(terms, axis=-2)[..., -1, :]
-        return np.add.reduce(terms, axis=-2)
+    def product(self, kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b ("gp"), a ^ b ("outer") or a | b ("lcont") of coefficient rows, by `row_product`."""
+        return row_product(a, b, self.product_tables[kind])
 
     def left_matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix L with L @ x == coeffs-of(M * X) for X with coefficients x."""
@@ -221,6 +194,32 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(p={self.p}, q={self.q})"
+
+
+def row_product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
+    """out[..., j] = sum_i (a[..., i] * b[..., xor[i, j]]) * signs[i, j] for coefficient rows a, b of
+    shape (dim,) or (N, dim), which broadcast, and a table (xor, signs) of `Algebra.product_tables` or
+    some of its columns. The sum runs over i in ascending order, so a row's result does not depend
+    on the rows around it, nor on which other columns the table holds."""
+    xor, signs = table
+    if a.ndim == b.ndim == 1:
+        terms = b.take(xor)
+        terms *= a[:, None]
+        terms *= signs
+    else:  # rows on the last axis, so that numpy's loops run along them
+        bT = np.ascontiguousarray(b.T) if b.ndim == 2 else b[:, None]
+        aT = (bT if a is b else np.ascontiguousarray(a.T))[:, None] if a.ndim == 2 else a[:, None, None]
+        terms = bT.take(xor, axis=0)
+        if b.ndim == 2 and (a.ndim == 1 or len(a) == len(b)):
+            terms *= aT
+        else:
+            terms = np.multiply(aT, terms, order="C")
+        terms *= signs[:, :, None]
+    # numpy sums the outermost axis of the C-ordered terms in plain ascending order, unless it
+    # is the only axis left (then pairwise): hence accumulate for a lone output blade of a lone row
+    if terms.size == len(terms):
+        return np.add.accumulate(terms, axis=0)[-1].T
+    return np.add.reduce(terms, axis=0).T
 
 
 @lru_cache(maxsize=None)
@@ -249,6 +248,14 @@ class Multivector:
         arr.setflags(write=False)
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def view(cls, alg: Algebra, coeffs: np.ndarray) -> "Multivector":
+        """A multivector on a read-only float64 array of shape (alg.dim,), unchecked."""
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "alg", alg)
+        object.__setattr__(mv, "coeffs", coeffs)
+        return mv
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")

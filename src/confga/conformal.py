@@ -12,14 +12,16 @@ flats obtained by wedging with einf (line, plane, flat point), the whole
 space as the pseudoscalar, and grade-1 inner-product-null-space spheres
 sigma = P(center) - (1/2) r^2 einf with sigma^2 = r^2.
 
-Embedding and classification work on coefficient arrays. `embed_points`
-embeds an (N, 3) array of points at once, and `embed_point` is its one-row
-case. `classify_batch` classifies an (N, 32) array in one array pass: each
-check of the decision tree is one array step over the rows it applies to,
-with products from the algebra's row-wise kernel, and each row comes back
-as its object or its error. `classify` and `round_params` are its one-row
-case and raise that row's error. A row's result does not depend on the
-rows classified with it.
+`embed_points` embeds an (N, 3) array and `embed_point` is its one-row case.
+Classification runs one plan, built once at import: the linear maps the tree
+reads of a blade A (the e0 weight and A ^ einf: is it flat?; einf | A; A einf;
+null-basis coefficients of A and of A I5^-1 for planes, flat points, lines and
+a circle's normal) stacked into one (32, k) matrix, one matmul per block; the
+row-wise product kernel for A ~A (is A a blade?) with <A A>_0, then for
+<(einf | A)^2>_0 and the center <A einf A>_1 of rounds; grade masks; and
+`_LIMIT`, every tolerance decision. `classify_batch` returns each row's object
+or error, `classify` and `round_params` run it on one row and raise the error.
+A row's result does not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerance
-from .algebra import Multivector, algebra
+from .algebra import Multivector, algebra, row_product
 from .errors import (
     DegenerateError,
     DomainError,
@@ -165,7 +167,7 @@ def extract_point(P: Multivector) -> np.ndarray:
     gs = P.grades()
     if gs and gs != frozenset({1}):
         raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})")
-    loc, errors = _locations(P.coeffs[None, :])
+    loc, errors = _locations(P.coeffs[None, _VECTOR])
     if errors:
         raise errors.pop(0)
     return loc[0]
@@ -247,283 +249,278 @@ def sphere_ipns(center, r: float) -> ConformalObject:
 
 
 # -- classification -----------------------------------------------------------
-#
-# Classification runs on coefficient rows. Each check of the decision tree is
-# one array step over the rows it applies to; a stage reports the rows it
-# refuses as a {row: error} dict, and each branch of the tree returns, per row,
-# its error or its (kind, params). Products go through the row-wise kernel,
-# whose sums do not depend on the other rows, so a row gets the same answer
-# alone, in a block, or anywhere in a scene.
+# The plan of the module docstring. The matmul's entries are +-1 and +-1/2, at
+# most two per column, so its sums are exact whatever the rows around them.
 
-_BLOCK = 256  # rows per pass; keeps each (rows, 32, 32) product temporary near 2 MB
+_BLOCK = 256  # rows per pass; keeps each (rows, 32, 33) product temporary near 2 MB
 _GRADE_ONE_HOT = np.eye(ALG.n + 1)[ALG.grades]
-_SCALAR = (0,)
 _VECTOR = tuple(np.flatnonzero(ALG.grades == 1).tolist())
-_EINF = einf.coeffs
 _ONE = ALG.scalar(1.0).coeffs
-_INV_I5 = ALG.scalar(1.0).dual().coeffs  # A.dual() == A * I5^-1
 # Sign fixing r^2 = sign * <A A>_0 / <(einf | A)^2>_0, by grade; verified
 # against brute-force circumcenter/circumradius solves in the test suite.
-_ROUND_SIGN = np.array([0.0, 1.0, 1.0, -1.0, 1.0, 0.0])
-# null-basis bits (e1, e2, e3, e0, einf on bits 0..4) of the flat parameters
-_INF = 0b10000
-_FLAT_POINT_W, _FLAT_POINT_LOC = 0b11000, np.array([0b10001, 0b10010, 0b10100])
-_LINE_DIRECTION, _LINE_MOMENT = np.array([0b11001, 0b11010, 0b11100]), np.array([0b10011, 0b10101, 0b10110])
+_ROUND_SIGN = (0.0, 1.0, 1.0, -1.0, 1.0, 0.0)
+
+# the bilinear maps, as product tables for `row_product`
+_XOR, _SIGNS = ALG.product_tables["gp"]
+_GRAM = (np.hstack([_XOR, _XOR[:, :1]]), np.hstack([_SIGNS * ALG.reverse_signs[_XOR], _SIGNS[:, :1]]))  # A ~A, <A A>_0
+_SCALAR_GP = (_XOR[:, :1], _SIGNS[:, :1])  # <a b>_0
+_VECTOR_GP = (_XOR[:, _VECTOR], _SIGNS[:, _VECTOR])  # <a b>_1
+_VECTOR_SCALAR = (np.arange(len(_VECTOR))[:, None], _SIGNS[_VECTOR, :1])  # <v w>_0 from grade-1 coefficients
 
 
-def _grade_sets(X: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """(rows, 6) flags: grade g has a coefficient above the row's tolerance."""
-    present = np.abs(X) > tolerance.threshold(scale)[:, None]
-    return present @ _GRADE_ONE_HOT > 0
+# the linear maps; null-basis columns are coefficients on blades of (e1, e2, e3, e0, einf), bits in that order
+_NULL = NULL_FROM_PM.T
 
 
-def _vector_part(grade1: np.ndarray) -> np.ndarray:
-    """Full coefficient rows from grade-1 coefficients."""
-    out = np.zeros((len(grade1), ALG.dim))
-    out[:, _VECTOR] = grade1
-    return out
+def _stacked_maps() -> tuple[np.ndarray, dict]:
+    """The plan's linear maps side by side in one (32, k) matrix, and each one's columns by name."""
+    eye, einf_ = np.eye(ALG.dim), einf.coeffs  # row k of a map is its image of blade k
+    wedge, dual = ALG.product("outer", eye, einf_), ALG.product("gp", eye, ALG.scalar(1.0).dual().coeffs)
+    plane = _NULL[:, [0b00001, 0b00010, 0b00100, 0b10000]]  # n and d of the IPNS plane n + d einf
+    maps = {
+        "e0": _NULL[:, [0b01000]],  # a vector's e0 weight
+        "wedge": wedge,
+        "carrier": ALG.product("lcont", einf_, eye),
+        "a_einf": ALG.product("gp", eye, einf_),  # for the center A einf A
+        "circle_normal": (wedge @ dual)[:, _EUCLID],  # of (A ^ einf)*
+        "ipns_plane": plane,
+        "opns_plane": dual @ plane,  # the plane of A*
+        "flat_point": _NULL[:, [0b11000, 0b10001, 0b10010, 0b10100]],  # weight, then location times weight
+        "line": _NULL[:, [0b11001, 0b11010, 0b11100, 0b10011, 0b10101, 0b10110]],  # direction, moment
+    }
+    ends = np.cumsum([m.shape[1] for m in maps.values()]).tolist()
+    return np.hstack(list(maps.values())), {name: slice(e - m.shape[1], e) for (name, m), e in zip(maps.items(), ends)}
 
 
-def _clean(values: np.ndarray) -> list:
-    # +0.0 turns negative zeros into plain zeros for display and JSON
-    return (values + 0.0).tolist()
+_LINEAR, _COL = _stacked_maps()
+_POINT = _NULL[_VECTOR, :][:, [0b01000, 0b00001, 0b00010, 0b00100]]  # of a point's grade-1 part: w, then w p
+
+# Every tolerance decision of the tree: the limit of its residual, from one row's quantities.
+_LIMIT = {
+    "coefficient": lambda scale: tolerance.threshold(scale),  # counts toward its grade above this
+    "blade": lambda scale, gram0: tolerance.threshold(max(abs(gram0), scale * scale)),  # off-scalar A ~A within
+    "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
+    "wedge": lambda scale: tolerance.threshold(max(1.0, 2.0 * scale)),  # grade 2..4 with A ^ einf within is flat
+    "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,  # a point's P^2 is within
+    "finite": lambda scale: tolerance.threshold(scale),  # a point whose e0 weight is within is at infinity
+    "carrier": lambda scale: tolerance.threshold(scale * scale),  # a round with <(einf | A)^2>_0 within has none
+    "radius": lambda center2: tolerance.threshold(1.0 + center2) * 10.0,  # r^2 within: degenerate
+    "direction": lambda norm: tolerance.threshold(norm),  # the first component above fixes the sign
+    "distance": lambda norm: tolerance.threshold(norm) * 10.0,  # a plane with distance within holds the origin
+    "infinity": lambda scale: tolerance.threshold(scale),  # a flat whose finite part is within is at infinity
+    "normal": lambda scale: tolerance.threshold(scale),  # a circle's carrier plane has a normal above this
+}
 
 
-def _refuse(errors: dict, failed: np.ndarray, make) -> None:
-    """Record make(row) for each failed row that has no earlier error, so
-    checks made in tree order keep the first error of each row."""
-    if failed.any():
-        for r in failed.nonzero()[0].tolist():
-            if r not in errors:
-                errors[r] = make(r)
+def _clean(values: np.ndarray, by: list | None = None) -> list:
+    """Rows of values (/ by, a number per row or None) as tuples; +0.0 clears negative zeros."""
+    if by is not None:
+        values = values / np.array([1.0 if b is None else b for b in by])[:, None]
+    return [tuple(row) for row in (values + 0.0).tolist()]
 
 
-def _finite(X: np.ndarray) -> tuple[np.ndarray, dict]:
-    """A DomainError for each row with a non-finite coefficient, and the
-    rows with those zeroed, so that the array steps after this one stay
-    finite."""
-    if np.isfinite(X).all():
-        return X, {}
-    finite = np.isfinite(X).all(axis=1)
-    errors = {}
-    for r in (~finite).nonzero()[0].tolist():
-        k = int((~np.isfinite(X[r])).nonzero()[0][0])
-        errors[r] = DomainError(f"non-finite coefficient {float(X[r, k])!r} on {ALG.blade_names[k]}")
-    return np.where(finite[:, None], X, 0.0), errors
+class _Block:
+    """A block of rows through the plan's first stage: the rows X (any with a non-finite
+    coefficient zeroed), the linear maps Y = X @ _LINEAR, and per row its scale max|A|,
+    <A A>_0, and the key (grade, flat) of a blade or its error."""
 
+    def __init__(self, X: np.ndarray):
+        absX = np.abs(X)
+        scale = np.maximum.reduce(absX, axis=1)
+        self.scale = scale.tolist()
+        self.errors = errors = {}
+        if not all(map(math.isfinite, self.scale)):  # a non-finite coefficient makes max|A| inf or nan
+            bad = ~np.isfinite(X)
+            for r in bad.any(axis=1).nonzero()[0].tolist():
+                k = int(bad[r].argmax())
+                errors[r] = DomainError(f"non-finite coefficient {float(X[r, k])!r} on {ALG.blade_names[k]}")
+            X = np.where(bad.any(axis=1)[:, None], 0.0, X)  # so that the steps below stay finite
+            absX = np.abs(X)
+            scale = np.maximum.reduce(absX, axis=1)
+            self.scale = scale.tolist()
+        has = (absX > _LIMIT["coefficient"](scale)[:, None]) @ _GRADE_ONE_HOT > 0
+        del absX  # before the largest temporary, the gram's
+        gram = row_product(X, X, _GRAM)
+        self.X, self.Y = X, X @ _LINEAR
+        self.top, self.keys = gram[:, -1].tolist(), []
+        for r, (s, n, g, gram0, off, e0, wedge) in enumerate(zip(
+            self.scale, np.add.reduce(has, axis=1).tolist(), has.argmax(axis=1).tolist(), gram[:, 0].tolist(),
+            np.maximum.reduce(np.abs(gram[:, 1:-1]), axis=1).tolist(), self.Y[:, _COL["e0"]][:, 0].tolist(),
+            np.maximum.reduce(np.abs(self.Y[:, _COL["wedge"]]), axis=1).tolist(),
+        )):
+            key = None
+            if r in errors:
+                pass
+            elif n == 0:
+                errors[r] = UnknownObjectError("zero multivector")
+            elif n > 1:
+                errors[r] = NotABladeError(f"grade-inhomogeneous multivector (grades {has[r].nonzero()[0].tolist()})")
+            elif not off <= _LIMIT["blade"](s, gram0):
+                errors[r] = NotABladeError("mv * ~mv is not scalar; not a blade")
+            elif g == 1:  # a vector is flat when its e0 weight vanishes
+                key = (1, abs(e0) <= _LIMIT["e0"](s))
+            else:  # a blade of grade 2..4 when A ^ einf does
+                key = (g, 2 <= g <= 4 and wedge <= _LIMIT["wedge"](s))
+            self.keys.append(key)
 
-def _blades(X: np.ndarray, scale: np.ndarray, errors: dict) -> np.ndarray:
-    """Grade of each row that is a blade (-1 for the others); adds to
-    errors each row that is not: zero, mixed grades, or A ~A not a
-    scalar."""
-    has = _grade_sets(X, scale)
-    count = has.sum(axis=1)
-    gram = ALG.product("gp", X, X * ALG.reverse_signs)
-    gram_limit = tolerance.threshold(np.maximum(np.abs(gram[:, 0]), scale ** 2))
-    scalar_gram = np.all(np.abs(gram[:, 1:]) <= gram_limit[:, None], axis=1)
-    blade = (count == 1) & scalar_gram
-    if not blade.all():
-        _refuse(errors, count == 0, lambda r: UnknownObjectError("zero multivector"))
-        _refuse(errors, count > 1, lambda r: NotABladeError(
-            f"grade-inhomogeneous multivector (grades {has[r].nonzero()[0].tolist()})"))
-        _refuse(errors, ~scalar_gram, lambda r: NotABladeError("mv * ~mv is not scalar; not a blade"))
-    return np.where(blade, has.argmax(axis=1), -1)
-
-
-def _flats(X: np.ndarray, grade: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which blades are flat, and A ^ einf for the rows of grade 2..4.
-
-    A vector is flat (an IPNS plane) when its e0 coefficient vanishes, a
-    blade of grade 2..4 when A ^ einf does."""
-    flat = (grade == 1) & (np.abs(X[:, _MINUS] - X[:, _PLUS]) <= tolerance.threshold(scale))
-    wedge = np.zeros_like(X)
-    rows = ((grade >= 2) & (grade <= 4)).nonzero()[0]
-    if len(rows):
-        wedge[rows] = ALG.product("outer", X[rows], _EINF)
-        wedge_limit = tolerance.threshold(np.maximum(1.0, 2.0 * scale[rows]))
-        flat[rows] = np.all(np.abs(wedge[rows]) <= wedge_limit[:, None], axis=1)
-    return flat, wedge
+    def rows(self, rows: list) -> tuple:
+        """X and Y of the rows (a view if all), and lists of their grades, scales and <A A>_0."""
+        pick = slice(None) if len(rows) == len(self.keys) else rows
+        return (self.X[pick], self.Y[pick], [self.keys[r][0] for r in rows],
+                [self.scale[r] for r in rows], [self.top[r] for r in rows])
 
 
 def _locations(P: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Euclidean locations of conformal points given as rows of vector
-    coefficients, at any homogeneous scale, and the error of each row that
-    is not one."""
-    errors: dict = {}
-    scale = np.abs(P).max(axis=1)
-    square = ALG.product("gp", P, P, _SCALAR)[:, 0]
-    e0_part = P[:, _MINUS] - P[:, _PLUS]
-    finite = np.abs(e0_part) > tolerance.threshold(scale)
-    null = np.abs(square) <= tolerance.threshold(scale * scale) * 10.0
-    if not (null & finite).all():
-        _refuse(errors, scale == 0.0, lambda r: NotAPointError("zero multivector is not a point"))
-        _refuse(errors, ~null, lambda r: NotAPointError("vector is not null; not a conformal point"))
-        _refuse(errors, ~finite, lambda r: PointAtInfinityError("no finite location: e0 coefficient vanishes"))
-    return P[:, _EUCLID] / np.where(finite, e0_part, 1.0)[:, None], errors
+    """Euclidean locations of conformal points given as rows of grade-1 coefficients,
+    at any homogeneous scale, and the error of each row that is not one."""
+    weighted, errors, weights = P @ _POINT, {}, []
+    for r, (s, square, w) in enumerate(zip(np.maximum.reduce(np.abs(P), axis=1).tolist(),
+                                           row_product(P, P, _VECTOR_SCALAR)[:, 0].tolist(), weighted[:, 0].tolist())):
+        finite = abs(w) > _LIMIT["finite"](s)
+        if s == 0.0:
+            errors[r] = NotAPointError("zero multivector is not a point")
+        elif not abs(square) <= _LIMIT["null"](s):
+            errors[r] = NotAPointError("vector is not null; not a conformal point")
+        elif not finite:
+            errors[r] = PointAtInfinityError("no finite location: e0 coefficient vanishes")
+        weights.append(w if finite else 1.0)
+    return weighted[:, 1:] / np.array(weights)[:, None], errors
 
 
-def _rounds(X: np.ndarray, grade: np.ndarray, scale: np.ndarray):
-    """Center, signed squared radius, its sign label and errors, for round
-    blades: the center is the point A einf A, and
-    r^2 = sign * <A A>_0 / <(einf | A)^2>_0."""
-    center, errors = _locations(_vector_part(ALG.product("gp", ALG.product("gp", X, _EINF), X, _VECTOR)))
-    top = ALG.product("gp", X, X, _SCALAR)[:, 0]
-    carrier = ALG.product("lcont", _EINF, X)
-    bottom = ALG.product("gp", carrier, carrier, _SCALAR)[:, 0]
-    finite_carrier = np.abs(bottom) > tolerance.threshold(scale ** 2)
-    _refuse(errors, ~finite_carrier, lambda r: DegenerateError("round has no finite carrier; cannot extract radius"))
-    r2 = _ROUND_SIGN[grade] * top / np.where(finite_carrier, bottom, 1.0)
-    r2_limit = tolerance.threshold(1.0 + _sq_norms(center)) * 10.0
-    sign = [
-        "degenerate" if abs(v) <= limit else "real" if v > 0 else "imaginary"
-        for v, limit in zip(r2.tolist(), r2_limit.tolist())
-    ]
+def _rounds(X, Y, grade, scale, top):
+    """Center, signed squared radius, its sign label and errors, for round blades:
+    the center is the point A einf A, and r^2 = sign * <A A>_0 / <(einf | A)^2>_0."""
+    center, errors = _locations(row_product(Y[:, _COL["a_einf"]], X, _VECTOR_GP))
+    carrier = Y[:, _COL["carrier"]]
+    bottom, r2, sign = row_product(carrier, carrier, _SCALAR_GP)[:, 0].tolist(), [], []
+    for r, (g, s, t, b, c2) in enumerate(zip(grade, scale, top, bottom, _sq_norms(center).tolist())):
+        if not abs(b) > _LIMIT["carrier"](s):
+            errors.setdefault(r, DegenerateError("round has no finite carrier; cannot extract radius"))
+            b = 1.0
+        r2.append(_ROUND_SIGN[g] * t / b)
+        sign.append("degenerate" if abs(r2[-1]) <= _LIMIT["radius"](c2) else "real" if r2[-1] > 0 else "imaginary")
     return center, r2, sign, errors
 
 
-def _pair_endpoints(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+def _pair_endpoints(X, Y, top) -> tuple[np.ndarray, np.ndarray, dict]:
     """Endpoints of real point pairs via the idempotent split (1 +- F)/2
     with F = A / sqrt(<A A>_0); the (1 - F) endpoint comes first."""
-    F = X / np.sqrt(ALG.product("gp", X, X, _SCALAR))
-    carrier = ALG.product("lcont", _EINF, X)
-    (a, a_errors), (b, b_errors) = (
-        _locations(_vector_part(ALG.product("gp", 0.5 * half, carrier, _VECTOR))) for half in (_ONE - F, _ONE + F)
-    )
-    return a, b, {**b_errors, **a_errors}
+    F = X / np.sqrt(np.array(top))[:, None]
+    halves = 0.5 * (_ONE + np.concatenate([-F, F]))  # (1 - F)/2 over (1 + F)/2
+    n, carrier = len(X), Y[:, _COL["carrier"]]
+    ends, errors = _locations(row_product(halves, np.concatenate([carrier, carrier]), _VECTOR_GP))
+    # the first endpoint's error wins: it comes later in descending row order
+    return ends[:n], ends[n:], {r % n: errors[r] for r in sorted(errors, reverse=True)}
 
 
-def _directions(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _directions(D: np.ndarray) -> list:
     """Per row, the signed norm alpha that makes D / alpha a unit vector whose
-    first clearly nonzero component is positive, and which rows vanish."""
-    norm = np.sqrt(_sq_norms(D))
-    clear = np.abs(D) > tolerance.threshold(norm)[:, None]
-    first = np.where(clear.any(axis=1), D[np.arange(len(D)), np.argmax(clear, axis=1)], norm)
-    return np.where(first >= 0, norm, -norm), norm == 0.0
-
-
-def _plane_outcomes(V: np.ndarray, form: str) -> list:
-    """Planes from IPNS vectors n + d einf: unit normal and distance, signed
-    so that d > 0, or by the normal's first clear component when d vanishes."""
-    normal_raw = V[:, _EUCLID]
-    distance_raw = V @ NULL_FROM_PM[_INF]
-    alpha, vanishing = _directions(normal_raw)
-    norm = np.abs(alpha)
-    limit = tolerance.threshold(norm) * 10.0
-    alpha = np.where(distance_raw < -limit, -norm, np.where(np.abs(distance_raw) <= limit, alpha, norm))
-    alpha[vanishing] = 1.0
-    normal, distance = _clean(normal_raw / alpha[:, None]), _clean(distance_raw / alpha)
-    return [
-        DegenerateError("plane with zero normal") if v else ("plane", {"normal": tuple(n), "distance": d, "form": form})
-        for v, n, d in zip(vanishing, normal, distance)
-    ]
-
-
-def _scalars(X, grade, scale, wedge) -> list:
-    return [UnknownObjectError("scalars are not conformal objects") for _ in X]
-
-
-def _space(X, grade, scale, wedge) -> list:
-    return [("space", {}) for _ in X]
-
-
-def _ipns_planes(X, grade, scale, wedge) -> list:
-    """Flat vectors: IPNS planes, unless the normal vanishes too."""
-    at_infinity = np.abs(X[:, _EUCLID]).max(axis=1) <= tolerance.threshold(scale)
-    return [
-        UnknownObjectError("pure einf direction (point at infinity)") if inf else plane
-        for inf, plane in zip(at_infinity, _plane_outcomes(X, "ipns"))
-    ]
-
-
-def _opns_planes(X, grade, scale, wedge) -> list:
-    """Flat 4-blades: OPNS planes, read from their dual vector."""
-    return _plane_outcomes(_vector_part(ALG.product("gp", X, _INV_I5, _VECTOR)), "opns")
-
-
-def _flat_points(X, grade, scale, wedge) -> list:
-    null = X @ NULL_FROM_PM.T
-    w = null[:, _FLAT_POINT_W]
-    at_infinity = np.abs(w) <= tolerance.threshold(scale)
-    location = _clean(null[:, _FLAT_POINT_LOC] / np.where(at_infinity, 1.0, w)[:, None])
-    return [
-        UnknownObjectError("flat point at infinity") if inf else ("flat_point", {"location": tuple(p)})
-        for inf, p in zip(at_infinity, location)
-    ]
-
-
-def _lines(X, grade, scale, wedge) -> list:
-    null = X @ NULL_FROM_PM.T
-    alpha, vanishing = _directions(null[:, _LINE_DIRECTION])
-    alpha[vanishing] = 1.0
-    direction = _clean(null[:, _LINE_DIRECTION] / alpha[:, None])
-    moment = _clean(null[:, _LINE_MOMENT] / alpha[:, None])
-    return [
-        DegenerateError("vanishing direction") if v else ("line", {"direction": tuple(d), "moment": tuple(m)})
-        for v, d, m in zip(vanishing, direction, moment)
-    ]
-
-
-def _round_objects(X, grade, scale, wedge) -> list:
-    """Points and spheres (grade 1, IPNS), point pairs, circles and OPNS
-    spheres: center and squared radius for all, then what each kind adds."""
-    center, r2, sign, errors = _rounds(X, grade, scale)
-    params = [{"center": tuple(c), "radius2": v, "sign": k} for c, v, k in zip(_clean(center), _clean(r2), sign)]
-    grades = grade.tolist()
-    pairs = np.array([i for i, (g, k) in enumerate(zip(grades, sign)) if g == 2 and k == "real" and i not in errors], int)
-    if len(pairs):
-        a, b, pair_errors = _pair_endpoints(X[pairs])
-        errors.update({pairs[i]: exc for i, exc in pair_errors.items()})
-        for i, p, q in zip(pairs, _clean(a), _clean(b)):
-            params[i]["points"] = (tuple(p), tuple(q))
-    circles = np.array([i for i, g in enumerate(grades) if g == 3], int)
-    if len(circles):
-        # the unit normal of the carrier plane (A ^ einf)*, when it has one
-        normal_raw = ALG.product("gp", wedge[circles], _INV_I5, _EUCLID)
-        has_normal = np.sqrt(_sq_norms(normal_raw)) > tolerance.threshold(scale[circles])
-        alpha, _ = _directions(normal_raw[has_normal])
-        for i, n in zip(circles[has_normal], _clean(normal_raw[has_normal] / alpha[:, None])):
-            params[i]["normal"] = tuple(n)
+    first clearly nonzero component is positive, or None if the row vanishes."""
     out = []
-    for i, (g, p) in enumerate(zip(grades, params)):
-        if i in errors:
-            out.append(errors[i])
-        elif g == 1 and sign[i] == "degenerate":
-            out.append(("point", {"location": p["center"]}))
-        elif g in (1, 4):
-            out.append(("sphere", {**p, "form": "ipns" if g == 1 else "opns"}))
-        else:
-            out.append(("point_pair" if g == 2 else "circle", p))
+    for d, norm in zip(D.tolist(), np.sqrt(_sq_norms(D)).tolist()):
+        limit = _LIMIT["direction"](norm)
+        first = next((v for v in d if abs(v) > limit), norm)
+        out.append(None if norm == 0.0 else norm if first >= 0 else -norm)
     return out
 
 
-# The branches of the decision tree, by (grade, flat) of a row. Each takes the
-# rows' coefficients, grades, scales and A ^ einf, and returns each row's error
-# or (kind, params).
-_BRANCHES = (
-    ({(0, False)}, _scalars),
-    ({(5, False)}, _space),
-    ({(1, True)}, _ipns_planes),
-    ({(g, False) for g in (1, 2, 3, 4)}, _round_objects),
-    ({(2, True)}, _flat_points),
-    ({(3, True)}, _lines),
-    ({(4, True)}, _opns_planes),
-)
+def _plane_outcomes(plane: np.ndarray, form: str) -> list:
+    """Planes n + d einf from rows (n, d): unit normal and distance, signed so
+    that d > 0, or by the normal's first clear component when d vanishes."""
+    alphas = []
+    for alpha, d in zip(_directions(plane[:, :3]), plane[:, 3].tolist()):
+        if alpha is not None:
+            norm, limit = abs(alpha), _LIMIT["distance"](abs(alpha))
+            alpha = -norm if d < -limit else alpha if abs(d) <= limit else norm
+        alphas.append(alpha)
+    return [
+        DegenerateError("plane with zero normal") if alpha is None
+        else ("plane", {"normal": p[:3], "distance": p[3], "form": form})
+        for alpha, p in zip(alphas, _clean(plane, alphas))
+    ]
+
+
+def _ipns_planes(X, Y, grade, scale, top) -> list:
+    """Flat vectors: IPNS planes, unless the normal vanishes too."""
+    plane = Y[:, _COL["ipns_plane"]]
+    normal = np.maximum.reduce(np.abs(plane[:, :3]), axis=1).tolist()
+    return [
+        UnknownObjectError("pure einf direction (point at infinity)") if n <= _LIMIT["infinity"](s) else o
+        for n, s, o in zip(normal, scale, _plane_outcomes(plane, "ipns"))
+    ]
+
+
+def _flat_points(X, Y, grade, scale, top) -> list:
+    null = Y[:, _COL["flat_point"]]
+    weights = [None if abs(w) <= _LIMIT["infinity"](s) else w for w, s in zip(null[:, 0].tolist(), scale)]
+    return [
+        UnknownObjectError("flat point at infinity") if w is None else ("flat_point", {"location": p})
+        for w, p in zip(weights, _clean(null[:, 1:], weights))
+    ]
+
+
+def _lines(X, Y, grade, scale, top) -> list:
+    null = Y[:, _COL["line"]]
+    alphas = _directions(null[:, :3])
+    return [
+        DegenerateError("vanishing direction") if alpha is None else ("line", {"direction": p[:3], "moment": p[3:]})
+        for alpha, p in zip(alphas, _clean(null, alphas))
+    ]
+
+
+def _round_objects(X, Y, grade, scale, top) -> list:
+    """Points and spheres (grade 1, IPNS), point pairs, circles and OPNS
+    spheres: center and squared radius for all, then what each kind adds."""
+    center, r2, sign, errors = _rounds(X, Y, grade, scale, top)
+    params = [{"center": c, "radius2": v + 0.0, "sign": k} for c, v, k in zip(_clean(center), r2, sign)]
+    pairs = [i for i, (g, k) in enumerate(zip(grade, sign)) if g == 2 and k == "real" and i not in errors]
+    if pairs:
+        a, b, pair_errors = _pair_endpoints(X[pairs], Y[pairs], [top[i] for i in pairs])
+        errors.update({pairs[i]: exc for i, exc in pair_errors.items()})
+        for i, p, q in zip(pairs, _clean(a), _clean(b)):
+            params[i]["points"] = (p, q)
+    circles = [i for i, g in enumerate(grade) if g == 3]
+    if circles:
+        # the unit normal of the carrier plane (A ^ einf)*, when it has one; |alpha| is its norm
+        normal_raw = Y[circles, _COL["circle_normal"]]
+        alphas = [None if a is None or not abs(a) > _LIMIT["normal"](scale[i]) else a
+                  for i, a in zip(circles, _directions(normal_raw))]
+        for i, a, n in zip(circles, alphas, _clean(normal_raw, alphas)):
+            if a is not None:
+                params[i]["normal"] = n
+    return [
+        errors[i] if i in errors
+        else ("point", {"location": p["center"]}) if g == 1 and k == "degenerate"
+        else ("sphere", {**p, "form": "ipns" if g == 1 else "opns"}) if g in (1, 4)
+        else ("point_pair" if g == 2 else "circle", p)
+        for i, (g, k, p) in enumerate(zip(grade, sign, params))
+    ]
+
+
+# The branches of the decision tree, by the key (grade, flat) of a row. Each takes the rows' X and Y and
+# lists of their grades, scales and <A A>_0, and returns each row's error or (kind, params).
+_BRANCHES = {
+    (0, False): lambda X, *rest: [UnknownObjectError("scalars are not conformal objects") for _ in X],
+    (5, False): lambda X, *rest: [("space", {}) for _ in X],
+    (1, True): _ipns_planes,
+    (2, True): _flat_points,
+    (3, True): _lines,
+    (4, True): lambda X, Y, *rest: _plane_outcomes(Y[:, _COL["opns_plane"]], "opns"),  # from the dual vector
+    **{(g, False): _round_objects for g in (1, 2, 3, 4)},
+}
 
 
 def _classify_block(X: np.ndarray) -> list:
-    objects = X  # the objects keep rows of the block as given
-    X, errors = _finite(X)
-    scale = np.abs(X).max(axis=1)
-    grade = _blades(X, scale, errors)
-    flat, wedge = _flats(X, grade, scale)
-    out = [errors.get(r) for r in range(len(X))]
-    keys = list(zip(grade.tolist(), flat.tolist()))
-    for wanted, branch in _BRANCHES:
-        rows = [r for r, key in enumerate(keys) if key in wanted]
-        if rows:
-            pick = slice(None) if len(rows) == len(X) else rows  # a view when the branch takes every row
-            for r, o in zip(rows, branch(X[pick], grade[pick], scale[pick], wedge[pick])):
-                out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector(ALG, objects[r], copy=False), o[1])
+    block = _Block(X)
+    out = [block.errors.get(r) for r in range(len(X))]
+    by_branch: dict = {}
+    for r, key in enumerate(block.keys):
+        if key is not None:
+            by_branch.setdefault(_BRANCHES[key], []).append(r)
+    for branch, rows in by_branch.items():
+        for r, o in zip(rows, branch(*block.rows(rows))):
+            # the objects keep rows of the block as given, which are read-only
+            out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector.view(ALG, X[r]), o[1])
     return out
 
 
@@ -546,7 +543,7 @@ def classify_batch(coeffs) -> list:
 
 def classify(mv: Multivector) -> ConformalObject:
     """The one-row case of `classify_batch`: the object, or its error raised."""
-    outcome = classify_batch(mv.coeffs[None, :])
+    outcome = _classify_block(mv.coeffs[None, :])  # the coefficients are read-only already
     if isinstance(outcome[0], GAError):
         # popped, so that no local of this frame holds the error its traceback holds
         raise outcome.pop()
@@ -554,21 +551,17 @@ def classify(mv: Multivector) -> ConformalObject:
 
 
 def round_params(mv: Multivector) -> dict:
-    """Center and signed squared radius of a round blade (grades 1..4), by
-    the classification's own blade, flatness and round stages on one row."""
-    X, errors = _finite(mv.coeffs[None, :])
-    scale = np.abs(X).max(axis=1)
-    grade = _blades(X, scale, errors)
-    if errors:
-        raise errors.pop(0)
-    g = int(grade[0])
+    """Center and signed squared radius of a round blade (grades 1..4), from
+    the classification plan's first stage and round stage on one row."""
+    block = _Block(mv.coeffs[None, :])
+    if block.errors:
+        raise block.errors.pop(0)
+    g, flat = block.keys[0]
     if not 1 <= g <= 4:
         raise UnknownObjectError(f"grade {g} is not a round object")
-    if _flats(X, grade, scale)[0][0]:
-        if g == 1:
-            raise FlatObjectError("grade-1 flat (plane) has no center/radius")
-        raise FlatObjectError("flat object has no center/radius")
-    center, r2, sign, errors = _rounds(X, grade, scale)
+    if flat:
+        raise FlatObjectError("grade-1 flat (plane) has no center/radius" if g == 1 else "flat object has no center/radius")
+    center, r2, sign, errors = _rounds(*block.rows([0]))
     if errors:
         raise errors.pop(0)
-    return {"center": tuple(_clean(center[0])), "radius2": float(r2[0]) + 0.0, "sign": sign[0]}
+    return {"center": _clean(center)[0], "radius2": r2[0] + 0.0, "sign": sign[0]}

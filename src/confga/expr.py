@@ -11,6 +11,8 @@ associative):
 
 One operator table (``_BINARY`` and ``_UNARY``) holds these operators and
 their binding levels; the tokenizer, the parser and the evaluator all read it.
+The parser and the evaluator keep stacks of their own, so no input depends on
+Python's recursion limit; brackets nest at most ``MAX_NESTING`` deep.
 
 Blade literals start with ``e`` followed by generators in strictly
 ascending order: digits 1-3 for the Euclidean directions and ``+``/``-``
@@ -124,78 +126,96 @@ def tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+# Brackets (parentheses and call argument lists) nest at most this deep; the
+# bracket that opens one level more is a syntax error.
+MAX_NESTING = 1000
+_UNARY_LEVEL = max(level for level, _, _ in _BINARY.values()) + 1  # tighter than every binary operator
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
 
-    def _advance(self) -> _Token:
-        t = self.tok
-        self.i += 1
-        return t
-
-    def _expect_op(self, ch: str) -> None:
-        t = self.tok
-        if t.kind != "op" or t.value != ch:
-            raise ParseError(f"expected {ch!r}", t.line, t.col)
-        self.i += 1
-
-    def parse(self):
-        node = self.binary()
-        t = self.tok
-        if t.kind != "eof":
-            raise ParseError("unexpected trailing input", t.line, t.col)
-        return node
-
-    def binary(self, level: int = 1):
-        """Operands joined by binary operators of binding level >= level."""
-        node = self.unary()
-        while True:
-            t = self.tok
-            if t.kind != "op" or t.value not in _BINARY or _BINARY[t.value][0] < level:
-                return node
-            self.i += 1
-            node = ("binary", t.value, node, self.binary(_BINARY[t.value][0] + 1))
-
-    def unary(self):
-        t = self.tok
-        if t.kind == "op" and t.value in _UNARY:
-            self._advance()
-            return ("unary", t.value, self.unary())
-        return self.primary()
-
-    def primary(self):
-        t = self._advance()
-        if t.kind == "number":
-            return ("number", t.value)
-        if t.kind == "blade":
-            return ("blade", t.value)
-        if t.kind == "name":
-            if self.tok.kind == "op" and self.tok.value == "(":
-                self._advance()
-                args = []
-                if not (self.tok.kind == "op" and self.tok.value == ")"):
-                    args.append(self.binary())
-                    while self.tok.kind == "op" and self.tok.value in ",;":
-                        self._advance()
-                        args.append(self.binary())
-                self._expect_op(")")
-                return ("call", t.value, args, t.line, t.col)
-            return ("name", t.value, t.line, t.col)
-        if t.kind == "op" and t.value == "(":
-            node = self.binary()
-            self._expect_op(")")
-            return node
-        raise ParseError("expected an operand", t.line, t.col)
+def _is_op(token: _Token, chars: str) -> bool:
+    return token.kind == "op" and token.value in chars
 
 
 def parse(text: str):
-    """Parse to an AST; raises ParseError with a 1-based line:col position."""
-    return _Parser(tokenize(text)).parse()
+    """Parse to an AST; raises ParseError with a 1-based line:col position.
+
+    Operator precedence parsing with stacks of its own, so that no input
+    nests Python calls: `operands` holds finished subtrees, `operators` the
+    pending (binding level, operator) pairs, and `brackets` one entry per
+    open bracket: the operator depth at which it opened and, for a call, its
+    name token and the arguments parsed so far."""
+    tokens = tokenize(text)
+    operands: list = []
+    operators: list = []
+    brackets: list = []
+
+    def reduce(floor: int, level: int) -> None:
+        # combine pending operators above the open bracket that bind at least as tight as level
+        while len(operators) > floor and operators[-1][0] >= level:
+            op_level, op = operators.pop()
+            if op_level == _UNARY_LEVEL:
+                operands[-1] = ("unary", op, operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = ("binary", op, operands[-1], right)
+
+    def open_bracket(t: _Token, call) -> None:
+        if len(brackets) == MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {MAX_NESTING}", t.line, t.col)
+        brackets.append((len(operators), call))
+
+    i = 0
+    while True:
+        # an operand, after any unary operators
+        t = tokens[i]
+        i += 1
+        if t.kind == "op" and t.value in _UNARY:
+            operators.append((_UNARY_LEVEL, t.value))
+            continue
+        if t.kind in ("number", "blade"):
+            operands.append((t.kind, t.value))
+        elif t.kind == "name" and _is_op(tokens[i], "("):
+            open_bracket(tokens[i], (t, []))
+            i += 1
+            if not _is_op(tokens[i], ")"):
+                continue
+            i += 1
+            brackets.pop()
+            operands.append(("call", t.value, [], t.line, t.col))
+        elif t.kind == "name":
+            operands.append(("name", t.value, t.line, t.col))
+        elif _is_op(t, "("):
+            open_bracket(t, None)
+            continue
+        else:
+            raise ParseError("expected an operand", t.line, t.col)
+        # then a binary operator, or the end of a bracket or of the input
+        while True:
+            t = tokens[i]
+            if t.kind == "op" and t.value in _BINARY:
+                level = _BINARY[t.value][0]
+                reduce(brackets[-1][0] if brackets else 0, level)
+                operators.append((level, t.value))
+                i += 1
+                break
+            if not brackets:
+                reduce(0, 0)
+                if t.kind != "eof":
+                    raise ParseError("unexpected trailing input", t.line, t.col)
+                return operands.pop()
+            floor, call = brackets[-1]
+            reduce(floor, 0)
+            if call is not None and _is_op(t, ",;"):
+                call[1].append(operands.pop())
+                i += 1
+                break
+            if not _is_op(t, ")"):
+                raise ParseError("expected ')'", t.line, t.col)
+            i += 1
+            brackets.pop()
+            if call is not None:
+                name, args = call
+                operands.append(("call", name.value, [*args, operands.pop()], name.line, name.col))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -315,34 +335,64 @@ def _finite(op: str, value):
     return value
 
 
-def _eval(node, env):
-    kind = node[0]
-    if kind == "number":
-        return node[1]
-    if kind == "blade":
-        return ALG.blade(node[1])
-    if kind in ("name", "call"):
-        name, line, col = node[1], node[-2], node[-1]
-        if name not in env:
-            raise UnboundNameError(f"unbound name {name!r} at {line}:{col}")
-        value = env[name]
-        if kind == "name":
-            if callable(value):
-                raise DomainError(f"{name} is a function; call it with (...)")
-            return value
-        if not callable(value):
-            raise DomainError(f"{name} is not a function")
-        return value([_eval(a, env) for a in node[2]])
-    if kind == "unary":
-        return _UNARY[node[1]](_operand(_eval(node[2], env)))
-    # binary: two numbers stay a number where the table says so; otherwise numbers become scalars
-    _, op, lnode, rnode = node
+def _lookup(node, env):
+    """The value bound to a name or called name, checked for its use."""
+    kind, name, line, col = node[0], node[1], node[-2], node[-1]
+    if name not in env:
+        raise UnboundNameError(f"unbound name {name!r} at {line}:{col}")
+    value = env[name]
+    if kind == "name" and callable(value):
+        raise DomainError(f"{name} is a function; call it with (...)")
+    if kind == "call" and not callable(value):
+        raise DomainError(f"{name} is not a function")
+    return value
+
+
+def _binary(op: str, a, b):
+    """a op b: two numbers stay a number where the table says so; otherwise numbers become scalars."""
     _, fn, numeric = _BINARY[op]
-    a, b = _operand(_eval(lnode, env)), _operand(_eval(rnode, env))
     if not (numeric and _num(a) and _num(b)):
         a, b = _as_mv(a), _as_mv(b)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports the overflow instead
         return _finite(op, fn(a, b))
+
+
+def _eval(node, env):
+    """Evaluate an AST with stacks of its own, so that no input nests Python
+    calls: `work` holds the nodes still to evaluate and the steps that
+    combine their values, `values` the values computed so far. Operands are
+    evaluated left to right, each checked as soon as it is computed."""
+    values: list = []
+    work = [node]
+    while work:
+        item = work.pop()
+        kind = item[0]
+        if kind == "number":
+            values.append(item[1])
+        elif kind == "blade":
+            values.append(ALG.blade(item[1]))
+        elif kind == "name":
+            values.append(_lookup(item, env))
+        elif kind == "call":
+            work.append(("=call", _lookup(item, env), len(item[2])))
+            work.extend(reversed(item[2]))
+        elif kind == "unary":
+            work += [("=unary", item[1]), item[2]]
+        elif kind == "binary":
+            work += [("=binary", item[1]), ("=operand",), item[3], ("=operand",), item[2]]
+        elif kind == "=operand":
+            _operand(values[-1])
+        elif kind == "=unary":
+            values[-1] = _UNARY[item[1]](_operand(values[-1]))
+        elif kind == "=binary":
+            b = values.pop()
+            values[-1] = _binary(item[1], values[-1], b)
+        else:  # "=call": the arguments are the last values
+            start = len(values) - item[2]
+            args = values[start:]
+            del values[start:]
+            values.append(item[1](args))
+    return values.pop()
 
 
 def evaluate(node, env=None) -> Multivector:

@@ -140,6 +140,9 @@ def read_scene(path) -> Scene:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"scene is not valid JSON: {exc}") from exc
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise DomainError("scene JSON nests too deeply to read") from None
     return scene_from_dict(data)
 
 

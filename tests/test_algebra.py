@@ -20,6 +20,7 @@ from confga.algebra import (
     left_contraction,
     outer_product,
     reverse,
+    row_product,
     vector_inverse,
     versor_inverse,
 )
@@ -415,9 +416,10 @@ class TestTextForm:
 
 
 class TestRowProductKernel:
-    """`Algebra.product` on coefficient rows: every row matches the
-    scatter-add fold the products used before it, bit for bit, whatever
-    the rows around it, the output blades asked for, or the broadcast."""
+    """`Algebra.product` and `row_product` on coefficient rows: every row
+    matches the scatter-add fold the products used before it, bit for bit,
+    whatever the rows around it, the output blades asked for (columns of a
+    product table), or the broadcast."""
 
     @staticmethod
     def fold(alg, a, b, signs):
@@ -430,19 +432,29 @@ class TestRowProductKernel:
     def test_rows_match_one_row_fold(self, cga, rng, kind, blades):
         signs = {"gp": cga.sign_table, "outer": cga.outer_sign, "lcont": cga.lcont_sign}[kind]
         cols = slice(None) if blades is None else list(blades)
+        xor, table_signs = cga.product_tables[kind]
+
+        def product(a, b):
+            if blades is None:
+                return cga.product(kind, a, b)
+            return row_product(a, b, (xor[:, cols], table_signs[:, cols]))
+
         n = 300
         a = rng.normal(size=(n, cga.dim)) * 10.0 ** rng.uniform(-4, 4, size=(n, cga.dim))
         b = rng.normal(size=(n, cga.dim)) * 10.0 ** rng.uniform(-4, 4, size=(n, cga.dim))
         want = np.array([self.fold(cga, a[i], b[i], signs) for i in range(n)])[:, cols]
-        assert np.array_equal(cga.product(kind, a, b, blades), want)
+        assert np.array_equal(product(a, b), want)
         for i in (0, 1, n - 1):
-            assert np.array_equal(cga.product(kind, a[i], b[i], blades), want[i])
-            assert np.array_equal(cga.product(kind, a[i:i + 1], b[i:i + 1], blades)[0], want[i])
+            assert np.array_equal(product(a[i], b[i]), want[i])
+            assert np.array_equal(product(a[i:i + 1], b[i:i + 1])[0], want[i])
+        # the same array on both sides
+        square = np.array([self.fold(cga, a[i], a[i], signs) for i in range(n)])[:, cols]
+        assert np.array_equal(product(a, a), square)
         # one operand shared by every row, on either side
         shared = np.array([self.fold(cga, a[i], b[0], signs) for i in range(n)])[:, cols]
-        assert np.array_equal(cga.product(kind, a, b[0], blades), shared)
+        assert np.array_equal(product(a, b[0]), shared)
         shared = np.array([self.fold(cga, a[0], b[i], signs) for i in range(n)])[:, cols]
-        assert np.array_equal(cga.product(kind, a[0], b, blades), shared)
+        assert np.array_equal(product(a[0], b), shared)
 
     def test_other_signatures(self, rng):
         for p, q in ((3, 0), (2, 2), (1, 0), (5, 3)):

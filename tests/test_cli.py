@@ -133,6 +133,26 @@ class TestEval:
         assert "wibble" in result.stderr
 
 
+class TestDeepInput:
+    def test_nested_parentheses_past_the_bound_exit_2(self, runner):
+        result = runner.invoke(main, ["eval", "(" * 5000 + "1" + ")" * 5000])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: syntax error at 1:")
+        assert "Traceback" not in result.output
+
+    def test_long_flat_sum(self, runner):
+        result = runner.invoke(main, ["eval", "+".join(["1"] * 3000)])
+        assert result.exit_code == 0
+        assert result.output == "3000\n"
+
+    def test_deeply_nested_scene_exit_1(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        result = runner.invoke(main, ["classify", "--scene", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: scene JSON nests too deeply to read\n"
+
+
 class TestTransform:
     def test_translator_moves_points(self, runner, tmp_path):
         scene_path = write_point_scene(tmp_path / "s.json")

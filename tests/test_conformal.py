@@ -40,6 +40,8 @@ from confga import (
     sphere_ipns,
     whole_space,
 )
+from confga import conformal
+from confga.algebra import Multivector, row_product
 from confga.cli import main
 from confga.conformal import (
     _BLOCK,
@@ -865,3 +867,76 @@ class TestClassifyBatch:
             except GAError as exc:
                 want[name] = {"error": str(exc)}
         assert json.loads(result.output) == json.loads(json.dumps(want))
+
+
+class TestPlan:
+    """The classification plan's maps, built once at import, pinned bit for
+    bit against the algebra's products on the same rows."""
+
+    @staticmethod
+    def rows(rng, n=240):
+        """Rows at every magnitude from 1e-304 to 1e150, with negative zeros."""
+        X = rng.normal(size=(n, ALG.dim)) * 10.0 ** rng.uniform(-4, 4, size=(n, ALG.dim))
+        X[0::4] *= 1e-300
+        X[1::4] = rng.normal(size=X[1::4].shape) * 1e150
+        X[2::4, ::3] = -0.0
+        X[3::4] = np.where(rng.random(X[3::4].shape) < 0.5, -0.0, X[3::4])
+        return X
+
+    def test_linear_maps_match_the_products(self, rng):
+        X = self.rows(rng)
+        Y = X @ conformal._LINEAR
+        col = conformal._COL
+        plane = [0b00001, 0b00010, 0b00100, 0b10000]
+        for x, y in zip(X, Y):
+            A = Multivector(ALG, x)
+            want = {
+                "e0": to_null_coeffs(A)[[0b01000]],
+                "wedge": (A ^ einf).coeffs,
+                "carrier": (einf | A).coeffs,
+                "a_einf": (A * einf).coeffs,
+                "circle_normal": (A ^ einf).dual().coeffs[[0b001, 0b010, 0b100]],
+                "ipns_plane": to_null_coeffs(A)[plane],
+                "opns_plane": to_null_coeffs(A.dual())[plane],
+                "flat_point": to_null_coeffs(A)[[0b11000, 0b10001, 0b10010, 0b10100]],
+                "line": to_null_coeffs(A)[[0b11001, 0b11010, 0b11100, 0b10011, 0b10101, 0b10110]],
+            }
+            assert list(want) == list(col)
+            for name, w in want.items():
+                assert np.array_equal(y[col[name]], w), name
+
+    def test_bilinear_maps_match_the_products(self, rng):
+        X = self.rows(rng)
+        Y = X @ conformal._LINEAR
+        carrier = Y[:, conformal._COL["carrier"]]
+        gram = row_product(X, X, conformal._GRAM)
+        bottom = row_product(carrier, carrier, conformal._SCALAR_GP)[:, 0]
+        center = row_product(Y[:, conformal._COL["a_einf"]], X, conformal._VECTOR_GP)
+        vector = list(conformal._VECTOR)
+        for i, x in enumerate(X):
+            A = Multivector(ALG, x)
+            assert np.array_equal(gram[i, :-1], (A * ~A).coeffs)
+            assert gram[i, -1] == (A * A).coeffs[0]
+            assert bottom[i] == ((einf | A) * (einf | A)).coeffs[0]
+            assert np.array_equal(center[i], (A * einf * A).coeffs[vector])
+            if np.abs(center[i]).max() < 1e150:  # its square stays finite
+                P = np.zeros(ALG.dim)
+                P[vector] = center[i]
+                square = row_product(center[i:i + 1], center[i:i + 1], conformal._VECTOR_SCALAR)[0, 0]
+                assert square == (Multivector(ALG, P) * Multivector(ALG, P)).coeffs[0]
+
+    def test_round_params_matches_classify(self, rng):
+        rounds = 0
+        for mv in classification_mix(rng):
+            try:
+                obj = classify(mv)
+            except GAError:
+                continue
+            if obj.kind in ("point", "point_pair", "circle", "sphere"):
+                rounds += 1
+                got = round_params(mv)
+                if obj.kind == "point":
+                    assert (got["center"], got["sign"]) == (obj.params["location"], "degenerate")
+                else:
+                    assert got == {k: obj.params[k] for k in ("center", "radius2", "sign")}
+        assert rounds >= 100

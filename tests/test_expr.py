@@ -1,8 +1,10 @@
 """Tokenizer, parser, evaluator, and the render round trip."""
 
+import inspect
 import itertools
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,66 @@ def test_docs_list_operators_in_table_order():
     start = text.index("Binding from loosest to tightest:")
     sentence = text[start:text.index(".", start)]
     assert [" ".join(re.findall(r"`([^`]+)`", part)).split() for part in sentence.split(", then ")] == table
+
+
+def _repeated_dual(mv, n):
+    for _ in range(n):
+        mv = mv.dual()
+    return mv
+
+
+class TestDeepInput:
+    """The parser and the evaluator keep their own stacks, so deep input
+    works at any recursion limit; brackets nested past the fixed bound are a
+    syntax error at the bracket that goes past it."""
+
+    DEEP = [
+        ("(" * 400 + "1" + ")" * 400, "1"),
+        ("-" * 1200 + "1", "1"),
+        ("-" * 1201 + "1", "-1"),
+        ("~" * 1200 + "e1", "e1"),
+        ("~" * 1201 + "e12", "-e12"),
+        ("dual(" * 400 + "e1" + ")" * 400, render(_repeated_dual(e1, 400))),
+        ("+".join(["1"] * 3000), "3000"),
+        (" - ".join(["e1"] * 3000), "-2998*e1"),
+        ("*".join(["e12"] * 3002), "-1"),
+    ]
+
+    @pytest.mark.parametrize("text, want", DEEP, ids=[
+        "parens", "negations", "odd-negations", "reversions", "odd-reversions", "calls", "sum", "difference", "product",
+    ])
+    def test_deep_input_evaluates(self, text, want):
+        assert render(ev(text)) == want
+
+    def test_results_do_not_depend_on_the_recursion_limit(self):
+        old = sys.getrecursionlimit()
+        # a few dozen frames above this one: far fewer than any input's depth
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            got = [render(ev(text)) for text, _ in self.DEEP]
+        finally:
+            sys.setrecursionlimit(old)
+        assert got == [want for _, want in self.DEEP]
+
+    def test_brackets_up_to_the_bound_parse(self):
+        n = expr_module.MAX_NESTING
+        assert render(ev("(" * n + "e1" + ")" * n)) == "e1"
+        assert render(ev("dual(" * n + "e1" + ")" * n)) == render(_repeated_dual(e1, n))
+
+    @pytest.mark.parametrize("opening", ["(", "dual(", "sphere(0, 0, ("])
+    def test_brackets_past_the_bound_are_a_syntax_error(self, opening):
+        n = expr_module.MAX_NESTING
+        per_level = opening.count("(")
+        levels = -(-(n + 1) // per_level)
+        text = opening * levels + "1" + ")" * (levels * per_level)
+        # the bracket that opens level n + 1
+        bracket = [i for i, ch in enumerate(text) if ch == "("][n]
+        with pytest.raises(ParseError, match=rf"^syntax error at 1:{bracket + 1}: brackets nest deeper than {n}$"):
+            parse(text)
+
+    def test_bound_is_checked_before_the_rest_of_the_input(self):
+        with pytest.raises(ParseError, match="nest deeper"):
+            parse("(" * 100_000)
 
 
 class TestEval:

@@ -94,6 +94,14 @@ class TestReading:
         with pytest.raises(DomainError, match="not valid JSON"):
             read_scene(path)
 
+    @pytest.mark.parametrize("opening", ["[", '{"objects": '])
+    def test_deeply_nested_file(self, tmp_path, opening):
+        # deeper than the JSON decoder's recursion allows
+        path = tmp_path / "deep.json"
+        path.write_text(opening * 100_000)
+        with pytest.raises(DomainError, match="^scene JSON nests too deeply to read$"):
+            read_scene(path)
+
 
 def _alias(name: str) -> str:
     return name.replace("+", "4").replace("-", "5")
