@@ -10,16 +10,8 @@ from .algebra import (
     Algebra,
     Multivector,
     algebra,
-    dual,
     exp_special,
     format_multivector,
-    geometric_product,
-    grade_involution,
-    grade_projection,
-    grade_set,
-    left_contraction,
-    outer_product,
-    reverse,
     vector_inverse,
     versor_inverse,
 )

@@ -9,7 +9,6 @@ coefficients densely as float64 and are immutable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -106,13 +105,6 @@ class Algebra:
         self.symbol_to_gen = {s: k for k, s in enumerate(self.gen_symbols)}
         for k in range(self.n):
             self.symbol_to_gen.setdefault(str(k + 1), k)
-        # every accepted spelling of every blade name, digit aliases included
-        spellings = [[s for s, g in self.symbol_to_gen.items() if g == k] for k in range(self.n)]
-        self._bits_by_name = {"1": 0}
-        for bits in range(1, self.dim):
-            gens = [spellings[k] for k in range(self.n) if bits >> k & 1]
-            for combo in itertools.product(*gens):
-                self._bits_by_name["e" + "".join(combo)] = bits
 
         self.blade_names = [self.blade_name(bits) for bits in range(self.dim)]
         self.blade_order = sorted(range(self.dim), key=lambda b: (pop[b], b))  # text order: grade, then bitset
@@ -160,15 +152,7 @@ class Algebra:
         return "e" + "".join(self.gen_symbols[k] for k in range(self.n) if bits >> k & 1)
 
     def blade_bits(self, name: str) -> int:
-        """Inverse of `blade_name`, digit aliases included; raises ValueError.
-
-        Names are looked up in a table of every accepted spelling; only a
-        name missing from it goes through the parser, which says what is
-        wrong with it."""
-        bits = self._bits_by_name.get(name)
-        return self._parse_blade_name(name) if bits is None else bits
-
-    def _parse_blade_name(self, name: str) -> int:
+        """Inverse of `blade_name`, digit aliases included; raises ValueError saying what is wrong."""
         if name == "1":
             return 0
         gens = [self.symbol_to_gen.get(ch) for ch in name[1:]]
@@ -197,29 +181,27 @@ class Algebra:
 
 
 def row_product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
-    """out[..., j] = sum_i (a[..., i] * b[..., xor[i, j]]) * signs[i, j] for coefficient rows a, b of
+    """out[..., j] = sum_i (b[..., xor[i, j]] * a[..., i]) * signs[i, j] for coefficient rows a, b of
     shape (dim,) or (N, dim), which broadcast, and a table (xor, signs) of `Algebra.product_tables` or
-    some of its columns. The sum runs over i in ascending order, so a row's result does not depend
-    on the rows around it, nor on which other columns the table holds."""
+    some of its columns. There is one path: a 1-D operand is one row, a one-row operand broadcasts,
+    and the rows lie on the last axis, so that numpy's loops run along them. The sum runs over i in
+    ascending order, so a row's result does not depend on the rows around it, nor on which other
+    columns the table holds."""
     xor, signs = table
-    if a.ndim == b.ndim == 1:
-        terms = b.take(xor)
-        terms *= a[:, None]
-        terms *= signs
-    else:  # rows on the last axis, so that numpy's loops run along them
-        bT = np.ascontiguousarray(b.T) if b.ndim == 2 else b[:, None]
-        aT = (bT if a is b else np.ascontiguousarray(a.T))[:, None] if a.ndim == 2 else a[:, None, None]
-        terms = bT.take(xor, axis=0)
-        if b.ndim == 2 and (a.ndim == 1 or len(a) == len(b)):
-            terms *= aT
-        else:
-            terms = np.multiply(aT, terms, order="C")
-        terms *= signs[:, :, None]
+    if a.ndim == 2 and (b.ndim == 1 or len(b) < len(a)):  # the terms, formed from b, hold every row
+        b = np.broadcast_to(b, a.shape)
+    bT = np.ascontiguousarray(b.T) if b.ndim == 2 else b[:, None]
+    aT = (bT if a is b else np.ascontiguousarray(a.T))[:, None] if a.ndim == 2 else a[:, None, None]
+    terms = bT.take(xor, axis=0)
+    terms *= aT
+    terms *= signs[:, :, None]
     # numpy sums the outermost axis of the C-ordered terms in plain ascending order, unless it
     # is the only axis left (then pairwise): hence accumulate for a lone output blade of a lone row
     if terms.size == len(terms):
-        return np.add.accumulate(terms, axis=0)[-1].T
-    return np.add.reduce(terms, axis=0).T
+        out = np.add.accumulate(terms, axis=0)[-1].T
+    else:
+        out = np.add.reduce(terms, axis=0).T
+    return out if b.ndim == 2 else out[0]
 
 
 @lru_cache(maxsize=None)
@@ -380,9 +362,6 @@ class Multivector:
     def __invert__(self):
         return Multivector(self.alg, self.coeffs * self.alg.reverse_signs, copy=False)
 
-    def reverse(self) -> "Multivector":
-        return ~self
-
     def involute(self) -> "Multivector":
         return Multivector(self.alg, self.coeffs * self.alg.involute_signs, copy=False)
 
@@ -421,10 +400,6 @@ class Multivector:
 # -- module-level operations -----------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def finite_product(a: Multivector, b: Multivector, what: str) -> Multivector:
     """a * b, refused with a DomainError naming `what` if a coefficient
     overflows; a finite a * a also bounds a.max_abs() ** 2."""
@@ -433,34 +408,6 @@ def finite_product(a: Multivector, b: Multivector, what: str) -> Multivector:
     if not np.isfinite(out.coeffs).all():
         raise DomainError(f"{what} overflows; the largest coefficient is {max(a.max_abs(), b.max_abs())!r}")
     return out
-
-
-def outer_product(a: Multivector, b: Multivector) -> Multivector:
-    return a ^ b
-
-
-def left_contraction(a: Multivector, b: Multivector) -> Multivector:
-    return a | b
-
-
-def grade_projection(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
-
-
-def reverse(a: Multivector) -> Multivector:
-    return ~a
-
-
-def grade_involution(a: Multivector) -> Multivector:
-    return a.involute()
-
-
-def dual(a: Multivector) -> Multivector:
-    return a.dual()
-
-
-def grade_set(a: Multivector) -> frozenset:
-    return a.grades()
 
 
 def vector_inverse(a: Multivector) -> Multivector:

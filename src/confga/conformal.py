@@ -167,7 +167,8 @@ def extract_point(P: Multivector) -> np.ndarray:
     gs = P.grades()
     if gs and gs != frozenset({1}):
         raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})")
-    loc, errors = _locations(P.coeffs[None, _VECTOR])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _classify_block
+        loc, errors = _locations(P.coeffs[None, _VECTOR])
     if errors:
         raise errors.pop(0)
     return loc[0]
@@ -511,17 +512,20 @@ _BRANCHES = {
 
 
 def _classify_block(X: np.ndarray) -> list:
-    block = _Block(X)
-    out = [block.errors.get(r) for r in range(len(X))]
-    by_branch: dict = {}
-    for r, key in enumerate(block.keys):
-        if key is not None:
-            by_branch.setdefault(_BRANCHES[key], []).append(r)
-    for branch, rows in by_branch.items():
-        for r, o in zip(rows, branch(*block.rows(rows))):
-            # the objects keep rows of the block as given, which are read-only
-            out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector.view(ALG, X[r]), o[1])
-    return out
+    # a row whose products overflow goes through the checks like any other, most often to
+    # NotAPointError or NotABladeError; numpy's warnings would only add noise on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _Block(X)
+        out = [block.errors.get(r) for r in range(len(X))]
+        by_branch: dict = {}
+        for r, key in enumerate(block.keys):
+            if key is not None:
+                by_branch.setdefault(_BRANCHES[key], []).append(r)
+        for branch, rows in by_branch.items():
+            for r, o in zip(rows, branch(*block.rows(rows))):
+                # the objects keep rows of the block as given, which are read-only
+                out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector.view(ALG, X[r]), o[1])
+        return out
 
 
 def classify_batch(coeffs) -> list:
@@ -553,15 +557,16 @@ def classify(mv: Multivector) -> ConformalObject:
 def round_params(mv: Multivector) -> dict:
     """Center and signed squared radius of a round blade (grades 1..4), from
     the classification plan's first stage and round stage on one row."""
-    block = _Block(mv.coeffs[None, :])
-    if block.errors:
-        raise block.errors.pop(0)
-    g, flat = block.keys[0]
-    if not 1 <= g <= 4:
-        raise UnknownObjectError(f"grade {g} is not a round object")
-    if flat:
-        raise FlatObjectError("grade-1 flat (plane) has no center/radius" if g == 1 else "flat object has no center/radius")
-    center, r2, sign, errors = _rounds(*block.rows([0]))
-    if errors:
-        raise errors.pop(0)
-    return {"center": _clean(center)[0], "radius2": r2[0] + 0.0, "sign": sign[0]}
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _classify_block
+        block = _Block(mv.coeffs[None, :])
+        if block.errors:
+            raise block.errors.pop(0)
+        g, flat = block.keys[0]
+        if not 1 <= g <= 4:
+            raise UnknownObjectError(f"grade {g} is not a round object")
+        if flat:
+            raise FlatObjectError("grade-1 flat (plane) has no center/radius" if g == 1 else "flat object has no center/radius")
+        center, r2, sign, errors = _rounds(*block.rows([0]))
+        if errors:
+            raise errors.pop(0)
+        return {"center": _clean(center)[0], "radius2": r2[0] + 0.0, "sign": sign[0]}

@@ -8,9 +8,7 @@ and computes
 In twisted-adjoint mode x' is the grade involution of x when W is odd
 (and sigma = 1), which makes an exact versor weight reproduce the versor
 action on any multivector. In paper-literal mode x' = x and sigma is
-the global sign (-1)^parity. The forward pass is the versor module's
-action matrix K (built from L(~W) and R(W), convention folded in):
-Y = X K^T / <W ~W>_0 + Theta. Training minimizes the mean squared error
+the global sign (-1)^parity. Training minimizes the mean squared error
 over raw output coefficients plus a penalty that pushes W ~W toward a
 pure scalar, under plain gradient descent with a parity projection of W
 after every step. The normalization <W ~W>_0 must stay away from zero;
@@ -18,8 +16,8 @@ a null weight (the degenerate point mirror) raises SingularWeightError.
 
 The data are an (X, T) pair of (N, 32) input and target coefficient
 arrays (`generate_dataset` draws one), the rows of Z = [X | c | T] with
-c the all-ones column; the residuals R = X K^T / <W ~W>_0 + c Theta^T - T
-are Z times a matrix that depends only on the weights. So the loss
+c the all-ones column; the residuals R = Y - T of the outputs Y are
+Z times a matrix that depends only on the weights. So the loss
 |R|^2 / N, the bias gradient c^T R and the products X^T R the weight
 gradient needs are the same for Z and for the triangular factor Rz of a
 thin QR, Z = Q Rz. `train` takes that QR once (`compress`: at most 65
@@ -29,16 +27,20 @@ keeps the loss a sum of squares, free of the cancellation a difference
 of |T|^2 terms would suffer near convergence (Golub and Van Loan,
 Matrix Computations, ch. 5).
 
-The analytic gradient takes its partial products U1 = x' W and
-U2 = ~W x' from the same action matrix with a unit left or right
-factor, both in one (k, 32) @ (32, 64) product, and sums over rows
-before it touches the Cayley table: the 32x32 products C = U1^T R and
-D = U2^T R of those with the residuals R (one (64, k) @ (k, 32) product)
-meet the table through one (32, 64) gather of signed entries.
-`gradient` also returns the data loss, the mean squared residual of the
-R it formed. The module-level `gradient` is called once per step, plus
-once at the weights where training stops, and its loss is the history
-entry for the weights it was called at.
+There is one forward pass (`_forward`), and it is the one the gradient
+differentiates: the partial products U1 = x' W and U2 = ~W x', both in
+one (k, 32) @ (32, 64) product by the versor module's action matrices
+with a unit left or right factor (convention folded in), then the
+numerators B = ~W x' W = U1 L(~W)^T and the outputs
+Y = B / <W ~W>_0 + c Theta^T. `forward`, `loss` and `gradient` all
+read it. The gradient sums over rows before it touches the Cayley
+table: the 32x32 products C = U1^T R and D = U2^T R of the partial
+products with the residuals R (one (64, k) @ (k, 32) product) meet the
+table through one (32, 64) gather of signed entries. `gradient` also
+returns the data loss, the mean squared residual of the R it formed,
+which is exactly what `loss` returns. The module-level `gradient` is
+called once per step, plus once at the weights where training stops,
+and its loss is the history entry for the weights it was called at.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class GeometricNeuron:
 
 
 class Rows(NamedTuple):
-    """Training data as rows of Z = [X | c | T]: the residuals are
-    R = X K^T / <W ~W>_0 + c Theta^T - T and the data loss is |R|^2 / n.
+    """Training data as rows of Z = [X | c | T]: the residuals are R = Y - T,
+    with Y the outputs of `_forward` on X and c, and the data loss is |R|^2 / n.
     An (X, T) pair has c all ones and n rows; `compress` keeps n and
     replaces the rows by at most 65 that give the same loss and gradient."""
 
@@ -134,16 +136,22 @@ def _norm_scalar(w: np.ndarray) -> float:
     return q
 
 
-def _operators(neuron: GeometricNeuron) -> tuple[np.ndarray, np.ndarray, float]:
-    """L(~W), R(W) and <W ~W>_0 for the current weight."""
+def _forward(neuron: GeometricNeuron, X: np.ndarray, c: np.ndarray):
+    """The forward pass on rows X with bias weights c, as (U, B, Y, q): the partial
+    products U = [x' W | ~W x'], the numerators B = (x' W) L(~W)^T = ~W x' W, the
+    outputs Y = B / q + c Theta^T, and q = <W ~W>_0."""
     q = _norm_scalar(neuron.w)
-    return ALG.left_matrix(_REV * neuron.w), ALG.right_matrix(neuron.w), q
-
-
-def _outputs(neuron: GeometricNeuron, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    left, right, q = _operators(neuron)
-    K = _action_matrix(left, right, neuron.parity, neuron.mode)
-    return (1.0 / q) * (X @ K.T) + c[:, None] * neuron.theta
+    left = ALG.left_matrix(_REV * neuron.w)
+    partial = np.concatenate(
+        (_action_matrix(None, ALG.right_matrix(neuron.w), neuron.parity, neuron.mode).T,  # x' -> x' W
+         _action_matrix(left, None, neuron.parity, neuron.mode).T),  # x' -> ~W x'
+        axis=1,
+    )
+    U = X @ partial
+    B = U[:, :ALG.dim] @ left.T
+    Y = B * (1.0 / q)
+    Y += c[:, None] * neuron.theta  # outer(c, Theta)
+    return U, B, Y, q
 
 
 def _stack(samples) -> Rows:
@@ -172,15 +180,15 @@ def compress(samples) -> Rows:
 
 
 def forward(neuron: GeometricNeuron, x: Multivector) -> Multivector:
-    return ALG.mv(_outputs(neuron, x.coeffs[None, :], np.ones(1))[0])
+    return ALG.mv(_forward(neuron, x.coeffs[None, :], np.ones(1))[2][0])
 
 
 def loss(neuron: GeometricNeuron, samples) -> float:
     """Mean over samples of the summed squared coefficient error; takes an
-    (X, T) pair or Rows, like `gradient`."""
+    (X, T) pair or Rows, like `gradient`, and equals its data loss exactly."""
     d = _stack(samples)
-    Y = _outputs(neuron, d.x, d.c)
-    return float(np.sum(np.sum((Y - d.t) ** 2, axis=1)) / d.n)
+    R = _forward(neuron, d.x, d.c)[2] - d.t
+    return float(np.vdot(R, R)) / d.n
 
 
 def _weight_gram(w: np.ndarray) -> np.ndarray:
@@ -217,16 +225,7 @@ def gradient(neuron, samples, penalty: float = PENALTY, method: str = "analytic"
 
     d = _stack(samples)
     n = d.n
-    left, right, q = _operators(neuron)
-    partial = np.concatenate(
-        (_action_matrix(None, right, neuron.parity, neuron.mode).T,  # x' -> x' W
-         _action_matrix(left, None, neuron.parity, neuron.mode).T),  # x' -> ~W x'
-        axis=1,
-    )
-    U = d.x @ partial  # rows: [x' W | ~W x']
-    B = U[:, :ALG.dim] @ left.T  # rows: numerator ~W x' W
-    R = B * (1.0 / q)
-    R += d.c[:, None] * neuron.theta  # outer(c, Theta)
+    U, B, R, q = _forward(neuron, d.x, d.c)
     R -= d.t
 
     grad_theta = (2.0 / n) * (d.c @ R)
@@ -313,20 +312,16 @@ def generate_dataset(
     seed: int,
     noise: float = 0.0,
     convention: str = "twisted-adjoint",
-    normalize_point_targets: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (X, T) pair of (n, 32) arrays: rows P(p) with p uniform in
     [-2, 2]^3, and v acting on each row.
 
     Targets keep the raw sandwich coefficients so that exact versor
-    weights reach exactly zero loss; optional normalization rescales each
-    target to unit e0 coefficient, and noise perturbs target coefficients."""
+    weights reach exactly zero loss; noise perturbs target coefficients."""
     rng = np.random.default_rng(seed)
     mode = "motion" if v.parity == "even" else "reflection"
     X = embed_points(rng.uniform(-2.0, 2.0, size=(n, 3)))
     T = apply(v, X, mode, convention=convention)
-    if normalize_point_targets:
-        T /= (T[:, 0b10000] - T[:, 0b01000])[:, None]
     if noise:
         T += rng.normal(0.0, noise, T.shape)
     return X, T

@@ -1,6 +1,10 @@
 """The ga command line: output formats, exit codes, and API equivalence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from confga import (
     sphere_ipns,
     train,
 )
+import confga
 from confga import cli, tolerance
 from confga.cli import main
 from confga.algebra import Multivector
@@ -387,6 +392,17 @@ class TestClassify:
         assert payload["ball"]["kind"] == obj.kind == "sphere"
         assert payload["ball"]["params"]["radius2"] == obj.params["radius2"] == 4.0
         assert set(payload["junk"]) == {"error"}
+
+    def test_large_weights_leave_stderr_empty(self, tmp_path):
+        # in a process of its own: numpy writes its warnings to the real stderr
+        path = tmp_path / "big.json"
+        path.write_text('{"objects": {"s": {"e1": 1e100, "e2": 2e100, "e3": 3e100, "e0": 1e100, "einf": 5.875e100}, '
+                        '"l": {"e3+-": 1e200}}}')
+        env = {**os.environ, "PYTHONPATH": str(Path(confga.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", "from confga.cli import main; main()", "classify", "--scene", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "s: error: vector is not null; not a conformal point" in done.stdout
 
 
 class TestTrain:

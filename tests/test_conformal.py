@@ -22,6 +22,7 @@ from confga import (
     NotABladeError,
     NotAPointError,
     PointAtInfinityError,
+    ConformalObject,
     GAError,
     UnknownObjectError,
     classify,
@@ -867,6 +868,44 @@ class TestClassifyBatch:
             except GAError as exc:
                 want[name] = {"error": str(exc)}
         assert json.loads(result.output) == json.loads(json.dumps(want))
+
+
+def _unit_weight_kinds() -> list:
+    P = embed_point
+    return [
+        P([1.0, 2.0, 3.0]),
+        make_point_pair(P([1.0, 0.0, 0.0]), P([0.0, 1.0, 2.0])).mv,
+        make_circle(P([1.0, 0.0, 0.0]), P([0.0, 1.0, 0.0]), P([0.0, 0.0, 1.5])).mv,
+        make_sphere_opns(P([1.0, 0.0, 0.0]), P([0.0, 1.0, 0.0]), P([0.0, 0.0, 1.0]), P([1.0, 1.0, 1.0])).mv,
+        sphere_ipns([1.0, 2.0, 3.0], 1.5).mv,
+        make_flat_point(P([1.0, 2.0, 3.0])).mv,
+        make_line(P([1.0, 0.0, 0.0]), P([0.0, 1.0, 2.0])).mv,
+        make_plane_opns(P([1.0, 0.0, 0.0]), P([0.0, 1.0, 0.0]), P([0.0, 0.0, 1.0])).mv,
+    ]
+
+
+class TestLargeWeights:
+    """Rows whose products overflow: a round's center P^2 is quartic in the
+    weight, A ~A quadratic. The suite turns RuntimeWarning into an error, so
+    these also check that classification warns about none of them."""
+
+    @pytest.mark.parametrize("w, want", [
+        (1e80, [NotAPointError] * 5 + ["flat_point", "line", "plane"]),
+        (1e100, [NotAPointError] * 5 + ["flat_point", "line", "plane"]),
+        (1e160, [NotABladeError] * 8),
+        (1e300, [NotABladeError] * 8),
+    ])
+    def test_batch_refuses_overflowing_rows_without_warnings(self, w, want):
+        got = classify_batch(np.array([w * mv.coeffs for mv in _unit_weight_kinds()]))
+        assert [o.kind if isinstance(o, ConformalObject) else type(o) for o in got] == want
+
+    def test_one_row_entry_points_without_warnings(self):
+        sphere = 1e100 * sphere_ipns([1.0, 2.0, 3.0], 1.5).mv
+        for call in (classify, round_params):
+            with pytest.raises(NotAPointError, match="not null"):
+                call(sphere)
+        with pytest.raises(NotAPointError, match="not null"):
+            extract_point(1e160 * embed_point([1.0, 2.0, 3.0]))
 
 
 class TestPlan:

@@ -202,6 +202,14 @@ class TestGradient:
         _, _, data = gradient(net, samples, penalty=penalty, method=method)
         assert_loss_close(data, loss(net, samples))
 
+    @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_loss_is_the_analytic_data_loss_exactly(self, rng, parity, mode):
+        # one forward pass: loss is the mean squared residual gradient forms
+        net, samples = perturbed_fit(rng, parity, mode, noise=0.01)
+        for data in (samples, nn.compress(samples)):
+            assert loss(net, data) == gradient(net, data)[2]
+
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     @pytest.mark.parametrize("n", [1, 5, 200, 20000])
     @pytest.mark.parametrize("penalty", [0.0, 0.1])
@@ -380,6 +388,12 @@ class TestTrain:
             assert len(history) - 1 < epochs and history[-1] <= cfg.tolerance
         assert_loss_close(history[-1], loss(net, samples))
 
+    def test_history_ends_at_the_loss_of_the_compressed_rows_exactly(self):
+        net = new_neuron("even", seed=1)
+        samples = generate_dataset(translator([0.3, 0.0, 0.1]), 30, seed=8)
+        history = train(net, samples, TrainConfig(epochs=7))
+        assert history[-1] == loss(net, nn.compress(samples))
+
     def test_divergence_carries_history(self):
         net = new_neuron("even", seed=3)
         samples = generate_dataset(rotor(e1 ^ e2, 1.2), 30, seed=3)
@@ -414,13 +428,6 @@ class TestDataset:
         X, T = generate_dataset(v, 5, seed=9, noise=0.01)
         diffs = [(ALG.mv(t) - apply(v, ALG.mv(x), "motion")).max_abs() for x, t in zip(X, T)]
         assert all(0 < d < 0.1 for d in diffs)
-
-    def test_normalized_targets_have_unit_weight(self):
-        v = scalor(3.0)
-        _, T = generate_dataset(v, 10, seed=2, normalize_point_targets=True)
-        for t in T:
-            c0 = t[0b10000] - t[0b01000]
-            assert abs(c0 - 1.0) <= 1e-12
 
     def test_mirror_targets_use_reflection(self, rng):
         v = reflector_plane([0, 0, 1.0], 0.0)
