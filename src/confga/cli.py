@@ -8,8 +8,9 @@
 Exit codes: 0 on success, 2 for usage and expression syntax errors, and
 1 for domain errors (degenerate constructions, parity mismatches,
 diverged training, and similar). The GA_TOLERANCE environment variable
-overrides the relative tolerance for the command and must be finite; a
-scene's "tolerance" section overrides that while the scene is in use.
+overrides the relative tolerance for the command and must be a finite
+number >= 0; a scene's "tolerance" section overrides that while the scene
+is in use.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .conformal import classify_batch
 from .errors import GAError, ParseError
 from .neuron import PARITIES, TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
-from .scene import Scene, Section, mv_entries, read_scene, scene_to_json
+from .scene import Scene, Section, classification_to_json, mv_entries, read_scene, scene_to_json
 from .versor import CONVENTIONS, MODES, apply, compose, make_versor
 
 _FORMAT = click.option(
@@ -67,13 +68,10 @@ def main():
     if raw is None:
         return
     try:
-        rel = float(raw)
-    except ValueError:
-        rel = math.nan
-    if not math.isfinite(rel):
-        raise click.UsageError(f"GA_TOLERANCE must be a finite number, got {raw!r}")
-    # holds until the command ends, whether it returns or raises
-    click.get_current_context().with_resource(tolerance.scope(rel))
+        # holds until the command ends, whether it returns or raises
+        click.get_current_context().with_resource(tolerance.scope(float(raw)))
+    except ValueError:  # not a number, or scope refused it
+        raise click.UsageError(f"GA_TOLERANCE must be a finite number >= 0, got {raw!r}") from None
 
 
 @main.command("eval", context_settings={"ignore_unknown_options": True})
@@ -142,19 +140,15 @@ def classify_cmd(scene_path, fmt):
     with tolerance.scope(scene.tolerance_rel):
         names, rows = scene.objects.by_name()
         outcomes = classify_batch(rows)
-    results = {
-        name: {"error": str(o)} if isinstance(o, GAError) else {"kind": o.kind, "params": o.params}
-        for name, o in zip(names, outcomes)
-    }
     if fmt == "json":
-        click.echo(json.dumps(results, indent=2))
+        click.echo(classification_to_json(names, outcomes), nl=False)
         return
-    for name, info in results.items():
-        if "error" in info:
-            click.echo(f"{name}: error: {info['error']}")
+    for name, o in zip(names, outcomes):
+        if isinstance(o, GAError):
+            click.echo(f"{name}: error: {o}")
         else:
-            parts = [f"{k}={_fmt_param(v)}" for k, v in info["params"].items()]
-            click.echo(f"{name}: {info['kind']}" + (" " + " ".join(parts) if parts else ""))
+            parts = [f"{k}={_fmt_param(v)}" for k, v in o.params.items()]
+            click.echo(f"{name}: {o.kind}" + (" " + " ".join(parts) if parts else ""))
 
 
 @main.command("train")

@@ -417,8 +417,13 @@ def _pair_endpoints(X, Y, top) -> tuple[np.ndarray, np.ndarray, dict]:
 def _directions(D: np.ndarray) -> list:
     """Per row, the signed norm alpha that makes D / alpha a unit vector whose
     first clearly nonzero component is positive, or None if the row vanishes."""
+    norms = np.sqrt(_sq_norms(D))
+    big = ~np.isfinite(norms)
+    if big.any():  # d @ d overflowed: m * |d / m| with m = max|d|; other rows keep sqrt(d @ d)
+        m = np.maximum.reduce(np.abs(D[big]), axis=1)
+        norms[big] = m * np.sqrt(_sq_norms(D[big] / m[:, None]))
     out = []
-    for d, norm in zip(D.tolist(), np.sqrt(_sq_norms(D)).tolist()):
+    for d, norm in zip(D.tolist(), norms.tolist()):
         limit = _LIMIT["direction"](norm)
         first = next((v for v in d if abs(v) > limit), norm)
         out.append(None if norm == 0.0 else norm if first >= 0 else -norm)

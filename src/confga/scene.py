@@ -16,17 +16,19 @@ Multivector per object; `scene.objects[name]` is a view of its row.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes for a str
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import Multivector
 from .conformal import ALG, e0, einf
-from .errors import DomainError
+from .errors import DomainError, GAError
 
 
 class Section(Mapping):
@@ -130,12 +132,23 @@ def scene_from_dict(data) -> Scene:
         if "rel" in tol:
             if not _is_number(tol["rel"]):
                 raise DomainError(f"tolerance rel must be a number and finite, got {tol['rel']!r}")
+            if tol["rel"] < 0:
+                raise DomainError(f"tolerance rel must be >= 0, got {tol['rel']!r}")
             rel = float(tol["rel"])
-    return Scene(_section(data.get("objects") or {}), _section(data.get("versors") or {}), rel)
+    sections = []
+    for title in ("objects", "versors"):
+        table = data.get(title)
+        if table is not None and not isinstance(table, dict):
+            raise DomainError(f"section {title!r} must map names to blade tables, got {type(table).__name__}")
+        sections.append(_section(table or {}))
+    return Scene(*sections, rel)
 
 
 def read_scene(path) -> Scene:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"scene file is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -147,7 +160,7 @@ def read_scene(path) -> Scene:
 
 
 # what json.dumps(indent=2) writes before a coefficient, in canonical blade order
-_PREFIXES = ["      " + json.dumps(ALG.blade_names[bits]) + ": " for bits in ALG.blade_order]
+_PREFIXES = ["      " + _quote(ALG.blade_names[bits]) + ": " for bits in ALG.blade_order]
 
 
 def _section_text(title: str, section: Section) -> str:
@@ -156,7 +169,7 @@ def _section_text(title: str, section: Section) -> str:
     parts = []
     for name, values in zip(names, rows[:, ALG.blade_order].tolist()):
         body = ",\n".join([p + repr(v) for p, v in zip(_PREFIXES, values) if v != 0.0])
-        parts.append(f"    {json.dumps(name)}: " + ("{\n" + body + "\n    }" if body else "{}"))
+        parts.append(f"    {_quote(name)}: " + ("{\n" + body + "\n    }" if body else "{}"))
     return f'  "{title}": ' + ("{\n" + ",\n".join(parts) + "\n  }" if parts else "{}")
 
 
@@ -165,6 +178,51 @@ def scene_to_json(scene: Scene) -> str:
     if scene.tolerance_rel is not None:
         sections.insert(0, '  "tolerance": {\n    "rel": ' + json.dumps(scene.tolerance_rel, allow_nan=False) + "\n  }")
     return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+_PARAM_PAD = " " * 6  # a param's line in the classification report
+
+
+def _param_text(value, pad: str = _PARAM_PAD) -> str:
+    """One classification param as json.dumps(indent=2) writes it on a line indented by pad."""
+    if type(value) is tuple and value:
+        inner = pad + "  "
+        try:
+            text = (",\n" + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float, such as a point pair's two points
+            text = "n"
+        if "n" in text:  # of the float reprs, only those of inf and nan have an n
+            text = (",\n" + inner).join([_param_text(v, inner) for v in value])
+        return "[\n" + inner + text + "\n" + pad + "]"
+    if type(value) is float and value - value == 0.0:
+        return float.__repr__(value)
+    if type(value) is str:
+        return _quote(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+@functools.cache
+def _object_template(kind: str, keys: tuple) -> str:
+    """An object of this kind with these param keys as json.dumps(indent=2) lays it
+    out in the report, with a %s for its quoted name and for each param's text."""
+    head = '  %s: {\n    "kind": ' + _quote(kind).replace("%", "%%") + ',\n    "params": '
+    if not keys:
+        return head + "{}\n  }"
+    return head + "{\n" + ",\n".join(_PARAM_PAD + _quote(k).replace("%", "%%") + ": %s" for k in keys) + "\n    }\n  }"
+
+
+def classification_to_json(names, outcomes) -> str:
+    """`ga classify --format json`: each name with {"error": message} for a GAError
+    or {"kind": ..., "params": ...} for a ConformalObject, in the order given.
+    The text is json.dumps of that dict with indent=2, plus a newline, byte for byte."""
+    parts = []
+    for name, o in zip(names, outcomes):
+        if isinstance(o, GAError):
+            parts.append(f'  {_quote(name)}: {{\n    "error": {_quote(str(o))}\n  }}')
+        else:
+            values = map(_param_text, o.params.values())
+            parts.append(_object_template(o.kind, tuple(o.params)) % (_quote(name), *values))
+    return "{\n" + ",\n".join(parts) + "\n}\n" if parts else "{}\n"
 
 
 def write_scene(scene: Scene, path) -> None:

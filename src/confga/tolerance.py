@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 EPS_ABS = 1e-12
 
@@ -26,8 +27,12 @@ def rel_eps() -> float:
 
 @contextlib.contextmanager
 def scope(rel: float | None):
-    """Use relative tolerance rel until the block ends; None keeps the current one."""
-    token = _REL_EPS.set(_REL_EPS.get() if rel is None else float(rel))
+    """Use relative tolerance rel, a finite number >= 0, until the block ends;
+    None keeps the current one."""
+    value = _REL_EPS.get() if rel is None else float(rel)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"relative tolerance must be a finite number >= 0, got {rel!r}")
+    token = _REL_EPS.set(value)
     try:
         yield
     finally:

@@ -346,6 +346,14 @@ class TestToleranceAndHelpers:
             assert noisy.grades() == {0}
         assert noisy.grades() == {0, 2}
 
+    @pytest.mark.parametrize("rel", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+    def test_scope_refuses_a_negative_or_non_finite_tolerance(self, rel):
+        default = tolerance.rel_eps()
+        with pytest.raises(ValueError, match="relative tolerance must be a finite number >= 0"):
+            with tolerance.scope(rel):
+                pass
+        assert tolerance.rel_eps() == default
+
     def test_parity_helper(self, cga):
         assert (E1 * E2).parity() == "even"
         assert E1.parity() == "odd"

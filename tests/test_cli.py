@@ -358,6 +358,27 @@ class TestSceneInput:
         assert "finite" in result.stderr
 
 
+    @pytest.mark.parametrize("data, message", [
+        (b'{"objects": [1, 2]}', "error: section 'objects' must map names to blade tables, got list"),
+        (b'{"objects": "x"}', "error: section 'objects' must map names to blade tables, got str"),
+        (b'{"versors": 5}', "error: section 'versors' must map names to blade tables, got int"),
+        (b'{"tolerance": {"rel": -1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be >= 0, got -1"),
+        ('{"objects": {"q": {"e0": 1.0}}}'.encode("utf-16"), "error: scene file is not UTF-8 text: "),
+        ('{"objects": {"\u00fc": {"e0": 1.0}}}'.encode("latin-1"), "error: scene file is not UTF-8 text: "),
+    ], ids=["objects-list", "objects-str", "versors-int", "negative-rel", "utf-16", "latin-1"])
+    @pytest.mark.parametrize("command", [
+        ["classify"],
+        ["transform", "--versor", "translator(1,0,0)", "--mode", "motion"],
+    ], ids=["classify", "transform"])
+    def test_malformed_scene_exit_1(self, runner, tmp_path, data, message, command):
+        scene_path = tmp_path / "s.json"
+        scene_path.write_bytes(data)
+        result = runner.invoke(main, [command[0], "--scene", str(scene_path), *command[1:]])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith(message)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestClassify:
     def make_scene(self, tmp_path):
         doc = {
@@ -510,6 +531,15 @@ class TestToleranceEnv:
         result = runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "abc"})
         assert result.exit_code == 2
         assert "GA_TOLERANCE" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["-1", "-1e-9", "-5e-324"])
+    def test_negative_env_value_exit_2(self, runner, raw):
+        result = runner.invoke(main, ["eval", "translator(1,0,0)"], env={"GA_TOLERANCE": raw})
+        assert result.exit_code == 2
+        assert f"GA_TOLERANCE must be a finite number >= 0, got {raw!r}" in result.stderr
+
+    def test_zero_env_value_accepted(self, runner):
+        assert runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "0"}).exit_code == 0
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_env_value_exit_2(self, runner, raw):

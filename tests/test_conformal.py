@@ -907,6 +907,31 @@ class TestLargeWeights:
         with pytest.raises(NotAPointError, match="not null"):
             extract_point(1e160 * embed_point([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("w", [1e155, 1e200, 1e300, -1e300])
+    @pytest.mark.parametrize("bits, kind, param, want", [
+        (0b00001, "plane", "normal", (1.0, 0.0, 0.0)),  # e1, an IPNS plane
+        (0b11100, "line", "direction", (0.0, 0.0, 1.0)),  # e3+-
+        (0b11011, "plane", "normal", (0.0, 0.0, 1.0)),  # e12+-, an OPNS plane
+    ], ids=["e1", "e3+-", "e12+-"])
+    def test_flats_keep_their_direction_when_its_square_overflows(self, w, bits, kind, param, want):
+        # single blades: A ~A of a sum of blades overflows first at these weights (NotABladeError)
+        got = classify(ALG.blade(bits, w))
+        assert (got.kind, got.params[param]) == (kind, want)
+
+    def test_direction_norms_when_the_square_overflows(self):
+        # a circle's normal goes through the same _directions as a flat's direction; no circle
+        # classifies at a weight this large (its blade test overflows first), so the rows go in directly
+        D = np.array([[3e300, -4e300, 0.0], [0.0, 0.0, -1e200], [-1e155, 1e155, 1e155], [1e308, -1e308, 0.0]])
+        with np.errstate(over="ignore"):  # as in _classify_block, which calls it
+            got = conformal._directions(D)
+        assert got == pytest.approx([5e300, -1e200, -math.sqrt(3) * 1e155, math.sqrt(2) * 1e308],
+                                    rel=1e-15, abs=0.0)
+
+    def test_directions_of_finite_squares_are_sqrt_of_the_dot(self, rng):
+        D = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
+        want = np.sqrt(conformal._sq_norms(D)).tolist()
+        assert [abs(a) for a in conformal._directions(D)] == want
+
 
 class TestPlan:
     """The classification plan's maps, built once at import, pinned bit for

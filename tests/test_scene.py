@@ -1,15 +1,19 @@
 """Scene JSON: blade-key parsing, canonical writing, byte-exact round trips."""
 
 import json
-from itertools import product
+import math
+from itertools import cycle, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confga import (
+    ConformalObject,
+    DegenerateError,
     DomainError,
+    GAError,
     Scene,
     Section,
     embed_point,
@@ -25,6 +29,7 @@ from confga import (
 from confga.algebra import Multivector, algebra
 from confga.conformal import ALG, e0, e1, e2, einf
 from confga.expr import tokenize
+from confga.scene import classification_to_json
 
 from conftest import assert_mv_close, random_mv
 
@@ -93,6 +98,21 @@ class TestReading:
         path.write_text("{not json")
         with pytest.raises(DomainError, match="not valid JSON"):
             read_scene(path)
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "latin-1"])
+    def test_file_that_is_not_utf8(self, tmp_path, encoding):
+        path = tmp_path / "wide.json"
+        path.write_bytes(json.dumps({"objects": {"\u00fc": {"e1": 1.0}}}, ensure_ascii=False).encode(encoding))
+        with pytest.raises(DomainError, match="^scene file is not UTF-8 text: "):
+            read_scene(path)
+
+    def test_null_sections_are_empty(self):
+        scene = scene_from_dict({"objects": None, "versors": None, "tolerance": None})
+        assert (len(scene.objects), len(scene.versors), scene.tolerance_rel) == (0, 0, None)
+
+    def test_zero_tolerance_accepted(self):
+        assert scene_from_dict({"tolerance": {"rel": 0}}).tolerance_rel == 0.0
+        assert scene_from_dict({"tolerance": {"rel": -0.0}}).tolerance_rel == 0.0
 
     @pytest.mark.parametrize("opening", ["[", '{"objects": '])
     def test_deeply_nested_file(self, tmp_path, opening):
@@ -328,6 +348,66 @@ def test_writer_is_json_dumps_byte_for_byte(objects, versors, tol):
     assert scene_to_json(Scene(**sections, tolerance_rel=tol)) == want
 
 
+_leaves = st.one_of(st.sampled_from(_SPECIAL + [math.inf, -math.inf, math.nan]), st.floats(), st.integers())
+_texts = st.one_of(st.sampled_from(["real", "imaginary", "ipns", "opns"]), _names)
+_messages = st.one_of(st.sampled_from(['say "no"', "tab\tcr\r", "\x00\x1f\x7f", "ünï 雪 😀", "\u2028"]), st.text())
+_V = ("f", "f", "f")
+# every kind's params in classify's key order ("f" a number, "s" a string, a tuple a tuple of
+# those), a point pair's points and a circle's normal present or not; None is an error
+_SHAPES = [
+    ("point", {"location": _V}),
+    ("point_pair", {"center": _V, "radius2": "f", "sign": "s", "points": (_V, _V)}),
+    ("point_pair", {"center": _V, "radius2": "f", "sign": "s"}),
+    ("circle", {"center": _V, "radius2": "f", "sign": "s", "normal": _V}),
+    ("circle", {"center": _V, "radius2": "f", "sign": "s"}),
+    ("sphere", {"center": _V, "radius2": "f", "sign": "s", "form": "s"}),
+    ("flat_point", {"location": _V}),
+    ("line", {"direction": _V, "moment": _V}),
+    ("plane", {"normal": _V, "distance": "f", "form": "s"}),
+    ("space", {}),
+    ("line", {"direction": (), "moment": ("s", ("f",))}),  # beyond classify's shapes: [] and mixed lists
+    None,
+]
+
+
+@st.composite
+def _reports(draw):
+    """Names with classify outcomes. Names, numbers, strings, messages and kinds
+    are drawn as pools that the objects take from in turn, so that an example
+    holds many objects for few draws."""
+    names = draw(st.lists(_names, min_size=1, max_size=8, unique=True))
+    numbers = cycle(draw(st.lists(_leaves, min_size=1, max_size=16)))
+    texts = cycle(draw(st.lists(_texts, min_size=1, max_size=4)))
+    messages = cycle(draw(st.lists(_messages, min_size=1, max_size=4)))
+    shapes = cycle(draw(st.lists(st.sampled_from(_SHAPES), min_size=1, max_size=len(_SHAPES))))
+
+    def fill(shape):
+        if isinstance(shape, tuple):
+            return tuple(fill(s) for s in shape)
+        return next(texts) if shape == "s" else next(numbers)
+
+    report = {}
+    for i, shape in zip(range(draw(st.integers(1, 60))), shapes):
+        # the pool's names as drawn, then again with a count appended
+        name = names[i % len(names)] + (str(i // len(names)) if i >= len(names) else "")
+        if shape is None:
+            report[name] = DegenerateError(next(messages))
+        else:
+            report[name] = ConformalObject(shape[0], e0, {key: fill(s) for key, s in shape[1].items()})
+    return report
+
+
+@settings(max_examples=25, deadline=None)
+@given(report=_reports())
+@example(report={})
+def test_classification_writer_is_json_dumps_byte_for_byte(report):
+    want = json.dumps({
+        name: {"error": str(o)} if isinstance(o, GAError) else {"kind": o.kind, "params": o.params}
+        for name, o in report.items()
+    }, indent=2) + "\n"
+    assert classification_to_json(list(report), list(report.values())) == want
+
+
 def _reference_coeffs(entries: dict) -> np.ndarray:
     # the reader's arithmetic, one entry at a time in file order
     coeffs = np.zeros(ALG.dim)
@@ -382,6 +462,13 @@ def test_reader_matches_per_entry_arithmetic(entries):
     ({"tolerance": {"rel": float("nan")}}, "tolerance rel must be a number and finite, got nan"),
     ({"objects": {}, "extras": {}}, "unknown scene sections: ['extras']"),
     ([1, 2], "scene must be a JSON object"),
+    ({"tolerance": {"rel": -1}}, "tolerance rel must be >= 0, got -1"),
+    ({"tolerance": {"rel": -5e-324}}, "tolerance rel must be >= 0, got -5e-324"),
+    ({"objects": [1, 2]}, "section 'objects' must map names to blade tables, got list"),
+    ({"objects": "x"}, "section 'objects' must map names to blade tables, got str"),
+    ({"objects": []}, "section 'objects' must map names to blade tables, got list"),
+    ({"versors": 5}, "section 'versors' must map names to blade tables, got int"),
+    ({"versors": False}, "section 'versors' must map names to blade tables, got bool"),
 ])
 def test_reader_error_messages(doc, message):
     with pytest.raises(DomainError) as info:
