@@ -12,7 +12,6 @@ from .algebra import (
     algebra,
     exp_special,
     format_multivector,
-    vector_inverse,
     versor_inverse,
 )
 from .conformal import (
@@ -59,7 +58,6 @@ from .errors import (
     NotAPointError,
     NotExponentiableError,
     NotVersorError,
-    NullVectorError,
     ParityModeError,
     ParseError,
     PointAtInfinityError,

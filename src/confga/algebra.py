@@ -20,7 +20,6 @@ from .errors import (
     GradeError,
     NotExponentiableError,
     NotVersorError,
-    NullVectorError,
     SignatureMismatchError,
     SingularVersorError,
 )
@@ -388,11 +387,6 @@ class Multivector:
     def __hash__(self):
         return hash((id(self.alg), self.coeffs.tobytes()))
 
-    def isclose(self, other: "Multivector", scale: float | None = None) -> bool:
-        self._check_same(other)
-        s = max(self.max_abs(), other.max_abs()) if scale is None else scale
-        return bool(np.all(np.abs(self.coeffs - other.coeffs) <= tolerance.threshold(s)))
-
     def __repr__(self) -> str:
         return format_multivector(self)
 
@@ -400,35 +394,28 @@ class Multivector:
 # -- module-level operations -----------------------------------------------
 
 
-def finite_product(a: Multivector, b: Multivector, what: str) -> Multivector:
-    """a * b, refused with a DomainError naming `what` if a coefficient
-    overflows; a finite a * a also bounds a.max_abs() ** 2."""
+def scalar_product(a: Multivector, b: Multivector, what: str) -> tuple[float | None, bool]:
+    """The one test that a * b is a scalar, and whether it vanishes: (s, vanishes) with
+    s = <a b>_0, or None when another coefficient of a b is above
+    threshold(max(|s|, max|a| max|b|)), and vanishes = |s| <= threshold(max|a| max|b|).
+    A coefficient of a b that overflows is refused with a DomainError naming `what`."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a * b
-    if not np.isfinite(out.coeffs).all():
+        m = a.alg.product("gp", a.coeffs, b.coeffs)
+    if not np.isfinite(m).all():
         raise DomainError(f"{what} overflows; the largest coefficient is {max(a.max_abs(), b.max_abs())!r}")
-    return out
-
-
-def vector_inverse(a: Multivector) -> Multivector:
-    """Inverse a / a^2 of an invertible grade-1 vector."""
-    gs = a.grades()
-    if gs and gs != frozenset({1}):
-        raise GradeError(f"vector_inverse needs a grade-1 vector, got grades {sorted(gs)}")
-    sq = finite_product(a, a, "a * a").scalar_part()
-    if abs(sq) <= tolerance.threshold(a.max_abs() ** 2):
-        raise NullVectorError("vector has (near-)zero square and no inverse")
-    return a / sq
+    # every a_i b_j is a term of a finite a * b, so max|a| max|b| is finite too
+    scale = a.max_abs() * b.max_abs()
+    s = float(m[0])
+    scalar = np.abs(m[1:]).max() <= tolerance.threshold(max(abs(s), scale))
+    return (s if scalar else None), abs(s) <= tolerance.threshold(scale)
 
 
 def versor_inverse(v: Multivector) -> Multivector:
     """Inverse ~v / <v ~v>_0 for v with scalar v ~v."""
-    m = finite_product(v, ~v, "v * ~v")
-    s = m.scalar_part()
-    off = m - m.grade(0)
-    if not off.is_zero(scale=max(abs(s), m.max_abs())):
+    s, vanishes = scalar_product(v, ~v, "v * ~v")
+    if s is None:
         raise NotVersorError("v * ~v is not a scalar; no versor inverse")
-    if abs(s) <= tolerance.threshold(v.max_abs() ** 2):
+    if vanishes:
         raise SingularVersorError("versor norm vanishes; no inverse")
     return ~v / s
 
@@ -444,18 +431,19 @@ def exp_special(b: Multivector) -> Multivector:
     gs = b.grades()
     if gs and gs != frozenset({2}):
         raise NotExponentiableError(f"exp_special needs a grade-2 argument, got grades {sorted(gs)}")
-    sq = finite_product(b, b, "the square of exp's argument")
-    s = sq.scalar_part()
-    scale = b.max_abs() ** 2
-    if not (sq - sq.grade(0)).is_zero(scale=max(abs(s), scale)):
+    s, vanishes = scalar_product(b, b, "the square of exp's argument")
+    if s is None:
         raise NotExponentiableError("argument squares to a non-scalar; no closed-form branch")
-    one = b.alg.scalar(1.0)
-    if abs(s) <= tolerance.threshold(scale):
-        return one + b
+    if vanishes:
+        return b.alg.scalar(1.0) + b
     alpha = math.sqrt(abs(s))
     if s < 0:
         return b.alg.scalar(math.cos(alpha)) + b * (math.sin(alpha) / alpha)
-    return b.alg.scalar(math.cosh(alpha)) + b * (math.sinh(alpha) / alpha)
+    try:
+        cosh, sinh = math.cosh(alpha), math.sinh(alpha)
+    except OverflowError:  # alpha above about 710
+        raise DomainError(f"exp's argument is too large: cosh of sqrt(<b b>_0) = {alpha!r} overflows") from None
+    return b.alg.scalar(cosh) + b * (sinh / alpha)
 
 
 # -- canonical text form -----------------------------------------------------

@@ -8,8 +8,8 @@
 Exit codes: 0 on success, 2 for usage and expression syntax errors, and
 1 for domain errors (degenerate constructions, parity mismatches,
 diverged training, and similar). The GA_TOLERANCE environment variable
-overrides the relative tolerance for the command and must be a finite
-number >= 0; a scene's "tolerance" section overrides that while the scene
+overrides the relative tolerance for the command and must be a number
+>= 0 and < 1; a scene's "tolerance" section overrides that while the scene
 is in use.
 """
 
@@ -71,7 +71,7 @@ def main():
         # holds until the command ends, whether it returns or raises
         click.get_current_context().with_resource(tolerance.scope(float(raw)))
     except ValueError:  # not a number, or scope refused it
-        raise click.UsageError(f"GA_TOLERANCE must be a finite number >= 0, got {raw!r}") from None
+        raise click.UsageError(f"GA_TOLERANCE must be {tolerance.RANGE}, got {raw!r}") from None
 
 
 @main.command("eval", context_settings={"ignore_unknown_options": True})

@@ -13,10 +13,6 @@ class GradeError(GAError):
     """An operand does not have the grade an operation requires."""
 
 
-class NullVectorError(GAError):
-    """A vector with zero square was passed where an invertible one is needed."""
-
-
 class NotVersorError(GAError):
     """A multivector failed the versor certificate (v * ~v must be scalar)."""
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tolerance
 from .algebra import Multivector
 from .conformal import ALG, e0, einf
 from .errors import DomainError, GAError
@@ -37,6 +38,9 @@ class Section(Mapping):
 
     def __init__(self, names, rows):
         self.names = list(names)
+        for name in self.names:
+            if not isinstance(name, str):  # the writer quotes names as JSON strings
+                raise TypeError(f"section names must be strings, got {name!r}")
         self.rows = np.array(rows, dtype=np.float64).reshape(len(self.names), ALG.dim)
         finite = np.isfinite(self.rows)
         if not finite.all():
@@ -132,8 +136,8 @@ def scene_from_dict(data) -> Scene:
         if "rel" in tol:
             if not _is_number(tol["rel"]):
                 raise DomainError(f"tolerance rel must be a number and finite, got {tol['rel']!r}")
-            if tol["rel"] < 0:
-                raise DomainError(f"tolerance rel must be >= 0, got {tol['rel']!r}")
+            if not tolerance.in_range(tol["rel"]):
+                raise DomainError(f"tolerance rel must be {tolerance.RANGE}, got {tol['rel']!r}")
             rel = float(tol["rel"])
     sections = []
     for title in ("objects", "versors"):

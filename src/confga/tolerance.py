@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 
 EPS_ABS = 1e-12
+RANGE = "a number >= 0 and < 1"  # of rel: at rel >= 1 every coefficient is within rel * max|A| of zero
 
 _REL_EPS = contextvars.ContextVar("rel_eps", default=1e-9)
 
@@ -25,13 +25,18 @@ def rel_eps() -> float:
     return _REL_EPS.get()
 
 
+def in_range(rel: float) -> bool:
+    """Whether rel is a relative tolerance: 0 <= rel < 1, so not NaN."""
+    return 0.0 <= rel < 1.0
+
+
 @contextlib.contextmanager
 def scope(rel: float | None):
-    """Use relative tolerance rel, a finite number >= 0, until the block ends;
+    """Use relative tolerance rel, 0 <= rel < 1, until the block ends;
     None keeps the current one."""
     value = _REL_EPS.get() if rel is None else float(rel)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"relative tolerance must be a finite number >= 0, got {rel!r}")
+    if not in_range(value):
+        raise ValueError(f"relative tolerance must be {RANGE}, got {rel!r}")
     token = _REL_EPS.set(value)
     try:
         yield

@@ -19,6 +19,10 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 (-1)^p; the two agree on odd-grade arguments and differ by an overall
 (projectively invisible) sign on even ones.
 
+`make_versor` accepts v when v ~v is a nonzero scalar, by the algebra's one
+certificate (`algebra.scalar_product`), which `versor_inverse`, `exp_special`
+and `rotor` share.
+
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
 folded in (`_action_matrix`, shared with the neuron), so `apply` on an
 (N, 32) array is one (N, 32) @ (32, 32) product; a multivector is one row.
@@ -33,8 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import tolerance
-from .algebra import Multivector, exp_special, finite_product
+from .algebra import Multivector, exp_special, scalar_product
 from .conformal import (
     ALG,
     E,
@@ -92,12 +95,10 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
         raise NotVersorError("zero multivector is not a versor")
     if parity == "mixed":
         raise MixedParityError("versor must be purely even or purely odd")
-    m = finite_product(mv, ~mv, "v * ~v")
-    s = m.scalar_part()
-    off = m - m.grade(0)
-    if not off.is_zero(scale=max(abs(s), mv.max_abs() ** 2)):
+    s, vanishes = scalar_product(mv, ~mv, "v * ~v")
+    if s is None:
         raise NotVersorError("v * ~v is not scalar")
-    if abs(s) <= tolerance.threshold(mv.max_abs() ** 2):
+    if vanishes:
         if allow_null:
             return Versor(mv, parity, 0.0, None)
         raise SingularVersorError("v * ~v vanishes; versor is not invertible")
@@ -159,9 +160,8 @@ def rotor(i: Multivector, theta: float) -> Versor:
     e1 to e2 for i = e12, theta = pi/2."""
     if i.grades() != frozenset({2}):
         raise GradeError("rotation plane must be a bivector")
-    sq = finite_product(i, i, "the square of the rotation plane")
-    s = sq.scalar_part()
-    if not (sq - sq.grade(0)).is_zero(scale=i.max_abs() ** 2) or s >= 0:
+    s, _ = scalar_product(i, i, "the square of the rotation plane")  # a tiny plane is still a plane
+    if s is None or s >= 0:
         raise DomainError("rotation plane must square to a negative scalar")
     unit = i / math.sqrt(-s)
     return make_versor(exp_special((0.5 * theta) * unit))

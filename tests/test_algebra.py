@@ -15,19 +15,30 @@ from confga.algebra import (
     format_coeff,
     format_multivector,
     row_product,
-    vector_inverse,
+    scalar_product,
     versor_inverse,
 )
 from confga.errors import (
+    DomainError,
+    GAError,
     GradeError,
     NotExponentiableError,
     NotVersorError,
-    NullVectorError,
     SignatureMismatchError,
     SingularVersorError,
 )
 from confga.oracle import oracle_product
-from conftest import assert_mv_close, max_err, random_mv
+from confga.versor import make_versor, translator
+from conftest import (
+    assert_mv_close,
+    certificate_rows,
+    max_err,
+    outcome,
+    random_mv,
+    reference_exp_special,
+    reference_vector_inverse,
+    reference_versor_inverse,
+)
 
 ALG = algebra(4, 1)
 E1, E2, E3, EP, EM = (ALG.basis_vector(k) for k in range(5))
@@ -235,11 +246,11 @@ class TestDual:
         assert_mv_close((a + b).dual(), a.dual() + b.dual(), tol=1e-14)
 
 
-class TestVectorInverse:
-    def test_unit_and_scaled(self):
-        assert vector_inverse(E1) == E1
-        assert vector_inverse(2.0 * E1) == (0.5 * E1)
-        assert vector_inverse(EM) == -EM
+class TestVersorInverse:
+    def test_unit_and_scaled_vectors(self):
+        assert versor_inverse(E1) == E1
+        assert versor_inverse(2.0 * E1) == (0.5 * E1)
+        assert versor_inverse(EM) == -EM
 
     def test_random_vectors(self, cga, rng):
         for _ in range(50):
@@ -247,20 +258,8 @@ class TestVectorInverse:
             sq = (v * v).scalar_part()
             if abs(sq) < 1e-3:
                 continue
-            assert_mv_close(vector_inverse(v) * v, cga.scalar(1.0), tol=1e-12)
+            assert_mv_close(versor_inverse(v) * v, cga.scalar(1.0), tol=1e-12)
 
-    def test_null_vector_rejected(self):
-        with pytest.raises(NullVectorError):
-            vector_inverse(EP + EM)
-
-    def test_non_vector_rejected(self):
-        with pytest.raises(GradeError):
-            vector_inverse(E1 ^ E2)
-        with pytest.raises(GradeError):
-            vector_inverse(ALG.scalar(1.0) + E1)
-
-
-class TestVersorInverse:
     def test_rotor_inverse_is_reverse(self):
         r = exp_special((math.pi / 5) * (E1 ^ E2))
         assert_mv_close(versor_inverse(r), ~r, tol=1e-14)
@@ -282,8 +281,76 @@ class TestVersorInverse:
             versor_inverse(ALG.scalar(1.0) + E1)
 
     def test_singular_rejected(self):
+        # a null vector, which the deleted vector_inverse refused too
         with pytest.raises(SingularVersorError):
             versor_inverse(EP + EM)
+
+    def test_accepts_what_make_versor_accepts(self):
+        # its off-scalar test used to scale by max|v ~v|, not max|v|^2, and refused this one
+        v = translator([6000, 15000, 6000]).mv + ALG.blade(0b1001, 2e-10)
+        assert versor_inverse(v).coeffs.tobytes() == make_versor(v).inv.coeffs.tobytes()
+
+
+class TestCertificate:
+    """`scalar_product` is the one check of make_versor, versor_inverse, exp_special and
+    rotor; here it is held to the checks they had before it (conftest's reference copies)."""
+
+    def test_decisions(self):
+        assert scalar_product(E1 + EP, E1 + EP, "x") == (2.0, False)
+        assert scalar_product(EP + EM, EP + EM, "x") == (0.0, True)
+        assert scalar_product(1e-7 * (E1 ^ E2), 1e-7 * (E1 ^ E2), "x")[1]
+        assert scalar_product(E1 + (E1 ^ E2), E1, "x") == (None, False)
+        with pytest.raises(DomainError, match="x overflows; the largest coefficient is 1e\\+200"):
+            scalar_product(1e200 * E1, 1e200 * E2, "x")
+
+    def test_exp_special_matches_reference(self):
+        seen = set()
+        for c in certificate_rows():
+            b = ALG.mv(c)
+            want, got = outcome(reference_exp_special, b), outcome(exp_special, b)
+            seen.add(want[1] if want[0] == "raises" else "gives")
+            if want[:2] == ("raises", "OverflowError"):  # cosh past alpha ~ 710, now refused
+                assert got[:2] == ("raises", "DomainError") and "exp's argument is too large" in got[2]
+            else:
+                assert got == want, b
+        assert seen >= {"gives", "NotExponentiableError", "DomainError", "OverflowError"}
+
+    def test_versor_inverse_is_make_versors_inverse(self):
+        """On every pure-parity row, versor_inverse succeeds exactly when make_versor does,
+        with its inverse bit for bit."""
+        accepted = 0
+        for c in certificate_rows():
+            v = ALG.mv(c)
+            if v.parity() not in ("even", "odd"):
+                continue
+            got = outcome(versor_inverse, v)
+            try:
+                want = make_versor(v).inv.coeffs.tobytes()
+            except GAError:
+                assert got[0] == "raises", v
+                continue
+            assert got == ("gives", want), v
+            accepted += 1
+        assert accepted >= 100
+
+    def test_versor_inverse_accepts_what_its_reference_accepts(self):
+        for c in certificate_rows():
+            v = ALG.mv(c)
+            want = outcome(reference_versor_inverse, v)
+            if want[0] == "gives":
+                assert outcome(versor_inverse, v) == want, v
+
+    def test_vectors_as_vector_inverse_did(self):
+        # exact vectors: for one with noise on other grades, ~v is not v
+        vectors = [ALG.mv(c) for c in certificate_rows() if not c[ALG.grades != 1].any()]
+        assert len(vectors) >= 30
+        for v in vectors:
+            want = outcome(reference_vector_inverse, v)
+            if want[0] == "gives":
+                # ~v has -0.0 where v has 0.0, so only the values are equal
+                assert versor_inverse(v) == Multivector(ALG, np.frombuffer(want[1]))
+            else:
+                assert outcome(versor_inverse, v)[:2] == want[:2]
 
 
 class TestExpSpecial:
@@ -320,6 +387,12 @@ class TestExpSpecial:
         with pytest.raises(NotExponentiableError):
             exp_special(ALG.scalar(1.0) + (E1 ^ E2))
 
+    def test_hyperbolic_overflow_refused(self):
+        assert np.isfinite(exp_special(709.0 * (E1 ^ EM)).coeffs).all()
+        for b in (1000.0 * (E1 ^ EM), 800.0 * (EP ^ EM)):
+            with pytest.raises(DomainError, match="exp's argument is too large"):
+                exp_special(b)
+
     def test_rejects_nonscalar_square(self):
         b = (E1 ^ E2) + (E3 ^ EP)
         assert ((b * b) - (b * b).grade(0)).max_abs() > 0.1
@@ -349,9 +422,19 @@ class TestToleranceAndHelpers:
     @pytest.mark.parametrize("rel", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
     def test_scope_refuses_a_negative_or_non_finite_tolerance(self, rel):
         default = tolerance.rel_eps()
-        with pytest.raises(ValueError, match="relative tolerance must be a finite number >= 0"):
+        with pytest.raises(ValueError, match="relative tolerance must be a number >= 0 and < 1"):
             with tolerance.scope(rel):
                 pass
+        assert tolerance.rel_eps() == default
+
+    @pytest.mark.parametrize("rel", [1, 1.0, 10.0, 1e300])
+    def test_scope_refuses_a_tolerance_of_one_or_more(self, rel):
+        # at rel >= 1 every coefficient is within rel * max|A| of zero
+        default = tolerance.rel_eps()
+        with pytest.raises(ValueError) as info:
+            with tolerance.scope(rel):
+                pass
+        assert str(info.value) == f"relative tolerance must be a number >= 0 and < 1, got {rel!r}"
         assert tolerance.rel_eps() == default
 
     def test_parity_helper(self, cga):

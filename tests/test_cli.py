@@ -116,6 +116,8 @@ class TestEval:
         ("translator(1e200,0,0)", "v * ~v overflows"),
         ("rotor(e12,1e300)", "the square of exp's argument overflows"),
         ("exp(1e300*e12)", "the square of exp's argument overflows"),
+        ("exp(1000*e1-)", "exp's argument is too large"),
+        ("exp(800*E)", "exp's argument is too large"),
         ("rotor(1e200*e12,1)", "the square of the rotation plane overflows"),
         ("inv(1e200*e12)", "v * ~v overflows"),
         ("mirror_sphere(0,0,0,1e200)", "sphere mirror radius 1e+200 overflows"),
@@ -123,7 +125,7 @@ class TestEval:
         ("mirror_plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
         ("plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
     ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow", "translator-overflow",
-            "rotor-angle-overflow", "exp-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow",
+            "rotor-angle-overflow", "exp-overflow", "exp-cosh-overflow", "exp-E-cosh-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow",
             "apply-overflow", "plane-mirror-overflow", "ipns-plane-overflow"])
     def test_refused_operand_exit_1_without_traceback(self, runner, src, reason):
         result = runner.invoke(main, ["eval", src])
@@ -362,10 +364,12 @@ class TestSceneInput:
         (b'{"objects": [1, 2]}', "error: section 'objects' must map names to blade tables, got list"),
         (b'{"objects": "x"}', "error: section 'objects' must map names to blade tables, got str"),
         (b'{"versors": 5}', "error: section 'versors' must map names to blade tables, got int"),
-        (b'{"tolerance": {"rel": -1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be >= 0, got -1"),
+        (b'{"tolerance": {"rel": -1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be a number >= 0 and < 1, got -1"),
+        (b'{"tolerance": {"rel": 1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be a number >= 0 and < 1, got 1"),
+        (b'{"tolerance": {"rel": 10.0}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be a number >= 0 and < 1, got 10.0"),
         ('{"objects": {"q": {"e0": 1.0}}}'.encode("utf-16"), "error: scene file is not UTF-8 text: "),
         ('{"objects": {"\u00fc": {"e0": 1.0}}}'.encode("latin-1"), "error: scene file is not UTF-8 text: "),
-    ], ids=["objects-list", "objects-str", "versors-int", "negative-rel", "utf-16", "latin-1"])
+    ], ids=["objects-list", "objects-str", "versors-int", "negative-rel", "rel-one", "rel-ten", "utf-16", "latin-1"])
     @pytest.mark.parametrize("command", [
         ["classify"],
         ["transform", "--versor", "translator(1,0,0)", "--mode", "motion"],
@@ -536,7 +540,13 @@ class TestToleranceEnv:
     def test_negative_env_value_exit_2(self, runner, raw):
         result = runner.invoke(main, ["eval", "translator(1,0,0)"], env={"GA_TOLERANCE": raw})
         assert result.exit_code == 2
-        assert f"GA_TOLERANCE must be a finite number >= 0, got {raw!r}" in result.stderr
+        assert f"GA_TOLERANCE must be a number >= 0 and < 1, got {raw!r}" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["1", "10", "1e300"])
+    def test_env_value_of_one_or_more_exit_2(self, runner, raw):
+        result = runner.invoke(main, ["eval", "translator(1,0,0)"], env={"GA_TOLERANCE": raw})
+        assert result.exit_code == 2
+        assert f"GA_TOLERANCE must be a number >= 0 and < 1, got {raw!r}" in result.stderr
 
     def test_zero_env_value_accepted(self, runner):
         assert runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "0"}).exit_code == 0

@@ -35,7 +35,16 @@ from confga import (
 )
 from confga.conformal import ALG, E, e0, e1, e2, e3, einf, euclid_vector
 
-from conftest import assert_mv_close, assert_proportional, random_mv
+from confga.algebra import scalar_product
+from conftest import (
+    assert_mv_close,
+    assert_proportional,
+    certificate_rows,
+    outcome,
+    random_mv,
+    reference_make_versor,
+    reference_rotor,
+)
 
 e12 = e1 ^ e2
 e23 = e2 ^ e3
@@ -71,6 +80,20 @@ class TestMakeVersor:
         with pytest.raises(SingularVersorError):
             v.inverse()
 
+    @pytest.mark.parametrize("allow_null", [False, True])
+    def test_matches_reference(self, allow_null):
+        """The one certificate decides as make_versor's own checks did (conftest's reference
+        copy), with the same error and message or the same bytes."""
+        seen = set()
+        for c in certificate_rows():
+            mv = ALG.mv(c)
+            want = outcome(reference_make_versor, mv, allow_null)
+            assert outcome(make_versor, mv, allow_null) == want, mv
+            seen.add(want[1] if want[0] == "raises" else want[0])
+        assert seen >= {"gives", "NotVersorError", "MixedParityError", "DomainError"} | (
+            set() if allow_null else {"SingularVersorError"}
+        )
+
 
 class TestRotor:
     def test_quarter_turn_sends_e1_to_e2(self):
@@ -96,6 +119,24 @@ class TestRotor:
             c, s = math.cos(theta), math.sin(theta)
             want = np.array([c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]])
             assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(p)))
+
+    def test_matches_reference_where_it_accepts(self):
+        # the certificate scales the off-scalar test by max(|s|, max|i|^2), where rotor used
+        # max|i|^2 alone, so it may accept more planes, never fewer
+        rng = np.random.default_rng(3)
+        accepted = 0
+        for c in certificate_rows():
+            i, theta = ALG.mv(c), float(rng.uniform(-3, 3))
+            want = outcome(reference_rotor, i, theta)
+            if want[0] == "gives":
+                assert outcome(rotor, i, theta) == want, i
+                accepted += 1
+        assert accepted >= 50
+
+    def test_tiny_plane_is_a_plane(self):
+        plane = 1e-7 * e12
+        assert scalar_product(plane, plane, "")[1]  # its square vanishes, which rotor ignores
+        assert_mv_close(rotor(plane, 1.0).mv, rotor(e12, 1.0).mv, tol=1e-15)
 
     def test_mode_enforcement(self):
         R = rotor(e12, 0.5)
