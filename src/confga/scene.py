@@ -136,8 +136,10 @@ def scene_from_dict(data) -> Scene:
         if "rel" in tol:
             if not _is_number(tol["rel"]):
                 raise DomainError(f"tolerance rel must be a number and finite, got {tol['rel']!r}")
-            if not tolerance.in_range(tol["rel"]):
-                raise DomainError(f"tolerance rel must be {tolerance.RANGE}, got {tol['rel']!r}")
+            if tol["rel"] < 0:
+                raise DomainError(f"tolerance rel must be >= 0, got {tol['rel']!r}")
+            if not tolerance.in_range(tol["rel"]):  # a finite number >= 0 here, so rel >= 1
+                raise DomainError(f"tolerance rel must be < 1, got {tol['rel']!r}")
             rel = float(tol["rel"])
     sections = []
     for title in ("objects", "versors"):

@@ -246,6 +246,14 @@ class TestDual:
         assert_mv_close((a + b).dual(), a.dual() + b.dual(), tol=1e-14)
 
 
+class TestVectorInverse:
+    def test_null_vector_rejected(self):
+        # a null vector squares to zero, so versor_inverse has no norm to divide by
+        for v in (EP + EM, E1 - EM, 2.0 * (E3 + EM)):
+            with pytest.raises(SingularVersorError):
+                versor_inverse(v)
+
+
 class TestVersorInverse:
     def test_unit_and_scaled_vectors(self):
         assert versor_inverse(E1) == E1
@@ -281,9 +289,9 @@ class TestVersorInverse:
             versor_inverse(ALG.scalar(1.0) + E1)
 
     def test_singular_rejected(self):
-        # a null vector, which the deleted vector_inverse refused too
+        # a null 2-blade: v ~v = (EP + EM)^2 = 0
         with pytest.raises(SingularVersorError):
-            versor_inverse(EP + EM)
+            versor_inverse((EP + EM) ^ E1)
 
     def test_accepts_what_make_versor_accepts(self):
         # its off-scalar test used to scale by max|v ~v|, not max|v|^2, and refused this one

@@ -364,9 +364,9 @@ class TestSceneInput:
         (b'{"objects": [1, 2]}', "error: section 'objects' must map names to blade tables, got list"),
         (b'{"objects": "x"}', "error: section 'objects' must map names to blade tables, got str"),
         (b'{"versors": 5}', "error: section 'versors' must map names to blade tables, got int"),
-        (b'{"tolerance": {"rel": -1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be a number >= 0 and < 1, got -1"),
-        (b'{"tolerance": {"rel": 1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be a number >= 0 and < 1, got 1"),
-        (b'{"tolerance": {"rel": 10.0}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be a number >= 0 and < 1, got 10.0"),
+        (b'{"tolerance": {"rel": -1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be >= 0, got -1"),
+        (b'{"tolerance": {"rel": 1}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be < 1, got 1"),
+        (b'{"tolerance": {"rel": 10.0}, "objects": {"q": {"e0": 1.0}}}', "error: tolerance rel must be < 1, got 10.0"),
         ('{"objects": {"q": {"e0": 1.0}}}'.encode("utf-16"), "error: scene file is not UTF-8 text: "),
         ('{"objects": {"\u00fc": {"e0": 1.0}}}'.encode("latin-1"), "error: scene file is not UTF-8 text: "),
     ], ids=["objects-list", "objects-str", "versors-int", "negative-rel", "rel-one", "rel-ten", "utf-16", "latin-1"])
