@@ -443,7 +443,13 @@ def exp_special(b: Multivector) -> Multivector:
         cosh, sinh = math.cosh(alpha), math.sinh(alpha)
     except OverflowError:  # alpha above about 710
         raise DomainError(f"exp's argument is too large: cosh of sqrt(<b b>_0) = {alpha!r} overflows") from None
-    return b.alg.scalar(cosh) + b * (sinh / alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = b * (sinh / alpha)
+    if not np.isfinite(rest.coeffs).all():  # b's coefficients can be far larger than alpha
+        raise DomainError(
+            f"exp's argument is too large: b * sinh(alpha)/alpha overflows at alpha = sqrt(<b b>_0) = {alpha!r}"
+        )
+    return b.alg.scalar(cosh) + rest
 
 
 # -- canonical text form -----------------------------------------------------

@@ -154,7 +154,7 @@ def classify_cmd(scene_path, fmt):
 @main.command("train")
 @click.option("--versor", "versor_spec", required=True, help="Target versor expression.")
 @click.option("--n", "n_samples", default=200, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--epochs", default=TrainConfig.epochs, show_default=True, type=click.IntRange(min=0))
 @click.option("--lr", default=TrainConfig.lr, show_default=True, type=click.FloatRange(min=0.0, min_open=True),
               callback=_finite)

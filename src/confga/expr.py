@@ -11,8 +11,10 @@ associative):
 
 One operator table (``_BINARY`` and ``_UNARY``) holds these operators and
 their binding levels; the tokenizer, the parser and the evaluator all read it.
-The parser and the evaluator keep stacks of their own, so no input depends on
-Python's recursion limit; brackets nest at most ``MAX_NESTING`` deep.
+The parser emits a postfix program, its steps in evaluation order, and the
+evaluator runs it in one loop over a stack of values. Neither recurses, so no
+input depends on Python's recursion limit; brackets nest at most
+``MAX_NESTING`` deep.
 
 Blade literals start with ``e`` followed by generators in strictly
 ascending order: digits 1-3 for the Euclidean directions and ``+``/``-``
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,17 +86,11 @@ _TOKEN = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
+class _Token(NamedTuple):
+    kind: str
+    value: object
+    line: int
+    col: int
 
 
 def tokenize(text: str) -> list[_Token]:
@@ -136,33 +133,31 @@ def _is_op(token: _Token, chars: str) -> bool:
     return token.kind == "op" and token.value in chars
 
 
-def parse(text: str):
-    """Parse to an AST; raises ParseError with a 1-based line:col position.
+def parse(text: str) -> list[tuple]:
+    """Parse to a postfix program, the steps `evaluate` runs in order; raises
+    ParseError with a 1-based line:col position.
 
     Operator precedence parsing with stacks of its own, so that no input
-    nests Python calls: `operands` holds finished subtrees, `operators` the
-    pending (binding level, operator) pairs, and `brackets` one entry per
-    open bracket: the operator depth at which it opened and, for a call, its
-    name token and the arguments parsed so far."""
+    nests Python calls: `operators` holds the pending (binding level,
+    operator) pairs, and `brackets` one entry per open bracket: the operator
+    depth at which it opened and, for a call, its argument count so far. A
+    binary operator emits an "operand" step as it is read, so its left
+    operand is checked before the right one runs."""
     tokens = tokenize(text)
-    operands: list = []
+    program: list = []
     operators: list = []
     brackets: list = []
 
     def reduce(floor: int, level: int) -> None:
-        # combine pending operators above the open bracket that bind at least as tight as level
+        # emit pending operators above the open bracket that bind at least as tight as level
         while len(operators) > floor and operators[-1][0] >= level:
             op_level, op = operators.pop()
-            if op_level == _UNARY_LEVEL:
-                operands[-1] = ("unary", op, operands[-1])
-            else:
-                right = operands.pop()
-                operands[-1] = ("binary", op, operands[-1], right)
+            program.append(("unary" if op_level == _UNARY_LEVEL else "binary", op))
 
-    def open_bracket(t: _Token, call) -> None:
+    def open_bracket(t: _Token, args) -> None:
         if len(brackets) == MAX_NESTING:
             raise ParseError(f"brackets nest deeper than {MAX_NESTING}", t.line, t.col)
-        brackets.append((len(operators), call))
+        brackets.append((len(operators), args))
 
     i = 0
     while True:
@@ -173,17 +168,18 @@ def parse(text: str):
             operators.append((_UNARY_LEVEL, t.value))
             continue
         if t.kind in ("number", "blade"):
-            operands.append((t.kind, t.value))
+            program.append((t.kind, t.value))
         elif t.kind == "name" and _is_op(tokens[i], "("):
-            open_bracket(tokens[i], (t, []))
+            open_bracket(tokens[i], 0)
+            program.append(("function", t.value, t.line, t.col))
             i += 1
             if not _is_op(tokens[i], ")"):
                 continue
             i += 1
             brackets.pop()
-            operands.append(("call", t.value, [], t.line, t.col))
+            program.append(("call", 0))
         elif t.kind == "name":
-            operands.append(("name", t.value, t.line, t.col))
+            program.append(("name", t.value, t.line, t.col))
         elif _is_op(t, "("):
             open_bracket(t, None)
             continue
@@ -195,6 +191,7 @@ def parse(text: str):
             if t.kind == "op" and t.value in _BINARY:
                 level = _BINARY[t.value][0]
                 reduce(brackets[-1][0] if brackets else 0, level)
+                program.append(("operand",))
                 operators.append((level, t.value))
                 i += 1
                 break
@@ -202,20 +199,19 @@ def parse(text: str):
                 reduce(0, 0)
                 if t.kind != "eof":
                     raise ParseError("unexpected trailing input", t.line, t.col)
-                return operands.pop()
-            floor, call = brackets[-1]
+                return program
+            floor, args = brackets[-1]
             reduce(floor, 0)
-            if call is not None and _is_op(t, ",;"):
-                call[1].append(operands.pop())
+            if args is not None and _is_op(t, ",;"):
+                brackets[-1] = (floor, args + 1)
                 i += 1
                 break
             if not _is_op(t, ")"):
                 raise ParseError("expected ')'", t.line, t.col)
             i += 1
             brackets.pop()
-            if call is not None:
-                name, args = call
-                operands.append(("call", name.value, [*args, operands.pop()], name.line, name.col))
+            if args is not None:
+                program.append(("call", args + 1))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -335,15 +331,15 @@ def _finite(op: str, value):
     return value
 
 
-def _lookup(node, env):
+def _lookup(step, env):
     """The value bound to a name or called name, checked for its use."""
-    kind, name, line, col = node[0], node[1], node[-2], node[-1]
+    kind, name, line, col = step
     if name not in env:
         raise UnboundNameError(f"unbound name {name!r} at {line}:{col}")
     value = env[name]
     if kind == "name" and callable(value):
         raise DomainError(f"{name} is a function; call it with (...)")
-    if kind == "call" and not callable(value):
+    if kind == "function" and not callable(value):
         raise DomainError(f"{name} is not a function")
     return value
 
@@ -357,47 +353,37 @@ def _binary(op: str, a, b):
         return _finite(op, fn(a, b))
 
 
-def _eval(node, env):
-    """Evaluate an AST with stacks of its own, so that no input nests Python
-    calls: `work` holds the nodes still to evaluate and the steps that
-    combine their values, `values` the values computed so far. Operands are
-    evaluated left to right, each checked as soon as it is computed."""
+def _eval(program, env):
+    """Run a postfix program on a stack of values, so that no input nests
+    Python calls. Operands are evaluated left to right, each checked as soon
+    as it is computed; a call's function sits below its arguments."""
     values: list = []
-    work = [node]
-    while work:
-        item = work.pop()
-        kind = item[0]
+    for step in program:
+        kind = step[0]
         if kind == "number":
-            values.append(item[1])
+            values.append(step[1])
         elif kind == "blade":
-            values.append(ALG.blade(item[1]))
-        elif kind == "name":
-            values.append(_lookup(item, env))
-        elif kind == "call":
-            work.append(("=call", _lookup(item, env), len(item[2])))
-            work.extend(reversed(item[2]))
-        elif kind == "unary":
-            work += [("=unary", item[1]), item[2]]
-        elif kind == "binary":
-            work += [("=binary", item[1]), ("=operand",), item[3], ("=operand",), item[2]]
-        elif kind == "=operand":
+            values.append(ALG.blade(step[1]))
+        elif kind in ("name", "function"):
+            values.append(_lookup(step, env))
+        elif kind == "operand":
             _operand(values[-1])
-        elif kind == "=unary":
-            values[-1] = _UNARY[item[1]](_operand(values[-1]))
-        elif kind == "=binary":
-            b = values.pop()
-            values[-1] = _binary(item[1], values[-1], b)
-        else:  # "=call": the arguments are the last values
-            start = len(values) - item[2]
+        elif kind == "unary":
+            values[-1] = _UNARY[step[1]](_operand(values[-1]))
+        elif kind == "binary":
+            b = _operand(values.pop())
+            values[-1] = _binary(step[1], values[-1], b)
+        else:  # "call": the arguments are the last values
+            start = len(values) - step[1]
             args = values[start:]
             del values[start:]
-            values.append(item[1](args))
+            values[-1] = values[-1](args)
     return values.pop()
 
 
-def evaluate(node, env=None) -> Multivector:
-    """Evaluate an AST to a multivector (numbers become scalars)."""
-    return _as_mv(_operand(_eval(node, env if env is not None else default_env())))
+def evaluate(program, env=None) -> Multivector:
+    """Evaluate a parsed program to a multivector (numbers become scalars)."""
+    return _as_mv(_operand(_eval(program, env if env is not None else default_env())))
 
 
 def eval_expression(text: str, env=None) -> Multivector:

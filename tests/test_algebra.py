@@ -401,6 +401,18 @@ class TestExpSpecial:
             with pytest.raises(DomainError, match="exp's argument is too large"):
                 exp_special(b)
 
+    def test_hyperbolic_product_overflow_refused(self):
+        # alpha = sqrt(<b b>_0) is about 705, below cosh's limit, but b's
+        # coefficients are about 1e6, so b * sinh(alpha)/alpha overflows
+        b = 1e6 * (E1 ^ EM) + 999999.75148 * (E1 ^ E2)
+        alpha = math.sqrt(scalar_product(b, b, "b b")[0])
+        assert 700.0 < alpha < 710.0
+        with pytest.raises(DomainError) as info:
+            exp_special(b)
+        assert str(info.value) == (
+            f"exp's argument is too large: b * sinh(alpha)/alpha overflows at alpha = sqrt(<b b>_0) = {alpha!r}"
+        )
+
     def test_rejects_nonscalar_square(self):
         b = (E1 ^ E2) + (E3 ^ EP)
         assert ((b * b) - (b * b).grade(0)).max_abs() > 0.1

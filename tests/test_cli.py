@@ -124,9 +124,10 @@ class TestEval:
         ("apply(translator(1,0,0), 1e308*e1 + 1e308*e+ + 1e308*e-, motion)", "'apply' overflows: it gives inf"),
         ("mirror_plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
         ("plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
+        ("e0(1)", "error: e0 is not a function\n"),
     ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow", "translator-overflow",
             "rotor-angle-overflow", "exp-overflow", "exp-cosh-overflow", "exp-E-cosh-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow",
-            "apply-overflow", "plane-mirror-overflow", "ipns-plane-overflow"])
+            "apply-overflow", "plane-mirror-overflow", "ipns-plane-overflow", "constant-call"])
     def test_refused_operand_exit_1_without_traceback(self, runner, src, reason):
         result = runner.invoke(main, ["eval", src])
         assert result.exit_code == 1
@@ -472,7 +473,7 @@ class TestTrain:
     @pytest.mark.parametrize("option, value", [
         ("--n", "0"), ("--n", "-5"), ("--epochs", "-1"),
         ("--lr", "0"), ("--lr", "-0.1"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
-        ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"),
+        ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"), ("--seed", "-1"),
     ])
     def test_bad_option_exit_2_before_work(self, runner, monkeypatch, option, value):
         calls = []

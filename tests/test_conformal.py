@@ -155,6 +155,8 @@ class TestPoints:
             extract_point(e1 ^ e2)
         with pytest.raises(PointAtInfinityError):
             extract_point(einf)
+        with pytest.raises(NotAPointError, match=r"^zero multivector is not a point$"):
+            extract_point(ALG.zero())
 
     def test_distance_rejects_positive_inner(self):
         sigma = sphere_ipns([0, 0, 0], 1.0).mv

@@ -198,7 +198,7 @@ class TestParse:
             parse("point(1, 0, 0")
 
     def test_product_of_blades(self):
-        assert parse("e1*e2") == ("binary", "*", ("blade", 1), ("blade", 2))
+        assert parse("e1*e2") == [("blade", 1), ("operand",), ("blade", 2), ("binary", "*")]
 
     def test_wedge_binds_tighter_than_star(self):
         assert_mv_close(ev("e12 * e2 ^ e3"), ev("e12 * (e2 ^ e3)"))
@@ -213,18 +213,18 @@ class TestParse:
     @pytest.mark.parametrize("op1, op2", itertools.product(expr_module._BINARY, repeat=2))
     def test_every_binary_pair_groups_as_the_table_says(self, op1, op2):
         # a tighter operator on the right groups right; otherwise left to right
-        a, b, c = ("blade", 0b1), ("blade", 0b10), ("blade", 0b100)
+        a, b, c, check = ("blade", 0b1), ("blade", 0b10), ("blade", 0b100), ("operand",)
         if expr_module._BINARY[op1][0] >= expr_module._BINARY[op2][0]:
-            want, grouped = ("binary", op2, ("binary", op1, a, b), c), f"(e1 {op1} e2) {op2} e3"
+            want, grouped = [a, check, b, ("binary", op1), check, c, ("binary", op2)], f"(e1 {op1} e2) {op2} e3"
         else:
-            want, grouped = ("binary", op1, a, ("binary", op2, b, c)), f"e1 {op1} (e2 {op2} e3)"
+            want, grouped = [a, check, b, check, c, ("binary", op2), ("binary", op1)], f"e1 {op1} (e2 {op2} e3)"
         assert parse(f"e1 {op1} e2 {op2} e3") == parse(grouped) == want
 
     @pytest.mark.parametrize("u, op", itertools.product(expr_module._UNARY, expr_module._BINARY))
     def test_unary_binds_tighter_than_every_binary(self, u, op):
-        a, b = ("blade", 0b1), ("blade", 0b10)
-        assert parse(f"{u}e1 {op} e2") == parse(f"({u}e1) {op} e2") == ("binary", op, ("unary", u, a), b)
-        assert parse(f"e1 {op} {u}e2") == parse(f"e1 {op} ({u}e2)") == ("binary", op, a, ("unary", u, b))
+        a, b, check = ("blade", 0b1), ("blade", 0b10), ("operand",)
+        assert parse(f"{u}e1 {op} e2") == parse(f"({u}e1) {op} e2") == [a, ("unary", u), check, b, ("binary", op)]
+        assert parse(f"e1 {op} {u}e2") == parse(f"e1 {op} ({u}e2)") == [a, check, b, ("unary", u), ("binary", op)]
 
     def test_unary_chains(self):
         assert_mv_close(ev("--e1"), e1)

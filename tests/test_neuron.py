@@ -401,12 +401,30 @@ class TestTrain:
             train(net, samples, TrainConfig(lr=20.0))
         assert len(info.value.history) >= 1
 
+    def test_loss_divergence_carries_history(self):
+        # a tiny step keeps the weights in range; the loss starts above the limit
+        X, T = generate_dataset(translator([1, 0, 0]), 20, 0)
+        with pytest.raises(DivergenceError) as info:
+            train(new_neuron("even", 0), (X, T * 1e7), TrainConfig(lr=1e-12, epochs=3))
+        history = info.value.history
+        assert len(history) == 2 and history[-1] > nn.DIVERGENCE_LIMIT
+        assert str(info.value) == f"loss diverged to {history[-1]}"
+
     def test_already_converged_stops_immediately(self):
         v = rotor(e1 ^ e2, 0.5)
         net = from_versor(v)
         samples = generate_dataset(v, 20, seed=6)
         history = train(net, samples, TrainConfig())
         assert len(history) == 1 and history[0] <= 1e-18
+
+    @pytest.mark.parametrize("args, message", [
+        (("oddish", 0), "parity must be one of ('even', 'odd'), got 'oddish'"),
+        (("even", 0, "literal"), "mode must be one of ('twisted-adjoint', 'paper-literal'), got 'literal'"),
+    ], ids=["parity", "mode"])
+    def test_new_neuron_refuses_a_bad_parity_or_mode(self, args, message):
+        with pytest.raises(ValueError) as info:
+            new_neuron(*args)
+        assert str(info.value) == message
 
 
 class TestDataset:
