@@ -13,6 +13,13 @@ space as the pseudoscalar, and grade-1 inner-product-null-space spheres
 sigma = P(center) - (1/2) r^2 einf with sigma^2 = r^2.
 
 `embed_points` embeds an (N, 3) array and `embed_point` is its one-row case.
+Each construction formula has one builder, which returns the blade:
+`wedge_points` for the blades through construction points, `sphere_vector` for
+sigma and `plane_vector` for the IPNS plane. The make_* constructors and
+`sphere_ipns` classify what it returns, the versor module's mirrors certify it,
+and the expression language returns it as built. `is_point` is the one rule
+for "a conformal point at some weight"; the wedge builder and the null point
+mirror both use it. Every numeric argument of a builder must be finite.
 Classification runs one plan, built once at import: the linear maps the tree
 reads of a blade A (the e0 weight and A ^ einf: is it flat?; einf | A; A einf;
 null-basis coefficients of A and of A I5^-1 for planes, flat points, lines and
@@ -91,11 +98,24 @@ def from_null_coeffs(coeffs) -> Multivector:
     return ALG.mv(PM_FROM_NULL @ np.asarray(coeffs, dtype=float))
 
 
-def as_vec3(p) -> np.ndarray:
+def as_vec3(p, name: str = "vector") -> np.ndarray:
+    """p as a float array of shape (3,); a NaN or infinite coordinate is
+    refused with a DomainError that names the argument."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (3,):
         raise ValueError("expected a 3-component Euclidean vector")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DomainError(f"{name} coordinate {float(arr[bad][0])!r} is not finite")
     return arr
+
+
+def as_real(x, name: str) -> float:
+    """x as a float; NaN or infinity is refused with a DomainError that names the argument."""
+    value = float(x)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} {value!r} is not finite")
+    return value
 
 
 def euclid_vector(p) -> Multivector:
@@ -126,6 +146,8 @@ class ConformalObject:
 
 _EUCLID = (0b00001, 0b00010, 0b00100)  # e1, e2, e3: the same coefficient in both bases
 _PLUS, _MINUS = 0b01000, 0b10000
+_OFF_VECTOR = ALG.grades != 1
+_SQRT_SMALLEST_NORMAL = math.sqrt(np.finfo(float).tiny)  # 2**-511: below it, |n|^2 is subnormal or 0
 
 
 def _sq_norms(V: np.ndarray) -> np.ndarray:
@@ -159,7 +181,7 @@ def embed_points(points) -> np.ndarray:
 
 def embed_point(p) -> Multivector:
     """P = p + (1/2) p^2 einf + e0; the one-row case of `embed_points`."""
-    return Multivector(ALG, embed_points(as_vec3(p)[None, :])[0], copy=False)
+    return Multivector(ALG, embed_points(as_vec3(p, "point")[None, :])[0], copy=False)
 
 
 def extract_point(P: Multivector) -> np.ndarray:
@@ -174,8 +196,17 @@ def extract_point(P: Multivector) -> np.ndarray:
     return loc[0]
 
 
+def _non_finite(row: np.ndarray) -> DomainError:
+    """The error for the first NaN or infinite coefficient of a row that has one."""
+    k = int(np.argmax(~np.isfinite(row)))
+    return DomainError(f"non-finite coefficient {float(row[k])!r} on {ALG.blade_names[k]}")
+
+
 def point_distance(P1: Multivector, P2: Multivector) -> float:
     """sqrt(-2 <P1 P2>_0) for normalized conformal points."""
+    for P in (P1, P2):
+        if not np.isfinite(P.coeffs).all():
+            raise _non_finite(P.coeffs)
     inner = (P1 | P2).scalar_part()
     scale = max(1.0, P1.max_abs() * P2.max_abs())
     if inner > tolerance.threshold(scale):
@@ -186,15 +217,40 @@ def point_distance(P1: Multivector, P2: Multivector) -> float:
 # -- object constructors ------------------------------------------------------
 
 
-def _check_distinct(points: list[Multivector]) -> None:
+def is_point(v: Multivector) -> bool:
+    """Whether v is a conformal point at some weight: a vector whose e0 weight
+    w = v- - v+ is not 0, and whose squared radius as a sphere,
+
+        r^2 = v^2 / w^2 = (|a|^2 - w (v+ + v-)) / w^2,
+
+    with a its Euclidean part, lies within the `radius` limit at its centre
+    a / w. The factored form keeps the rounding of v^2 near u |a|^2, so the
+    points `embed_point` builds are recognised out to |p| near 1e7; past 1e8
+    the (e+, e-) basis loses w. A weight that rounds v+ and v- apart adds
+    about u |p|^4 / 2 to r^2, so weighted points pass out to |p| near 1e4."""
+    absv = np.abs(v.coeffs)
+    big = absv.max()
+    limit = tolerance.threshold(big)
+    if not big > limit or (absv[_OFF_VECTOR] > limit).any():  # v.grades() != {1}, without np.unique
+        return False
+    x1, x2, x3, plus, minus = v.coeffs[[*_EUCLID, _PLUS, _MINUS]].tolist()
+    w = minus - plus
+    if w == 0.0:
+        return False
+    a2 = x1 * x1 + x2 * x2 + x3 * x3  # Python floats: an overflow gives inf or nan, and no warning
+    return abs((a2 - w * (plus + minus)) / w / w) <= _LIMIT["radius"](a2 / w / w)
+
+
+def wedge_points(*points: Multivector, with_inf: bool = False) -> Multivector:
+    """P1 ^ ... ^ Pk (^ einf if with_inf) of conformal points; refuses coincident points and a zero wedge."""
+    for k, P in enumerate(points, 1):
+        if not is_point(P):
+            raise NotAPointError(f"construction point {k} of {len(points)} is not a conformal point")
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             scale = max(1.0, points[i].max_abs(), points[j].max_abs())
             if (points[i] - points[j]).is_zero(scale=scale):
                 raise DegenerateError("coincident points")
-
-
-def _wedge_points(points: list[Multivector], with_inf: bool = False) -> Multivector:
     acc = points[0]
     scale = points[0].max_abs()
     for P in points[1:]:
@@ -208,33 +264,56 @@ def _wedge_points(points: list[Multivector], with_inf: bool = False) -> Multivec
     return acc
 
 
+def sphere_vector(center, r: float) -> Multivector:
+    """sigma = P(center) - (1/2) r^2 einf, sigma^2 = r^2, for r >= 0 with r^2/2 finite; r = 0 gives P."""
+    r = as_real(r, "sphere radius")
+    if r < 0:
+        raise DomainError(f"negative radius {r}")
+    half_r2 = 0.5 * r * r
+    if not math.isfinite(half_r2):
+        raise DomainError(f"sphere radius {r!r} overflows: r^2/2 is not finite")
+    return embed_point(as_vec3(center, "sphere center")) - half_r2 * einf
+
+
+def plane_vector(n, d: float) -> Multivector:
+    """The IPNS plane unit(n) + d einf, the plane {x : unit(n) . x = d}; its square is 1."""
+    arr = as_vec3(n, "plane normal")
+    d = as_real(d, "plane distance")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if norm < _SQRT_SMALLEST_NORMAL:  # |n|^2 underflowed: take the norm of n / max|n_i| instead
+        big = float(np.abs(arr).max())
+        if big == 0.0:
+            raise DegenerateError("plane mirror needs a nonzero normal")
+        arr = arr / big
+        norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm):
+        raise DomainError(f"|n|^2 of plane normal {tuple(arr.tolist())} overflows")
+    return euclid_vector(arr / norm) + d * einf
+
+
 def make_point_pair(P1: Multivector, P2: Multivector) -> ConformalObject:
-    _check_distinct([P1, P2])
-    return classify(_wedge_points([P1, P2]))
+    return classify(wedge_points(P1, P2))
 
 
 def make_circle(P1: Multivector, P2: Multivector, P3: Multivector) -> ConformalObject:
-    _check_distinct([P1, P2, P3])
-    return classify(_wedge_points([P1, P2, P3]))
+    return classify(wedge_points(P1, P2, P3))
 
 
 def make_sphere_opns(P1, P2, P3, P4) -> ConformalObject:
-    _check_distinct([P1, P2, P3, P4])
-    return classify(_wedge_points([P1, P2, P3, P4]))
+    return classify(wedge_points(P1, P2, P3, P4))
 
 
 def make_line(P1: Multivector, P2: Multivector) -> ConformalObject:
-    _check_distinct([P1, P2])
-    return classify(_wedge_points([P1, P2], with_inf=True))
+    return classify(wedge_points(P1, P2, with_inf=True))
 
 
 def make_plane_opns(P1, P2, P3) -> ConformalObject:
-    _check_distinct([P1, P2, P3])
-    return classify(_wedge_points([P1, P2, P3], with_inf=True))
+    return classify(wedge_points(P1, P2, P3, with_inf=True))
 
 
 def make_flat_point(P: Multivector) -> ConformalObject:
-    return classify(_wedge_points([P], with_inf=True))
+    return classify(wedge_points(P, with_inf=True))
 
 
 def whole_space() -> ConformalObject:
@@ -242,11 +321,8 @@ def whole_space() -> ConformalObject:
 
 
 def sphere_ipns(center, r: float) -> ConformalObject:
-    """sigma = P(center) - (1/2) r^2 einf; sigma^2 = r^2; r = 0 gives the point."""
-    if r < 0:
-        raise DomainError(f"negative radius {r}")
-    sigma = embed_point(center) - (0.5 * r * r) * einf
-    return classify(sigma)
+    """The classified `sphere_vector`: a sphere, or the point at r = 0."""
+    return classify(sphere_vector(center, r))
 
 
 # -- classification -----------------------------------------------------------
@@ -333,8 +409,7 @@ class _Block:
         if not all(map(math.isfinite, self.scale)):  # a non-finite coefficient makes max|A| inf or nan
             bad = ~np.isfinite(X)
             for r in bad.any(axis=1).nonzero()[0].tolist():
-                k = int(bad[r].argmax())
-                errors[r] = DomainError(f"non-finite coefficient {float(X[r, k])!r} on {ALG.blade_names[k]}")
+                errors[r] = _non_finite(X[r])
             X = np.where(bad.any(axis=1)[:, None], 0.0, X)  # so that the steps below stay finite
             absX = np.abs(X)
             scale = np.maximum.reduce(absX, axis=1)

@@ -28,8 +28,12 @@ mode names ``motion`` and ``reflection`` (valid only as the last argument of
 ``apply``), or constructor calls; ``,`` and ``;`` both separate call
 arguments.  Each constructor is one row of ``_BUILTINS``: what it expects,
 and one constructor per accepted string of argument kinds; any other call
-is refused with "<name> expects <what>".  Arithmetic that overflows to inf
-or nan is refused.  Every successful evaluation yields a plain multivector.
+is refused with "<name> expects <what>".  The object constructors (``pair``,
+``circle``, ``sphere``, ``line``, ``plane``, ``flat_point``) return the blade
+they build, unclassified; their multivector arguments must be conformal
+points (``conformal.is_point``).  ``apply`` takes a null versor only as the
+point mirror, under the same rule.  Arithmetic that overflows to inf or nan
+is refused.  Every successful evaluation yields a plain multivector.
 """
 
 from __future__ import annotations
@@ -50,13 +54,10 @@ from .conformal import (
     e0,
     einf,
     embed_point,
-    make_circle,
-    make_flat_point,
     make_line,
-    make_plane_opns,
-    make_point_pair,
-    make_sphere_opns,
-    sphere_ipns,
+    plane_vector,
+    sphere_vector,
+    wedge_points,
 )
 from .errors import DomainError, ParseError, UnboundNameError
 from . import versor as _versor
@@ -240,20 +241,20 @@ def _kind(v) -> str:
 # rebound after import is honoured.
 _BUILTINS = {
     "point": ("three numbers x, y, z", {"nnn": lambda x, y, z: embed_point([x, y, z])}),
-    "pair": ("two conformal points", {"mm": lambda p, q: make_point_pair(p, q).mv}),
-    "circle": ("three conformal points", {"mmm": lambda p, q, r: make_circle(p, q, r).mv}),
+    "pair": ("two conformal points", {"mm": lambda p, q: wedge_points(p, q)}),
+    "circle": ("three conformal points", {"mmm": lambda p, q, r: wedge_points(p, q, r)}),
     "sphere": ("four conformal points or cx, cy, cz, r", {
-        "mmmm": lambda p, q, r, s: make_sphere_opns(p, q, r, s).mv,
-        "nnnn": lambda x, y, z, r: sphere_ipns([x, y, z], r).mv,
+        "mmmm": lambda p, q, r, s: wedge_points(p, q, r, s),
+        "nnnn": lambda x, y, z, r: sphere_vector([x, y, z], r),
     }),
-    "line": ("two conformal points", {"mm": lambda p, q: make_line(p, q).mv}),
+    "line": ("two conformal points", {"mm": lambda p, q: wedge_points(p, q, with_inf=True)}),
     "plane": ("three conformal points or nx, ny, nz, d", {
-        "mmm": lambda p, q, r: make_plane_opns(p, q, r).mv,
-        "nnnn": lambda x, y, z, d: _versor.reflector_plane([x, y, z], d).mv,
+        "mmm": lambda p, q, r: wedge_points(p, q, r, with_inf=True),
+        "nnnn": lambda x, y, z, d: plane_vector([x, y, z], d),
     }),
     "flat_point": ("a conformal point or x, y, z", {
-        "m": lambda p: make_flat_point(p).mv,
-        "nnn": lambda x, y, z: make_flat_point(embed_point([x, y, z])).mv,
+        "m": lambda p: wedge_points(p, with_inf=True),
+        "nnn": lambda x, y, z: wedge_points(embed_point([x, y, z]), with_inf=True),
     }),
     "space": ("no arguments", {"": lambda: I5}),
     "mirror_plane": ("nx, ny, nz, d", {"nnnn": lambda x, y, z, d: _versor.reflector_plane([x, y, z], d).mv}),

@@ -85,6 +85,12 @@ class GeometricNeuron:
     parity: str
     mode: str = "twisted-adjoint"
 
+    def __post_init__(self):
+        if self.parity not in PARITIES:
+            raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
+        if self.mode not in CONVENTIONS:
+            raise ValueError(f"mode must be one of {CONVENTIONS}, got {self.mode!r}")
+
     def weight(self) -> Multivector:
         return ALG.mv(self.w.copy())
 
@@ -112,18 +118,13 @@ class TrainConfig:
 
 
 def parity_mask(parity: str) -> np.ndarray:
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
     return _EVEN_MASK if parity == "even" else _ODD_MASK
 
 
 def new_neuron(parity: str, seed: int, mode: str = "twisted-adjoint") -> GeometricNeuron:
     """Near-identity start: W = 1 (even) or e1 (odd) plus small parity noise."""
-    mask = parity_mask(parity)
-    if mode not in CONVENTIONS:
-        raise ValueError(f"mode must be one of {CONVENTIONS}, got {mode!r}")
     rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 0.01, ALG.dim) * mask
+    w = rng.normal(0.0, 0.01, ALG.dim) * parity_mask(parity)
     w[0 if parity == "even" else 0b00001] += 1.0
     return GeometricNeuron(w=w, theta=np.zeros(ALG.dim), parity=parity, mode=mode)
 

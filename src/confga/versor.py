@@ -13,7 +13,9 @@ first, and equals the product a.mv * b.mv.
 
 The point mirror P(p) is a null vector with no inverse; it is kept as a
 degenerate versor applied by the uninverted sandwich v alpha(X) v, which
-collapses every point onto the mirror point.
+collapses every point onto the mirror point. `make_versor(v, allow_null=True)`
+returns it only for a v that passes the point rule (`conformal.is_point`);
+any other v whose norm vanishes is refused, as without allow_null.
 
 The paper-literal convention replaces alpha^p(X) by the global sign
 (-1)^p; the two agree on odd-grade arguments and differ by an overall
@@ -21,7 +23,10 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 
 `make_versor` accepts v when v ~v is a nonzero scalar, by the algebra's one
 certificate (`algebra.scalar_product`), which `versor_inverse`, `exp_special`
-and `rotor` share.
+and `rotor` share. The plane and sphere mirrors certify the vectors that
+`conformal.plane_vector` and `conformal.sphere_vector` build. Every numeric
+argument must be finite: a NaN or infinity is refused with a DomainError that
+names it, before any arithmetic.
 
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
 folded in (`_action_matrix`, shared with the neuron), so `apply` on an
@@ -31,7 +36,6 @@ folded in (`_action_matrix`, shared with the neuron), so `apply` on an
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,15 +47,18 @@ from .conformal import (
     E,
     I3,
     ConformalObject,
+    as_real,
     as_vec3,
     classify,
     embed_point,
     euclid_bivector,
     euclid_vector,
     einf,
+    is_point,
+    plane_vector,
+    sphere_vector,
 )
 from .errors import (
-    DegenerateError,
     DomainError,
     GradeError,
     MixedParityError,
@@ -62,7 +69,6 @@ from .errors import (
 
 MODES = ("motion", "reflection")
 CONVENTIONS = ("twisted-adjoint", "paper-literal")
-_SQRT_SMALLEST_NORMAL = math.sqrt(sys.float_info.min)  # 2**-511: below it, |n|^2 is subnormal or 0
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
     if s is None:
         raise NotVersorError("v * ~v is not scalar")
     if vanishes:
-        if allow_null:
+        if allow_null and is_point(mv):
             return Versor(mv, parity, 0.0, None)
         raise SingularVersorError("v * ~v vanishes; versor is not invertible")
     return Versor(mv, parity, s, ~mv / s)
@@ -109,29 +115,15 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
 
 
 def reflector_plane(n, d: float) -> Versor:
-    """Mirror in the plane {x : n.x = d}; mu = unit(n) + d einf, mu^2 = 1."""
-    arr = as_vec3(n)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
-    if norm < _SQRT_SMALLEST_NORMAL:  # |n|^2 underflowed: take the norm of n / max|n_i| instead
-        big = float(np.abs(arr).max())
-        if big == 0.0:
-            raise DegenerateError("plane mirror needs a nonzero normal")
-        arr = arr / big
-        norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm):
-        raise DomainError(f"|n|^2 of plane normal {tuple(arr.tolist())} overflows")
-    return make_versor(euclid_vector(arr / norm) + float(d) * einf)
+    """Mirror in the plane {x : unit(n) . x = d}: the plane vector mu, mu^2 = 1."""
+    return make_versor(plane_vector(n, d))
 
 
 def reflector_sphere(center, r: float) -> Versor:
-    """Inversion in the sphere; sigma = P(center) - (1/2) r^2 einf, sigma^2 = r^2."""
-    if r <= 0:
+    """Inversion in the sphere: the sphere vector sigma, sigma^2 = r^2, r > 0."""
+    if r == 0:
         raise DomainError(f"sphere mirror needs r > 0, got {r}")
-    half_r2 = 0.5 * float(r) * float(r)
-    if not math.isfinite(half_r2):
-        raise DomainError(f"sphere mirror radius {r!r} overflows: r^2/2 is not finite")
-    return make_versor(embed_point(center) - half_r2 * einf)
+    return make_versor(sphere_vector(center, r))
 
 
 def reflector_point(p) -> Versor:
@@ -158,6 +150,7 @@ def reflector_line(line) -> Versor:
 def rotor(i: Multivector, theta: float) -> Versor:
     """Rotation by theta in the (normalized) plane i; x' = R^-1 x R takes
     e1 to e2 for i = e12, theta = pi/2."""
+    theta = as_real(theta, "rotation angle")
     if i.grades() != frozenset({2}):
         raise GradeError("rotation plane must be a bivector")
     s, _ = scalar_product(i, i, "the square of the rotation plane")  # a tiny plane is still a plane
@@ -169,7 +162,7 @@ def rotor(i: Multivector, theta: float) -> Versor:
 
 def translator(t) -> Versor:
     """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
-    tv = euclid_vector(as_vec3(t))
+    tv = euclid_vector(as_vec3(t, "translation"))
     return make_versor(ALG.scalar(1.0) + 0.5 * (tv ^ einf))
 
 
@@ -181,10 +174,11 @@ def motor(i: Multivector, theta: float, t) -> Versor:
 def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
     """Uniform scaling by s > 0 about a center; exp(E ln(s)/2) conjugated
     by the translator that moves the center to the origin."""
+    s = as_real(s, "scale factor")
     if s <= 0:
         raise DomainError(f"scale factor must be positive, got {s}")
     core = exp_special((0.5 * math.log(s)) * E)
-    c = as_vec3(center)
+    c = as_vec3(center, "scale center")
     if np.all(c == 0.0):
         return make_versor(core)
     return make_versor(translator(-c).mv * core * translator(c).mv)

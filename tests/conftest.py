@@ -6,6 +6,7 @@ import pytest
 
 from confga import tolerance
 from confga.algebra import Multivector, algebra
+from confga.conformal import is_point
 from confga.errors import (
     DomainError,
     GAError,
@@ -83,7 +84,7 @@ def reference_make_versor(mv, allow_null=False):
     if not off.is_zero(scale=max(abs(s), mv.max_abs() ** 2)):
         raise NotVersorError("v * ~v is not scalar")
     if abs(s) <= tolerance.threshold(mv.max_abs() ** 2):
-        if allow_null:
+        if allow_null and is_point(mv):  # only a conformal point is the null point mirror
             return Versor(mv, parity, 0.0, None)
         raise SingularVersorError("v * ~v vanishes; versor is not invertible")
     return Versor(mv, parity, s, ~mv / s)

@@ -35,7 +35,9 @@ import confga
 from confga import cli, tolerance
 from confga.cli import main
 from confga.algebra import Multivector
-from confga.conformal import ALG, classify, e1, e2
+from confga.conformal import ALG, classify, e1, e2, einf
+
+from conftest import assert_proportional
 
 
 @pytest.fixture
@@ -120,7 +122,7 @@ class TestEval:
         ("exp(800*E)", "exp's argument is too large"),
         ("rotor(1e200*e12,1)", "the square of the rotation plane overflows"),
         ("inv(1e200*e12)", "v * ~v overflows"),
-        ("mirror_sphere(0,0,0,1e200)", "sphere mirror radius 1e+200 overflows"),
+        ("mirror_sphere(0,0,0,1e200)", "sphere radius 1e+200 overflows"),
         ("apply(translator(1,0,0), 1e308*e1 + 1e308*e+ + 1e308*e-, motion)", "'apply' overflows: it gives inf"),
         ("mirror_plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
         ("plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
@@ -139,6 +141,43 @@ class TestEval:
         result = runner.invoke(main, ["eval", "wibble + e1"])
         assert result.exit_code == 1
         assert "wibble" in result.stderr
+
+
+class TestNullVersor:
+    """Only a conformal point is taken as the null point mirror; any other versor whose norm
+    vanishes is refused, where it used to be applied as if it were one."""
+
+    @pytest.mark.parametrize("src", [
+        "apply(translator(4e4,0,0) * translator(4e4,0,0), point(0,0,0), motion)",
+        "apply(e1 + 1e5*einf, point(0,0,0), reflection)",
+        "apply(sphere(300,0,0,1), point(0,0,0), reflection)",
+    ], ids=["translator-product", "far-plane", "far-sphere"])
+    def test_eval_refuses_a_vanishing_non_point(self, runner, src):
+        result = runner.invoke(main, ["eval", src])
+        assert result.exit_code == 1
+        assert result.stderr == "error: v * ~v vanishes; versor is not invertible\n" and result.stdout == ""
+
+    @pytest.mark.parametrize("command", [
+        ["transform", "--versor", "point(3e2,0,0) - 0.5*einf", "--mode", "reflection"],
+        ["train", "--versor", "e1 + 1e5*einf", "--n", "5", "--epochs", "1"],
+    ], ids=["transform", "train"])
+    def test_commands_refuse_a_vanishing_non_point(self, runner, tmp_path, command):
+        if command[0] == "transform":
+            command = command[:1] + ["--scene", str(write_point_scene(tmp_path / "s.json"))] + command[1:]
+        result = runner.invoke(main, command)
+        assert result.exit_code == 1
+        assert result.stderr == "error: v * ~v vanishes; versor is not invertible\n"
+
+    @pytest.mark.parametrize("x", ["1", "3e2", "1e4", "1e7"])
+    def test_point_mirror_applies_out_to_1e7(self, runner, x):
+        result = runner.invoke(main, ["eval", f"apply(mirror_point({x},0,0), point(0,0,0), reflection)"])
+        assert result.exit_code == 0, result.stderr
+        assert_proportional(eval_expression(result.stdout), embed_point([float(x), 0.0, 0.0]), tol=1e-9)
+
+    def test_far_ipns_sphere_prints_its_vector(self, runner):
+        result = runner.invoke(main, ["eval", "sphere(300,0,0,1)"])
+        assert result.exit_code == 0, result.stderr
+        assert eval_expression(result.stdout) == embed_point([300.0, 0.0, 0.0]) - 0.5 * einf
 
 
 class TestDeepInput:

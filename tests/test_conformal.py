@@ -22,6 +22,7 @@ from confga import (
     NotABladeError,
     NotAPointError,
     PointAtInfinityError,
+    SingularVersorError,
     ConformalObject,
     GAError,
     UnknownObjectError,
@@ -37,6 +38,8 @@ from confga import (
     make_point_pair,
     make_sphere_opns,
     point_distance,
+    reflector_plane,
+    reflector_sphere,
     round_params,
     sphere_ipns,
     whole_space,
@@ -56,7 +59,11 @@ from confga.conformal import (
     einf,
     euclid_vector,
     from_null_coeffs,
+    is_point,
+    plane_vector,
+    sphere_vector,
     to_null_coeffs,
+    wedge_points,
 )
 from confga.scene import Scene, write_scene
 
@@ -157,6 +164,15 @@ class TestPoints:
             extract_point(einf)
         with pytest.raises(NotAPointError, match=r"^zero multivector is not a point$"):
             extract_point(ALG.zero())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_distance_refuses_non_finite_coefficients(self, bad, first):
+        P = embed_point([1.0, 2.0, 3.0])
+        Q = Multivector(ALG, np.where(np.arange(ALG.dim) == 0b00010, bad, P.coeffs))
+        with pytest.raises(DomainError) as info:
+            point_distance(Q, P) if first else point_distance(P, Q)
+        assert str(info.value) == f"non-finite coefficient {bad!r} on e2"
 
     def test_distance_rejects_positive_inner(self):
         sigma = sphere_ipns([0, 0, 0], 1.0).mv
@@ -1006,3 +1022,102 @@ class TestPlan:
                 else:
                     assert got == {k: obj.params[k] for k in ("center", "radius2", "sign")}
         assert rounds >= 100
+
+
+# -- the builders --------------------------------------------------------------
+
+# vectors and blades that are no conformal point, for every constructor's every argument
+NON_POINTS = {
+    "e1": e1,  # no e0 weight
+    "einf": einf,  # the point at infinity
+    "zero": ALG.zero(),
+    "bivector": e1 ^ e2,
+    "point-plus-bivector": embed_point([1.0, 2.0, 3.0]) + (e1 ^ e2),
+    "unit-sphere": sphere_vector([0.0, 0.0, 0.0], 1.0),  # r^2 = 1
+    "far-sphere": sphere_vector([300.0, 0.0, 0.0], 1.0),  # which the norm test calls null
+    "imaginary-sphere": embed_point([1.0, 0.0, 0.0]) + 2.0 * einf,  # r^2 = -4
+    "weight-lost": embed_point([1e9, 0.0, 0.0]),  # e- - e+ rounds to 0
+}
+CONSTRUCTORS = {
+    "pair": (make_point_pair, 2),
+    "circle": (make_circle, 3),
+    "sphere": (make_sphere_opns, 4),
+    "flat_point": (make_flat_point, 1),
+    "line": (make_line, 2),
+    "plane": (make_plane_opns, 3),
+}
+
+
+class TestBuilders:
+    def test_is_point_out_to_1e7(self, rng):
+        # embed_point's e+ and e- coefficients are (1/2)|p|^2 -+ 1/2, exact up to |p| near 1e8
+        for _ in range(300):
+            p = 10 ** rng.uniform(0, 7) * _unit(rng)
+            assert is_point(embed_point(p)) and is_point(-embed_point(p)), p
+
+    def test_is_point_at_weights_1e_3_to_1e3(self, rng):
+        # a weight rounds e+ and e- apart, by u |p|^2 relative to w, so r^2 picks up u |p|^4 / 2:
+        # within the radius limit out to |p| near 1e4
+        for _ in range(300):
+            p = 10 ** rng.uniform(0, 3.5) * _unit(rng)
+            w = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3)
+            assert is_point(w * embed_point(p)), (p, w)
+
+    @pytest.mark.parametrize("name", sorted(NON_POINTS))
+    def test_is_point_refuses(self, name):
+        assert not is_point(NON_POINTS[name])
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("bad", sorted(NON_POINTS))
+    def test_non_point_argument_raises_not_a_point(self, name, bad):
+        make, n = CONSTRUCTORS[name]
+        good = [embed_point([float(k), float(k * k), 1.0 - k]) for k in range(n)]
+        for k in range(n):
+            args = good[:k] + [NON_POINTS[bad]] + good[k + 1:]
+            with pytest.raises(NotAPointError) as info:
+                make(*args)
+            assert str(info.value) == f"construction point {k + 1} of {n} is not a conformal point"
+
+    def test_make_constructors_classify_the_builders_blade(self, rng):
+        def outcome(call):
+            try:
+                obj = call()
+            except GAError as exc:
+                return type(exc).__name__, str(exc)
+            return obj.kind, obj.mv.coeffs.tobytes(), repr(obj.params)
+
+        kinds = set()
+        for _ in range(20):
+            pts = [rand_point(rng) for _ in range(4)]
+            P = [w * embed_point(p) for w, p in zip(10 ** rng.uniform(-3, 3, 4), pts)]
+            for name, (make, n) in CONSTRUCTORS.items():
+                want = outcome(lambda: classify(wedge_points(*P[:n], with_inf=name in ("flat_point", "line", "plane"))))
+                assert outcome(lambda: make(*P[:n])) == want, name
+                kinds.add(want[0])
+        assert kinds >= {"point_pair", "circle", "sphere", "flat_point", "line", "plane"}
+
+    def test_far_ipns_sphere_is_built_where_classify_refuses(self):
+        sigma = sphere_vector([300.0, 0.0, 0.0], 1.0)
+        assert sigma == embed_point([300.0, 0.0, 0.0]) - 0.5 * einf
+        with pytest.raises(DegenerateError, match="no finite carrier"):
+            sphere_ipns([300.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("center, r, message", [
+        ([0.0, 0.0, 0.0], float("nan"), "sphere radius nan is not finite"),
+        ([0.0, 0.0, 0.0], float("inf"), "sphere radius inf is not finite"),
+        ([0.0, 0.0, 0.0], -1.0, "negative radius -1.0"),
+        ([0.0, 0.0, 0.0], 1e200, "sphere radius 1e+200 overflows: r^2/2 is not finite"),
+        ([float("nan"), 0.0, 0.0], 1.0, "sphere center coordinate nan is not finite"),
+        ([0.0, float("-inf"), 0.0], 1.0, "sphere center coordinate -inf is not finite"),
+    ], ids=["nan-radius", "inf-radius", "negative-radius", "overflowing-radius", "nan-center", "inf-center"])
+    def test_one_radius_check(self, center, r, message):
+        for build in (sphere_vector, sphere_ipns, reflector_sphere):
+            with pytest.raises(DomainError) as info:
+                build(center, r)
+            assert str(info.value) == message, build
+
+    def test_ipns_plane_is_built_without_the_mirror_certificate(self):
+        assert plane_vector([2.0, 0.0, 0.0], 1e5) == e1 + 1e5 * einf
+        assert classify(plane_vector([2.0, 0.0, 0.0], 1e5)).kind == "plane"
+        with pytest.raises(SingularVersorError):
+            reflector_plane([2.0, 0.0, 0.0], 1e5)

@@ -18,6 +18,7 @@ from confga import (
     DomainError,
     GAError,
     GradeError,
+    NotAPointError,
     ParseError,
     UnboundNameError,
     apply,
@@ -43,11 +44,11 @@ from confga import (
     translator,
     versor_inverse,
 )
-from confga.conformal import ALG, e0, e1, e2, e3, einf
+from confga.conformal import ALG, e0, e1, e2, e3, einf, plane_vector, sphere_vector, wedge_points
 from confga import expr as expr_module
 from confga.expr import default_env, evaluate, parse, tokenize
 
-from conftest import assert_mv_close
+from conftest import assert_mv_close, outcome
 
 e12 = e1 ^ e2
 
@@ -458,6 +459,99 @@ class TestEval:
         env = default_env()
         env["P"] = embed_point([1.0, 2.0, 3.0])
         assert_mv_close(evaluate(parse("P ^ einf"), env), embed_point([1, 2, 3]) ^ einf)
+
+
+# -- object constructors against the library -----------------------------------
+
+# name -> (the library constructor, conformal's builder that it classifies or certifies)
+_OBJECT_FORMS = {
+    "pair": (make_point_pair, wedge_points),
+    "circle": (make_circle, wedge_points),
+    "sphere": (make_sphere_opns, wedge_points),
+    "line": (make_line, lambda *P: wedge_points(*P, with_inf=True)),
+    "plane": (make_plane_opns, lambda *P: wedge_points(*P, with_inf=True)),
+    "flat_point": (make_flat_point, lambda P: wedge_points(P, with_inf=True)),
+    "sphere(nnnn)": (lambda x, y, z, r: sphere_ipns([x, y, z], r), lambda x, y, z, r: sphere_vector([x, y, z], r)),
+    "plane(nnnn)": (lambda x, y, z, d: reflector_plane([x, y, z], d), lambda x, y, z, d: plane_vector([x, y, z], d)),
+    "flat_point(nnn)": (lambda x, y, z: make_flat_point(embed_point([x, y, z])),
+                        lambda x, y, z: wedge_points(embed_point([x, y, z]), with_inf=True)),
+}
+_POINT_COUNT = {"pair": 2, "circle": 3, "sphere": 4, "line": 2, "plane": 3, "flat_point": 1}
+
+
+def _far_center(rng):
+    d = rng.normal(size=3)
+    return 10 ** rng.uniform(0, 4) * d / np.linalg.norm(d)
+
+
+def _constructor_cases(rng, form):
+    """(arguments, expression text, names bound to points) for one seeded call: points at
+    offsets 10^0 to 10^4 and weights 1e-3 to 1e3 of either sign, some coincident, some with
+    one point repeated at another weight, four concyclic or three collinear."""
+    c = _far_center(rng)
+    if form in _POINT_COUNT:
+        n = _POINT_COUNT[form]
+        dirs = rng.normal(size=(n, 3))
+        pts = c + rng.uniform(0.5, 2.0) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        roll = rng.random()
+        if roll < 0.15 and n == 4:  # concyclic: on a circle about c
+            phis = rng.uniform(0, 2 * np.pi, 4)
+            pts = c + np.stack([np.cos(phis), np.sin(phis), np.zeros(4)], axis=1)
+        elif roll < 0.15 and n == 3:  # collinear
+            pts = c + np.outer([0.0, 1.0, 2.5], dirs[0])
+        weights = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, 3, n)
+        P = [w * embed_point(p) for w, p in zip(weights, pts)]
+        if n > 1 and roll > 0.85:  # the last point coincides with the first, or is it at another weight
+            P[-1] = P[0] if roll > 0.92 else 2.0 * P[0]
+        names = {f"P{k}": mv for k, mv in enumerate(P)}
+        return P, f"{form}({', '.join(names)})", names
+    if form == "sphere(nnnn)":
+        args = [*c, float(rng.choice([0.0, -0.5, rng.uniform(0.5, 2.0)], p=[0.1, 0.1, 0.8]))]
+    elif form == "plane(nnnn)":
+        d = rng.normal(size=3) * 10 ** rng.uniform(-1, 1) if rng.random() < 0.9 else np.zeros(3)
+        args = [*d, float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(0, 5.5))]
+    else:
+        args = list(c)
+    args = [float(a) for a in args]
+    return args, f"{form.split('(')[0]}({', '.join(map(repr, args))})", {}
+
+
+@pytest.mark.parametrize("form", sorted(_OBJECT_FORMS))
+def test_object_constructors_return_the_builders_blade(form):
+    """Seeded differential: each expression constructor returns its builder's blade, so it has
+    the bytes of the library constructor's .mv wherever the library accepts, and the library's
+    error class and message wherever the builder refuses. Where only the library's classification
+    or mirror certificate refuses (far rounds, far planes), the expression prints the blade."""
+    library, builder = _OBJECT_FORMS[form]
+    rng = np.random.default_rng(sum(map(ord, form)))
+    seen = {"gives": 0, "library only": 0}
+    for _ in range(150):
+        args, text, names = _constructor_cases(rng, form)
+        got = outcome(lambda: evaluate(parse(text), {**default_env(), **names}))
+        built = outcome(builder, *args)
+        lib = outcome(lambda: library(*args).mv)
+        assert got == built, text
+        if lib[0] == "gives" or built[0] == "raises":
+            assert got == lib, text
+        key = got[0] if lib[0] == "gives" else "library only" if built[0] == "gives" else lib[2]
+        seen[key] = seen.get(key, 0) + 1
+    assert seen["gives"] >= 30, seen
+    if form in ("pair", "circle", "sphere", "sphere(nnnn)", "plane(nnnn)"):  # classify or the mirror refuses far ones
+        assert seen["library only"] >= 1, seen
+    if form in _POINT_COUNT and form != "flat_point":
+        assert seen.keys() >= {"coincident points", "wedge of construction points vanishes"}, seen
+
+
+@pytest.mark.parametrize("form", sorted(_POINT_COUNT) + ["mirror_line"])
+def test_non_point_arguments_raise_not_a_point(form):
+    n = _POINT_COUNT.get(form, 2)
+    good = [f"point({k}, {k * k}, {1 - k})" for k in range(n)]
+    for bad in ["e1", "einf", "e1 ^ e2", "sphere(0, 0, 0, 1)", "sphere(300, 0, 0, 1)", "point(1e9, 0, 0)"]:
+        for k in range(n):
+            text = f"{form}({', '.join(good[:k] + [bad] + good[k + 1:])})"
+            with pytest.raises(NotAPointError) as info:
+                ev(text)
+            assert str(info.value) == f"construction point {k + 1} of {n} is not a conformal point", text
 
 
 # -- render round trip --------------------------------------------------------

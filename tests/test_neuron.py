@@ -426,6 +426,18 @@ class TestTrain:
             new_neuron(*args)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: from_versor(v, "bogus"), "mode must be one of ('twisted-adjoint', 'paper-literal'), got 'bogus'"),
+        (lambda v: GeometricNeuron(w=v.mv.coeffs.copy(), theta=np.zeros(32), parity="bogus"),
+         "parity must be one of ('even', 'odd'), got 'bogus'"),
+        (lambda v: GeometricNeuron(w=v.mv.coeffs.copy(), theta=np.zeros(32), parity="odd", mode="literal"),
+         "mode must be one of ('twisted-adjoint', 'paper-literal'), got 'literal'"),
+    ], ids=["from-versor-mode", "direct-parity", "direct-mode"])
+    def test_every_neuron_refuses_a_bad_parity_or_mode(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build(reflector_plane([1.0, 0.0, 0.0], 0.5))
+        assert str(info.value) == message
+
 
 class TestDataset:
     def test_deterministic(self):

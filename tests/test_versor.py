@@ -309,6 +309,53 @@ class TestPointMirror:
         with pytest.raises(SingularVersorError):
             compose([v, v])
 
+    @pytest.mark.parametrize("x", [1.0, 3e2, 1e4, 1e6, 1e7])
+    def test_applies_out_to_1e7(self, x):
+        P = embed_point([x, -x / 3.0, 0.5])
+        v = reflector_point([x, -x / 3.0, 0.5])
+        assert v.is_null
+        assert_proportional(apply(v, embed_point([1.0, 2.0, 3.0]), "reflection"), P, tol=1e-9)
+
+    @pytest.mark.parametrize("mv", [
+        translator([4e4, 0.0, 0.0]).mv * translator([4e4, 0.0, 0.0]).mv,  # even: no point
+        e1 + 1e5 * einf,  # no e0 weight
+        embed_point([300.0, 0.0, 0.0]) - 0.5 * einf,  # a sphere of radius 1
+        embed_point([1e9, 0.0, 0.0]),  # its e0 weight rounds to 0
+    ], ids=["translator-product", "far-plane", "far-sphere", "weight-lost-point"])
+    def test_allow_null_refuses_a_vanishing_non_point(self, mv):
+        with pytest.raises(SingularVersorError, match=r"^v \* ~v vanishes; versor is not invertible$"):
+            make_versor(mv, allow_null=True)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: translator([NAN, 0.0, 0.0]), "translation coordinate nan is not finite"),
+    (lambda: translator([0.0, -INF, 0.0]), "translation coordinate -inf is not finite"),
+    (lambda: reflector_plane([1.0, 0.0, 0.0], INF), "plane distance inf is not finite"),
+    (lambda: reflector_plane([1.0, 0.0, 0.0], NAN), "plane distance nan is not finite"),
+    (lambda: reflector_plane([NAN, 0.0, 1.0], 1.0), "plane normal coordinate nan is not finite"),
+    (lambda: reflector_plane([0.0, INF, 0.0], 1.0), "plane normal coordinate inf is not finite"),
+    (lambda: reflector_sphere([0.0, 0.0, 0.0], NAN), "sphere radius nan is not finite"),
+    (lambda: reflector_sphere([0.0, 0.0, 0.0], INF), "sphere radius inf is not finite"),
+    (lambda: reflector_sphere([0.0, 0.0, NAN], 1.0), "sphere center coordinate nan is not finite"),
+    (lambda: sphere_ipns([0.0, 0.0, 0.0], NAN), "sphere radius nan is not finite"),
+    (lambda: rotor(e12, INF), "rotation angle inf is not finite"),
+    (lambda: rotor(e12, NAN), "rotation angle nan is not finite"),
+    (lambda: motor(e12, -INF, [0.0, 0.0, 0.0]), "rotation angle -inf is not finite"),
+    (lambda: motor(e12, 0.5, [0.0, 0.0, NAN]), "translation coordinate nan is not finite"),
+    (lambda: scalor(INF), "scale factor inf is not finite"),
+    (lambda: scalor(NAN), "scale factor nan is not finite"),
+    (lambda: scalor(2.0, [INF, 0.0, 0.0]), "scale center coordinate inf is not finite"),
+], ids=["translator-nan", "translator-inf", "plane-d-inf", "plane-d-nan", "plane-n-nan", "plane-n-inf",
+        "sphere-mirror-r-nan", "sphere-mirror-r-inf", "sphere-mirror-c-nan", "sphere-ipns-r-nan", "rotor-inf",
+        "rotor-nan", "motor-angle-inf", "motor-t-nan", "scalor-inf", "scalor-nan", "scalor-center-inf"])
+def test_non_finite_argument_is_refused_by_name(build, message):
+    with pytest.raises(DomainError) as info:  # any RuntimeWarning on the way is an error in this suite
+        build()
+    assert str(info.value) == message
+
 
 class TestLineMirror:
     def test_x_axis_form(self):
