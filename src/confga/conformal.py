@@ -16,8 +16,9 @@ sigma = P(center) - (1/2) r^2 einf with sigma^2 = r^2.
 Each construction formula has one builder, which returns the blade:
 `wedge_points` for the blades through construction points, `sphere_vector` for
 sigma and `plane_vector` for the IPNS plane. The make_* constructors and
-`sphere_ipns` classify what it returns, the versor module's mirrors certify it,
-and the expression language returns it as built. `is_point` is the one rule
+`sphere_ipns` classify what it returns, the versor module's mirrors take it
+with the norm its formula states, and the expression language returns it as
+built. `is_point` is the one rule
 for "a conformal point at some weight"; the wedge builder and the null point
 mirror both use it. Every numeric argument of a builder must be finite.
 Classification runs one plan, built once at import: the linear maps the tree
@@ -104,6 +105,12 @@ def as_vec3(p, name: str = "vector") -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (3,):
         raise ValueError("expected a 3-component Euclidean vector")
+    return _finite_coordinates(arr, name)
+
+
+def _finite_coordinates(arr: np.ndarray, name: str) -> np.ndarray:
+    """arr, unless a coordinate is NaN or infinite: that is refused with a
+    DomainError that names the argument."""
     bad = ~np.isfinite(arr)
     if bad.any():
         raise DomainError(f"{name} coordinate {float(arr[bad][0])!r} is not finite")
@@ -118,8 +125,8 @@ def as_real(x, name: str) -> float:
     return value
 
 
-def euclid_vector(p) -> Multivector:
-    arr = as_vec3(p)
+def euclid_vector(p, name: str = "vector") -> Multivector:
+    arr = as_vec3(p, name)
     return arr[0] * e1 + arr[1] * e2 + arr[2] * e3
 
 
@@ -164,9 +171,11 @@ def embed_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected an (N, 3) array of Euclidean points")
-    bad = ~np.isfinite(pts)
-    if bad.any():
-        raise DomainError(f"point coordinate {float(pts[bad][0])!r} is not finite")
+    return _embed(_finite_coordinates(pts, "point"))
+
+
+def _embed(pts: np.ndarray) -> np.ndarray:
+    """`embed_points` of an (N, 3) array whose coordinates are checked finite."""
     with np.errstate(over="ignore"):
         half = 0.5 * _sq_norms(pts)
     overflow = ~np.isfinite(half)
@@ -179,9 +188,10 @@ def embed_points(points) -> np.ndarray:
     return out
 
 
-def embed_point(p) -> Multivector:
-    """P = p + (1/2) p^2 einf + e0; the one-row case of `embed_points`."""
-    return Multivector(ALG, embed_points(as_vec3(p, "point")[None, :])[0], copy=False)
+def embed_point(p, name: str = "point") -> Multivector:
+    """P = p + (1/2) p^2 einf + e0; the one-row case of `embed_points`, its
+    coordinates checked once, by `as_vec3` under `name`."""
+    return Multivector(ALG, _embed(as_vec3(p, name)[None, :])[0], copy=False)
 
 
 def extract_point(P: Multivector) -> np.ndarray:
@@ -272,7 +282,7 @@ def sphere_vector(center, r: float) -> Multivector:
     half_r2 = 0.5 * r * r
     if not math.isfinite(half_r2):
         raise DomainError(f"sphere radius {r!r} overflows: r^2/2 is not finite")
-    return embed_point(as_vec3(center, "sphere center")) - half_r2 * einf
+    return embed_point(center, "sphere center") - half_r2 * einf
 
 
 def plane_vector(n, d: float) -> Multivector:

@@ -21,12 +21,14 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 (-1)^p; the two agree on odd-grade arguments and differ by an overall
 (projectively invisible) sign on even ones.
 
-`make_versor` accepts v when v ~v is a nonzero scalar, by the algebra's one
-certificate (`algebra.scalar_product`), which `versor_inverse`, `exp_special`
-and `rotor` share. The plane and sphere mirrors certify the vectors that
-`conformal.plane_vector` and `conformal.sphere_vector` build. Every numeric
-argument must be finite: a NaN or infinity is refused with a DomainError that
-names it, before any arithmetic.
+Each closed form (the mirrors, rotor, translator, scalor, and compose of
+them) is a product of reflections, so its formula states its norm <v ~v>_0:
+1, r^2 for a sphere mirror, the product of its factors' norms for compose.
+It is built with that norm and no numeric re-check, which would refuse exact
+versors far from the origin. `make_versor` is for multivectors a user writes:
+it accepts v when v ~v is a nonzero scalar, by the algebra's one certificate
+(`algebra.scalar_product`). Every numeric argument must be finite: a NaN or
+infinity is refused with a DomainError that names it, before any arithmetic.
 
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
 folded in (`_action_matrix`, shared with the neuron), so `apply` on an
@@ -111,19 +113,31 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
     return Versor(mv, parity, s, ~mv / s)
 
 
+def _certified(factors: Sequence[Multivector], parity: str, norm2: float) -> Versor:
+    """The versor of a closed form: the product of its factors, left to right,
+    with the norm <v ~v>_0 its formula states. A product or an inverse that
+    is not finite (an overflow, or a norm that is 0 or underflows) is refused
+    with a DomainError naming both quantities."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mv = math.prod(factors)  # 1 * f0 is f0 exactly, then f0 * f1 * ... left to right
+        inv = ~mv / norm2
+    if not (math.isfinite(norm2) and np.isfinite(inv.coeffs).all()):
+        big = max(f.max_abs() for f in factors)
+        raise DomainError(f"versor overflows or has no inverse: <v ~v>_0 = {norm2!r}, largest factor coefficient {big!r}")
+    return Versor(mv, parity, norm2, inv)
+
+
 # -- mirrors ------------------------------------------------------------------
 
 
 def reflector_plane(n, d: float) -> Versor:
     """Mirror in the plane {x : unit(n) . x = d}: the plane vector mu, mu^2 = 1."""
-    return make_versor(plane_vector(n, d))
+    return _certified([plane_vector(n, d)], "odd", 1.0)
 
 
 def reflector_sphere(center, r: float) -> Versor:
-    """Inversion in the sphere: the sphere vector sigma, sigma^2 = r^2, r > 0."""
-    if r == 0:
-        raise DomainError(f"sphere mirror needs r > 0, got {r}")
-    return make_versor(sphere_vector(center, r))
+    """Inversion in the sphere: the sphere vector sigma, sigma^2 = r^2 > 0."""
+    return _certified([sphere_vector(center, r)], "odd", float(r) * float(r))
 
 
 def reflector_point(p) -> Versor:
@@ -140,8 +154,7 @@ def reflector_line(line) -> Versor:
     foot = d | euclid_bivector(obj.params["moment"])
     p0 = np.array([foot.coeff(0b001), foot.coeff(0b010), foot.coeff(0b100)])
     plane = d | I3  # unit bivector orthogonal to the line direction
-    mv = translator(-p0).mv * plane * translator(p0).mv
-    return make_versor(mv)
+    return _certified([translator(-p0).mv, plane, translator(p0).mv], "even", 1.0)
 
 
 # -- motions ------------------------------------------------------------------
@@ -157,13 +170,12 @@ def rotor(i: Multivector, theta: float) -> Versor:
     if s is None or s >= 0:
         raise DomainError("rotation plane must square to a negative scalar")
     unit = i / math.sqrt(-s)
-    return make_versor(exp_special((0.5 * theta) * unit))
+    return _certified([exp_special((0.5 * theta) * unit)], "even", 1.0)
 
 
 def translator(t) -> Versor:
     """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
-    tv = euclid_vector(as_vec3(t, "translation"))
-    return make_versor(ALG.scalar(1.0) + 0.5 * (tv ^ einf))
+    return _certified([ALG.scalar(1.0) + 0.5 * (euclid_vector(t, "translation") ^ einf)], "even", 1.0)
 
 
 def motor(i: Multivector, theta: float, t) -> Versor:
@@ -179,9 +191,7 @@ def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
         raise DomainError(f"scale factor must be positive, got {s}")
     core = exp_special((0.5 * math.log(s)) * E)
     c = as_vec3(center, "scale center")
-    if np.all(c == 0.0):
-        return make_versor(core)
-    return make_versor(translator(-c).mv * core * translator(c).mv)
+    return _certified([translator(-c).mv, core, translator(c).mv], "even", 1.0)
 
 
 # -- action -------------------------------------------------------------------
@@ -222,7 +232,10 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     elif not isinstance(X, np.ndarray):
         raise TypeError(f"apply takes a Multivector, a ConformalObject or an (N, dim) array, not {type(X).__name__}")
     left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
-    K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
+    if not np.isfinite(K).all():
+        raise DomainError(f"the versor's action overflows; its largest coefficient is {v.mv.max_abs()!r}")
     if isinstance(X, np.ndarray):
         return X @ K.T
     out = Multivector(ALG, (mv.coeffs[None, :] @ K.T)[0], copy=False)
@@ -230,10 +243,9 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
 
 
 def compose(versors: Sequence[Versor]) -> Versor:
-    """Product in application order: compose([a, b]) acts as a then b."""
-    acc = ALG.scalar(1.0)
-    for v in versors:
-        if v.is_null:
-            raise SingularVersorError("cannot compose a degenerate point mirror")
-        acc = acc * v.mv
-    return make_versor(acc)
+    """Product in application order: compose([a, b]) acts as a then b. Its norm
+    is the product of the factors' norms, since (ab)~(ab) = a (b ~b) ~a."""
+    if any(v.is_null for v in versors):
+        raise SingularVersorError("cannot compose a degenerate point mirror")
+    parity = "odd" if sum(v.parity == "odd" for v in versors) % 2 else "even"
+    return _certified([ALG.scalar(1.0), *(v.mv for v in versors)], parity, math.prod(v.norm2 for v in versors))

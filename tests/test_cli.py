@@ -115,7 +115,7 @@ class TestEval:
         ("~motion", "mode names are only valid as the last argument of apply"),
         ("1e308*10*e1", "overflows"),
         ("e1*1e200*1e200", "overflows"),
-        ("translator(1e200,0,0)", "v * ~v overflows"),
+        ("apply(translator(1e200,0,0), point(0,0,0), motion)", "v * ~v overflows"),
         ("rotor(e12,1e300)", "the square of exp's argument overflows"),
         ("exp(1e300*e12)", "the square of exp's argument overflows"),
         ("exp(1000*e1-)", "exp's argument is too large"),
@@ -178,6 +178,35 @@ class TestNullVersor:
         result = runner.invoke(main, ["eval", "sphere(300,0,0,1)"])
         assert result.exit_code == 0, result.stderr
         assert eval_expression(result.stdout) == embed_point([300.0, 0.0, 0.0]) - 0.5 * einf
+
+
+class TestFarClosedForms:
+    """The closed forms state their own norm, so exact versors far from the origin print;
+    `apply` in an expression still certifies its versor numerically."""
+
+    def test_plane_mirror_is_the_plane(self, runner):
+        mirror = runner.invoke(main, ["eval", "mirror_plane(1,0,0,5e4)"])
+        plane = runner.invoke(main, ["eval", "plane(1,0,0,5e4)"])
+        assert mirror.exit_code == 0 and plane.exit_code == 0, mirror.stderr
+        assert mirror.stdout == plane.stdout == "e1 + 50000*e+ + 50000*e-\n"
+
+    def test_far_translator_prints(self, runner):
+        result = runner.invoke(main, ["eval", "translator(1e6,0,0)"])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == "1 + 500000*e1+ + 500000*e1-\n"
+
+    def test_chain_of_far_translators(self, runner, tmp_path):
+        scene_path = write_point_scene(tmp_path / "s.json", include_versor=False)
+        result = runner.invoke(main, [
+            "transform", "--scene", str(scene_path),
+            "--chain", "translator(4e4,0,0)", "--chain", "translator(4e4,0,0)", "--mode", "motion",
+        ])
+        assert result.exit_code == 0, result.stderr
+        out = tmp_path / "moved.json"
+        out.write_text(result.output)
+        moved = read_scene(out).objects
+        for name, x in (("p", 80001.0), ("q", 80000.0)):
+            np.testing.assert_allclose(moved[name].coeffs, embed_point([x, 0.0, 0.0]).coeffs, rtol=1e-12)
 
 
 class TestDeepInput:

@@ -29,6 +29,7 @@ _CALLS = ["point", "translator", "rotor", "apply", "dual", "inv", "exp", "grade"
 _KNOWN = [
     "motion + foo", "e0(1)", "foo(1 +", "exp(1e6*e1- + 999999.75148*e12)", "exp(1000*e1-)", "(" * 1001 + "1",
     "apply(translator(1,0,0), 1e308*e1 + 1e308*e+ + 1e308*e-, motion)", "--", "--format", "-", "",
+    "translator(1e200,0,0)", "scalor(2,1e200,0,0)", "mirror_sphere(0,0,0,1e-160)", "mirror_sphere(0,0,0,0)",
 ]
 
 

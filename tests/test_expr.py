@@ -521,7 +521,8 @@ def test_object_constructors_return_the_builders_blade(form):
     """Seeded differential: each expression constructor returns its builder's blade, so it has
     the bytes of the library constructor's .mv wherever the library accepts, and the library's
     error class and message wherever the builder refuses. Where only the library's classification
-    or mirror certificate refuses (far rounds, far planes), the expression prints the blade."""
+    refuses (far rounds), the expression prints the blade; the plane mirror, certified by its
+    formula, accepts every plane the builder gives."""
     library, builder = _OBJECT_FORMS[form]
     rng = np.random.default_rng(sum(map(ord, form)))
     seen = {"gives": 0, "library only": 0}
@@ -536,8 +537,10 @@ def test_object_constructors_return_the_builders_blade(form):
         key = got[0] if lib[0] == "gives" else "library only" if built[0] == "gives" else lib[2]
         seen[key] = seen.get(key, 0) + 1
     assert seen["gives"] >= 30, seen
-    if form in ("pair", "circle", "sphere", "sphere(nnnn)", "plane(nnnn)"):  # classify or the mirror refuses far ones
+    if form in ("pair", "circle", "sphere", "sphere(nnnn)"):  # classify refuses far ones
         assert seen["library only"] >= 1, seen
+    if form == "plane(nnnn)":
+        assert seen["library only"] == 0, seen
     if form in _POINT_COUNT and form != "flat_point":
         assert seen.keys() >= {"coincident points", "wedge of construction points vanishes"}, seen
 

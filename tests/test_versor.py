@@ -1,6 +1,8 @@
 """Versor construction, the twisted-adjoint action, and composition."""
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,9 +35,23 @@ from confga import (
     sphere_ipns,
     translator,
 )
-from confga.conformal import ALG, E, e0, e1, e2, e3, einf, euclid_vector
+from confga.conformal import (
+    ALG,
+    E,
+    I3,
+    ConformalObject,
+    e0,
+    e1,
+    e2,
+    e3,
+    einf,
+    embed_points,
+    euclid_vector,
+    plane_vector,
+    sphere_vector,
+)
 
-from confga.algebra import scalar_product
+from confga.algebra import exp_special, scalar_product
 from conftest import (
     assert_mv_close,
     assert_proportional,
@@ -122,14 +138,16 @@ class TestRotor:
 
     def test_matches_reference_where_it_accepts(self):
         # the certificate scales the off-scalar test by max(|s|, max|i|^2), where rotor used
-        # max|i|^2 alone, so it may accept more planes, never fewer
+        # max|i|^2 alone, so it may accept more planes, never fewer. The reference certifies
+        # its rotor numerically; rotor states norm2 = 1, within rounding of the reference's.
         rng = np.random.default_rng(3)
         accepted = 0
         for c in certificate_rows():
             i, theta = ALG.mv(c), float(rng.uniform(-3, 3))
-            want = outcome(reference_rotor, i, theta)
-            if want[0] == "gives":
-                assert outcome(rotor, i, theta) == want, i
+            if outcome(reference_rotor, i, theta)[0] == "gives":
+                want, got = reference_rotor(i, theta), rotor(i, theta)
+                assert (got.parity, got.mv) == (want.parity, want.mv), i
+                assert got.norm2 == 1.0 and abs(want.norm2 - 1.0) <= scalar_rounding(got.mv), i
                 accepted += 1
         assert accepted >= 50
 
@@ -561,3 +579,231 @@ class TestActionMatrix:
         # a sequence of multivectors is refused, not stacked
         with pytest.raises(TypeError, match="list"):
             apply(R, [e1, e2], "motion")
+
+
+# -- closed forms: the norm their formula states -------------------------------
+
+U = 2.0 ** -53  # unit roundoff of float64
+EUCLID, PLUS, MINUS = [1, 2, 4], 8, 16  # coefficient indices of e1, e2, e3, e+, e-
+
+
+def scalar_rounding(mv):
+    """8 u sum v_i^2: a rounding bound for the computed scalar part of v ~v, a sum of the
+    32 terms +-v_i^2, of a v whose coefficients are exact."""
+    return 8 * U * float(mv.coeffs @ mv.coeffs)
+
+
+def abs_product(*factors):
+    """|f1| o |f2| o ...: the product with every sign +1. A product of rounded factors is
+    off by at most about n u times it, coefficient by coefficient (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3), so it stands in for |v| in the
+    rounding bound of a versor whose .mv is a computed product."""
+    w = np.abs(factors[0].coeffs)
+    for f in factors[1:]:
+        w = np.abs(ALG.right_matrix(f.coeffs)) @ w
+    return w
+
+
+def unit_vector(rng):
+    d = rng.normal(size=3)
+    return d / np.linalg.norm(d)
+
+
+def line_through(p, d):
+    """The classified line through p along the unit vector d, from its parameters (moment
+    d ^ p): far out, `make_line` refuses the wedge of its points."""
+    moment = (d[0] * p[1] - d[1] * p[0], d[0] * p[2] - d[2] * p[0], d[1] * p[2] - d[2] * p[1])
+    blade = embed_point(p) ^ embed_point(p + d) ^ einf
+    return ConformalObject("line", blade, {"direction": tuple(d), "moment": moment})
+
+
+def rotate(axes, theta, q):
+    """Rotation by theta in the coordinate plane axes = (a, b), e_a towards e_b."""
+    a, b = axes
+    out = q.copy()
+    out[:, a] = math.cos(theta) * q[:, a] - math.sin(theta) * q[:, b]
+    out[:, b] = math.sin(theta) * q[:, a] + math.cos(theta) * q[:, b]
+    return out
+
+
+def reflect(n, d, q):
+    return q - 2.0 * np.outer(q @ n - d, n)
+
+
+CLOSED_FORMS = ("translator", "rotor", "motor", "scalor", "scalor-center", "plane", "sphere", "line", "glide")
+
+
+@functools.lru_cache(maxsize=None)
+def closed_forms(seed, count) -> tuple:
+    """Seeded closed forms at offsets 10^0 to 10^6 and angles across [-2 pi, 2 pi]. Each is
+    (name, versor, the factors its .mv is the product of, mode, the Euclidean map it
+    applies, the offset)."""
+    rng = np.random.default_rng(seed)
+    return tuple(form for k in range(count) for form in _closed_forms_at(rng, k))
+
+
+def _closed_forms_at(rng, k):
+    planes = [(e12, (0, 1)), (e23, (1, 2)), (2.5 * (e1 ^ e3), (0, 2))]
+    off = float(10 ** rng.uniform(0, 6))
+    c, n, dl = off * unit_vector(rng), unit_vector(rng), unit_vector(rng)
+    theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+    i, axes = planes[k % 3]
+    d, r, s = off * float(rng.choice([-1.0, 1.0])), float(10 ** rng.uniform(-1, 1)), float(2 ** rng.uniform(-1, 1))
+    T, Tm, core = translator(c).mv, translator(-c).mv, exp_special((0.5 * math.log(s)) * E)
+    foot = c - dl * (dl @ c)
+    mirror = reflector_plane(n, d)
+    return [
+        ("translator", translator(c), [T], "motion", lambda q: q + c, off),
+        ("rotor", rotor(i, theta), [rotor(i, theta).mv], "motion", lambda q: rotate(axes, theta, q), 1.0),
+        ("motor", motor(i, theta, c), [T, rotor(i, theta).mv], "motion",
+         lambda q: rotate(axes, theta, q + c), off),
+        ("scalor", scalor(s), [core], "motion", lambda q: s * q, 1.0),
+        ("scalor-center", scalor(s, c), [Tm, core, T], "motion", lambda q: c + s * (q - c), off),
+        ("plane", mirror, [mirror.mv], "reflection", lambda q: reflect(n, d, q), off),
+        ("sphere", reflector_sphere(c, r), [sphere_vector(c, r)], "reflection",
+         lambda q: c + r * r * (q - c) / ((q - c) ** 2).sum(axis=1)[:, None], off),
+        ("line", reflector_line(line_through(c, dl)),
+         [translator(-foot).mv, euclid_vector(dl) | I3, translator(foot).mv], "motion",
+         lambda q: 2.0 * (c + np.outer((q - c) @ dl, dl)) - q, off),
+        ("glide", compose([mirror, translator(c)]), [mirror.mv, T], "reflection",
+         lambda q: reflect(n, d, q) + c, off),
+    ]
+
+
+def locations(rows):
+    """Euclidean location x / w of point rows, w = e- - e+, read off the coefficients:
+    classification refuses far points on its own tolerance."""
+    return rows[:, EUCLID] / (rows[:, [MINUS]] - rows[:, [PLUS]])
+
+
+class TestClosedFormCertificate:
+    """The closed forms state their norm <v ~v>_0 instead of certifying it numerically."""
+
+    def test_agrees_with_make_versor_where_it_accepts(self):
+        """Wherever the numeric certificate accepts a closed form's .mv: the same parity, a norm
+        within rounding of the computed one, and the same action on points. The bound on the
+        norm is 8 u sum w_i^2, with w = |v| for a form given by one formula (`scalar_rounding`)
+        and the absolute product of its factors for one computed as a product (scalor about a
+        centre reaches about 500 times 8 u sum v_i^2, since its .mv carries the rounding of two
+        products).
+        The two inverses differ by the factor s / norm2, which rescales every row of `apply`;
+        with it taken out, the rows agree to 1e-13 of the sum of absolute terms they add up."""
+        rng = np.random.default_rng(41)
+        accepted, refused = Counter(), Counter()
+        for name, v, factors, mode, _, off in closed_forms(17, 200):
+            try:
+                ref = make_versor(v.mv)
+            except SingularVersorError:
+                refused[name] += 1
+                continue
+            accepted[name] += 1
+            assert ref.parity == v.parity, name
+            w = abs_product(*factors)
+            assert abs(v.norm2 - ref.norm2) <= 8 * U * float(w @ w), (name, off)
+            if len(factors) == 1:
+                assert abs(v.norm2 - ref.norm2) <= scalar_rounding(v.mv), (name, off)
+            c = off * unit_vector(rng)
+            X = embed_points(np.vstack([rng.uniform(-3, 3, (2, 3)), c + rng.uniform(-3, 3, (2, 3))]))
+            got, want = apply(v, X, mode) * v.norm2, apply(ref, X, mode) * ref.norm2
+            K = np.abs(ALG.left_matrix((~v.mv).coeffs)) @ np.abs(ALG.right_matrix(v.mv.coeffs))
+            size = (np.abs(X) @ K.T).max(axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * size), (name, off)
+        assert set(accepted) == set(CLOSED_FORMS) and min(accepted.values()) >= 60, accepted
+        # far out the numeric test calls the norm zero for every form but the rotor and scalor
+        assert set(refused) == set(CLOSED_FORMS) - {"rotor", "scalor"}, refused
+
+    def test_far_forms_apply_the_euclidean_map(self):
+        """Where the numeric certificate refuses a far closed form, `apply` still gives the
+        Euclidean answer, to a bound that grows with u |c|^2. The action matrix has entries
+        up to about (1 + |c|)^2 (each factor of the sandwich holds |c|-sized terms), so each
+        output coefficient of a point near the origin carries a rounding of about
+        n u (1 + |c|)^2 for n summed terms, while its weight is of order 1: the location's
+        relative error is about n u (1 + |c|)^2. The bound takes 512 u (1 + |c|)^2; seeded
+        runs reach about 110."""
+        rng = np.random.default_rng(43)
+        refused = Counter()
+        for name, v, _, mode, euclid, off in closed_forms(17, 200):
+            try:
+                make_versor(v.mv)
+                continue
+            except SingularVersorError:
+                refused[name] += 1
+            P = rng.uniform(-3, 3, (4, 3))
+            want = euclid(P)
+            err = np.abs(locations(apply(v, embed_points(P), mode)) - want).max(axis=1)
+            assert np.all(err <= 512 * U * (1 + off) ** 2 * (1 + np.abs(want).max(axis=1))), (name, off)
+        assert min(refused.values()) >= 20, refused
+
+    def test_mv_is_the_formula(self):
+        """The closed forms keep the bytes of their formulas; the inverse is ~v / norm2."""
+        rng = np.random.default_rng(47)
+
+        def same(a, b):
+            return a.coeffs.tobytes() == b.coeffs.tobytes()
+
+        for _ in range(40):
+            off = float(10 ** rng.uniform(0, 6))
+            t, n = off * unit_vector(rng), unit_vector(rng)
+            theta, r = float(rng.uniform(-2 * math.pi, 2 * math.pi)), float(10 ** rng.uniform(-1, 1))
+            s = float(2 ** rng.uniform(-1, 1))
+            i = 2.5 * (e1 ^ e3)
+            core = exp_special((0.5 * math.log(s)) * E)
+            a, b = rotor(i, theta), translator(t)
+            cases = [
+                (b, ALG.scalar(1.0) + 0.5 * (euclid_vector(t) ^ einf), 1.0),
+                (a, exp_special((0.5 * theta) * (i / 2.5)), 1.0),
+                (reflector_plane(n, off), plane_vector(n, off), 1.0),
+                (reflector_sphere(t, r), sphere_vector(t, r), r * r),
+                (scalor(s), core, 1.0),
+                (scalor(s, t), translator(-t).mv * core * translator(t).mv, 1.0),
+                (motor(i, theta, t), b.mv * a.mv, 1.0),
+                (compose([b, a, reflector_sphere(t, r)]), b.mv * a.mv * sphere_vector(t, r), r * r),
+            ]
+            for v, mv, norm2 in cases:
+                assert same(v.mv, mv) and v.norm2 == norm2, v
+                assert same(v.inv, ~v.mv / norm2), v
+
+    def test_scalor_about_the_origin_is_its_core(self):
+        """T(0) core T(0) is core bit for bit, signs of zeros included, so scalor needs no
+        branch for a zero centre."""
+        for s in 10 ** np.random.default_rng(53).uniform(-300, 300, 400):
+            core = exp_special((0.5 * math.log(float(s))) * E)
+            assert scalor(float(s)).mv.coeffs.tobytes() == core.coeffs.tobytes(), s
+
+    @pytest.mark.parametrize("build, norm2, p, want", [
+        (lambda: translator([1e6, 0.0, 0.0]), 1.0, [1.0, 2.0, 3.0], [1e6 + 1.0, 2.0, 3.0]),
+        (lambda: reflector_plane([1.0, 0.0, 0.0], 5e4), 1.0, [1.0, 2.0, 3.0], [1e5 - 1.0, 2.0, 3.0]),
+        (lambda: reflector_sphere([1e3, 0.0, 0.0], 1.5), 2.25, [0.0, 0.0, 0.0], [1e3 - 2.25e-3, 0.0, 0.0]),
+        (lambda: compose([translator([4e4, 0.0, 0.0])] * 2), 1.0, [1.0, 2.0, 3.0], [8e4 + 1.0, 2.0, 3.0]),
+    ], ids=["translator-1e6", "plane-5e4", "sphere-1e3", "translator-product-8e4"])
+    def test_far_versors_are_accepted(self, build, norm2, p, want):
+        """Exact versors that the numeric test refuses, as it still does for a user's v."""
+        v = build()
+        assert v.norm2 == norm2 and not v.is_null
+        with pytest.raises(SingularVersorError):
+            make_versor(v.mv)
+        mode = "motion" if v.parity == "even" else "reflection"
+        got = locations(apply(v, embed_point(p), mode).coeffs[None, :])[0]
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+class TestOverflowGuards:
+    """Without the numeric certificate, `apply` and `compose` refuse what overflows themselves."""
+
+    def test_apply_refuses_an_action_matrix_that_overflows(self):
+        v = translator([1e200, 0.0, 0.0])  # an exact versor: T ~T = 1
+        with pytest.raises(DomainError) as info:  # any RuntimeWarning on the way is an error in this suite
+            apply(v, embed_point([0.0, 0.0, 0.0]), "motion")
+        assert str(info.value) == "the versor's action overflows; its largest coefficient is 5e+199"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: compose([translator([1e200, 0.0, 0.0])] * 2), "<v ~v>_0 = 1.0, largest factor coefficient 5e+199"),
+        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "<v ~v>_0 = 1.0, largest factor coefficient 5e+199"),
+        (lambda: compose([make_versor(1e100 * e1)] * 2), "<v ~v>_0 = inf, largest factor coefficient 1e+100"),
+        (lambda: reflector_sphere([0.0, 0.0, 0.0], 1e-160), "<v ~v>_0 = 1e-320, largest factor coefficient 0.5"),
+        (lambda: reflector_sphere([0.0, 0.0, 0.0], 0.0), "<v ~v>_0 = 0.0, largest factor coefficient 0.5"),
+    ], ids=["compose-product", "scalor-product", "compose-norm", "sphere-norm-underflows", "sphere-radius-0"])
+    def test_closed_form_that_is_not_finite_is_refused(self, build, message):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == "versor overflows or has no inverse: " + message
