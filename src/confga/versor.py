@@ -24,11 +24,14 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 Each closed form (the mirrors, rotor, translator, scalor, and compose of
 them) is a product of reflections, so its formula states its norm <v ~v>_0:
 1, r^2 for a sphere mirror, the product of its factors' norms for compose.
-It is built with that norm and no numeric re-check, which would refuse exact
-versors far from the origin. `make_versor` is for multivectors a user writes:
-it accepts v when v ~v is a nonzero scalar, by the algebra's one certificate
-(`algebra.scalar_product`). Every numeric argument must be finite: a NaN or
-infinity is refused with a DomainError that names it, before any arithmetic.
+It is built with that norm and no numeric re-check of it, which would refuse
+exact versors far from the origin. What it does check is range: a closed
+form whose action on points near the origin would be all rounding, or would
+overflow, is refused (`_certified`). `make_versor` is for multivectors a
+user writes: it accepts v when v ~v is a nonzero scalar, by the algebra's one
+certificate (`algebra.scalar_product`). Every numeric argument must be
+finite: a NaN or infinity is refused with a DomainError that names it, before
+any arithmetic.
 
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
 folded in (`_action_matrix`, shared with the neuron), so `apply` on an
@@ -113,17 +116,34 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
     return Versor(mv, parity, s, ~mv / s)
 
 
-def _certified(factors: Sequence[Multivector], parity: str, norm2: float) -> Versor:
-    """The versor of a closed form: the product of its factors, left to right,
-    with the norm <v ~v>_0 its formula states. A product or an inverse that
-    is not finite (an overflow, or a norm that is 0 or underflows) is refused
-    with a DomainError naming both quantities."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mv = math.prod(factors)  # 1 * f0 is f0 exactly, then f0 * f1 * ... left to right
+_LOCATION = np.vstack([np.eye(ALG.dim)[[0b001, 0b010, 0b100]], -einf.coeffs * ALG.rev_norm_signs])  # e1, e2, e3, weight
+
+
+def _certified(mv: Multivector, parity: str, norm2: float) -> Versor:
+    """The versor of a closed form: mv with the norm <v ~v>_0 its formula states.
+
+    The norm is exact, the action is not. An image coefficient is two nested
+    sums of 32 terms (K = L(v^-1) R(v), then K x), so it is off by at most
+    about 64 u times the sum of its terms' sizes (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). For a point within 3 of the
+    origin the coefficients of x add up to less than 16 in size, so the
+    relative error of the image's location is about 1024 u times the ratio of
+    the terms' size to the result's, at most, taken over K's rows for the
+    Euclidean part and for the weight. A point at distance |p| multiplies it
+    by about |p|^2 (x's e+ and e- coefficients).
+
+    That bound grows as u |c|^2 for a translator or mirror at distance |c|
+    and as u s^2 for a scalor by s > 1; where it reaches 1 the image is all
+    rounding, and the versor is refused with a DomainError naming the bound,
+    the norm and the largest coefficient. So is one whose action overflows or
+    whose norm is 0 (the bound is then NaN or infinite)."""
+    with np.errstate(all="ignore"):
         inv = ~mv / norm2
-    if not (math.isfinite(norm2) and np.isfinite(inv.coeffs).all()):
-        big = max(f.max_abs() for f in factors)
-        raise DomainError(f"versor overflows or has no inverse: <v ~v>_0 = {norm2!r}, largest factor coefficient {big!r}")
+        L, R = ALG.left_matrix(inv.coeffs), ALG.right_matrix(mv.coeffs)
+        terms, image = np.abs(_LOCATION) @ np.abs(L) @ np.abs(R), np.abs(_LOCATION @ L @ R)  # location rows of K
+        bound = 2.0**-43 * float(np.maximum(terms[:3].max() / image[:3].max(), terms[3].max() / image[3].max()))
+    if not bound < 1.0:  # NaN too
+        raise DomainError(f"versor's action on points is all rounding or overflows: error bound {bound:.3g} from <v ~v>_0 = {norm2!r} and largest coefficient {mv.max_abs()!r}")
     return Versor(mv, parity, norm2, inv)
 
 
@@ -132,12 +152,12 @@ def _certified(factors: Sequence[Multivector], parity: str, norm2: float) -> Ver
 
 def reflector_plane(n, d: float) -> Versor:
     """Mirror in the plane {x : unit(n) . x = d}: the plane vector mu, mu^2 = 1."""
-    return _certified([plane_vector(n, d)], "odd", 1.0)
+    return _certified(plane_vector(n, d), "odd", 1.0)
 
 
 def reflector_sphere(center, r: float) -> Versor:
     """Inversion in the sphere: the sphere vector sigma, sigma^2 = r^2 > 0."""
-    return _certified([sphere_vector(center, r)], "odd", float(r) * float(r))
+    return _certified(sphere_vector(center, r), "odd", float(r) * float(r))
 
 
 def reflector_point(p) -> Versor:
@@ -153,8 +173,7 @@ def reflector_line(line) -> Versor:
     d = euclid_vector(obj.params["direction"])
     foot = d | euclid_bivector(obj.params["moment"])
     p0 = np.array([foot.coeff(0b001), foot.coeff(0b010), foot.coeff(0b100)])
-    plane = d | I3  # unit bivector orthogonal to the line direction
-    return _certified([translator(-p0).mv, plane, translator(p0).mv], "even", 1.0)
+    return _certified(translator(-p0).mv * (d | I3) * translator(p0).mv, "even", 1.0)  # d | I3: the plane normal to d
 
 
 # -- motions ------------------------------------------------------------------
@@ -169,13 +188,12 @@ def rotor(i: Multivector, theta: float) -> Versor:
     s, _ = scalar_product(i, i, "the square of the rotation plane")  # a tiny plane is still a plane
     if s is None or s >= 0:
         raise DomainError("rotation plane must square to a negative scalar")
-    unit = i / math.sqrt(-s)
-    return _certified([exp_special((0.5 * theta) * unit)], "even", 1.0)
+    return _certified(exp_special((0.5 * theta) * (i / math.sqrt(-s))), "even", 1.0)
 
 
 def translator(t) -> Versor:
     """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
-    return _certified([ALG.scalar(1.0) + 0.5 * (euclid_vector(t, "translation") ^ einf)], "even", 1.0)
+    return _certified(ALG.scalar(1.0) + 0.5 * (euclid_vector(t, "translation") ^ einf), "even", 1.0)
 
 
 def motor(i: Multivector, theta: float, t) -> Versor:
@@ -189,9 +207,8 @@ def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
     s = as_real(s, "scale factor")
     if s <= 0:
         raise DomainError(f"scale factor must be positive, got {s}")
-    core = exp_special((0.5 * math.log(s)) * E)
     c = as_vec3(center, "scale center")
-    return _certified([translator(-c).mv, core, translator(c).mv], "even", 1.0)
+    return _certified(translator(-c).mv * exp_special((0.5 * math.log(s)) * E) * translator(c).mv, "even", 1.0)
 
 
 # -- action -------------------------------------------------------------------
@@ -232,10 +249,7 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     elif not isinstance(X, np.ndarray):
         raise TypeError(f"apply takes a Multivector, a ConformalObject or an (N, dim) array, not {type(X).__name__}")
     left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
-    if not np.isfinite(K).all():
-        raise DomainError(f"the versor's action overflows; its largest coefficient is {v.mv.max_abs()!r}")
+    K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
     if isinstance(X, np.ndarray):
         return X @ K.T
     out = Multivector(ALG, (mv.coeffs[None, :] @ K.T)[0], copy=False)
@@ -243,9 +257,10 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
 
 
 def compose(versors: Sequence[Versor]) -> Versor:
-    """Product in application order: compose([a, b]) acts as a then b. Its norm
-    is the product of the factors' norms, since (ab)~(ab) = a (b ~b) ~a."""
+    """Product in application order: compose([a, b]) acts as a then b, and its
+    .mv is 1 * a.mv * b.mv, left to right. Its norm is the product of the
+    factors' norms, since (ab)~(ab) = a (b ~b) ~a."""
     if any(v.is_null for v in versors):
         raise SingularVersorError("cannot compose a degenerate point mirror")
     parity = "odd" if sum(v.parity == "odd" for v in versors) % 2 else "even"
-    return _certified([ALG.scalar(1.0), *(v.mv for v in versors)], parity, math.prod(v.norm2 for v in versors))
+    return _certified(math.prod((v.mv for v in versors), start=ALG.scalar(1.0)), parity, math.prod(v.norm2 for v in versors))

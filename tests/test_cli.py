@@ -115,7 +115,7 @@ class TestEval:
         ("~motion", "mode names are only valid as the last argument of apply"),
         ("1e308*10*e1", "overflows"),
         ("e1*1e200*1e200", "overflows"),
-        ("apply(translator(1e200,0,0), point(0,0,0), motion)", "v * ~v overflows"),
+        ("translator(1e200,0,0)", "versor's action on points is all rounding or overflows: error bound nan"),
         ("rotor(e12,1e300)", "the square of exp's argument overflows"),
         ("exp(1e300*e12)", "the square of exp's argument overflows"),
         ("exp(1000*e1-)", "exp's argument is too large"),
@@ -181,8 +181,9 @@ class TestNullVersor:
 
 
 class TestFarClosedForms:
-    """The closed forms state their own norm, so exact versors far from the origin print;
-    `apply` in an expression still certifies its versor numerically."""
+    """The closed forms state their own norm, so exact versors far from the origin print, up
+    to the range where their action is all rounding; `apply` in an expression still certifies
+    its versor numerically."""
 
     def test_plane_mirror_is_the_plane(self, runner):
         mirror = runner.invoke(main, ["eval", "mirror_plane(1,0,0,5e4)"])
@@ -207,6 +208,16 @@ class TestFarClosedForms:
         moved = read_scene(out).objects
         for name, x in (("p", 80001.0), ("q", 80000.0)):
             np.testing.assert_allclose(moved[name].coeffs, embed_point([x, 0.0, 0.0]).coeffs, rtol=1e-12)
+
+    def test_chain_whose_action_is_rounding_exit_1(self, runner, tmp_path):
+        """Each T(6e4) passes the numeric certificate; their product T(1.5e7) is exact, but its
+        action on points near the origin would be all rounding, so compose refuses it."""
+        scene_path = write_point_scene(tmp_path / "s.json", include_versor=False)
+        chain = [arg for _ in range(250) for arg in ("--chain", "translator(6e4,0,0)")]
+        result = runner.invoke(main, ["transform", "--scene", str(scene_path), *chain, "--mode", "motion"])
+        assert result.exit_code == 1 and result.stdout == "", result.stdout
+        assert "versor's action on points is all rounding or overflows: error bound" in result.stderr
+        assert "largest coefficient 7500000.0" in result.stderr and "Traceback" not in result.stderr
 
 
 class TestDeepInput:

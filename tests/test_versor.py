@@ -35,6 +35,7 @@ from confga import (
     sphere_ipns,
     translator,
 )
+from confga.versor import Versor
 from confga.conformal import (
     ALG,
     E,
@@ -148,6 +149,7 @@ class TestRotor:
                 want, got = reference_rotor(i, theta), rotor(i, theta)
                 assert (got.parity, got.mv) == (want.parity, want.mv), i
                 assert got.norm2 == 1.0 and abs(want.norm2 - 1.0) <= scalar_rounding(got.mv), i
+                assert got.inv.coeffs.tobytes() == (~got.mv).coeffs.tobytes(), i  # ~v / 1.0
                 accepted += 1
         assert accepted >= 50
 
@@ -637,9 +639,18 @@ CLOSED_FORMS = ("translator", "rotor", "motor", "scalor", "scalor-center", "plan
 def closed_forms(seed, count) -> tuple:
     """Seeded closed forms at offsets 10^0 to 10^6 and angles across [-2 pi, 2 pi]. Each is
     (name, versor, the factors its .mv is the product of, mode, the Euclidean map it
-    applies, the offset)."""
+    applies, the offset); the versor is None where the range check refuses it."""
     rng = np.random.default_rng(seed)
-    return tuple(form for k in range(count) for form in _closed_forms_at(rng, k))
+    return tuple((name, in_range(build), *rest) for k in range(count) for name, build, *rest in _closed_forms_at(rng, k))
+
+
+def in_range(build):
+    """build(), or None where its action on points would be all rounding."""
+    try:
+        return build()
+    except DomainError as exc:
+        assert str(exc).startswith("versor's action on points is all rounding or overflows: error bound "), exc
+        return None
 
 
 def _closed_forms_at(rng, k):
@@ -653,19 +664,19 @@ def _closed_forms_at(rng, k):
     foot = c - dl * (dl @ c)
     mirror = reflector_plane(n, d)
     return [
-        ("translator", translator(c), [T], "motion", lambda q: q + c, off),
-        ("rotor", rotor(i, theta), [rotor(i, theta).mv], "motion", lambda q: rotate(axes, theta, q), 1.0),
-        ("motor", motor(i, theta, c), [T, rotor(i, theta).mv], "motion",
+        ("translator", lambda: translator(c), [T], "motion", lambda q: q + c, off),
+        ("rotor", lambda: rotor(i, theta), [rotor(i, theta).mv], "motion", lambda q: rotate(axes, theta, q), 1.0),
+        ("motor", lambda: motor(i, theta, c), [T, rotor(i, theta).mv], "motion",
          lambda q: rotate(axes, theta, q + c), off),
-        ("scalor", scalor(s), [core], "motion", lambda q: s * q, 1.0),
-        ("scalor-center", scalor(s, c), [Tm, core, T], "motion", lambda q: c + s * (q - c), off),
-        ("plane", mirror, [mirror.mv], "reflection", lambda q: reflect(n, d, q), off),
-        ("sphere", reflector_sphere(c, r), [sphere_vector(c, r)], "reflection",
+        ("scalor", lambda: scalor(s), [core], "motion", lambda q: s * q, 1.0),
+        ("scalor-center", lambda: scalor(s, c), [Tm, core, T], "motion", lambda q: c + s * (q - c), off),
+        ("plane", lambda: mirror, [mirror.mv], "reflection", lambda q: reflect(n, d, q), off),
+        ("sphere", lambda: reflector_sphere(c, r), [sphere_vector(c, r)], "reflection",
          lambda q: c + r * r * (q - c) / ((q - c) ** 2).sum(axis=1)[:, None], off),
-        ("line", reflector_line(line_through(c, dl)),
+        ("line", lambda: reflector_line(line_through(c, dl)),
          [translator(-foot).mv, euclid_vector(dl) | I3, translator(foot).mv], "motion",
          lambda q: 2.0 * (c + np.outer((q - c) @ dl, dl)) - q, off),
-        ("glide", compose([mirror, translator(c)]), [mirror.mv, T], "reflection",
+        ("glide", lambda: compose([mirror, translator(c)]), [mirror.mv, T], "reflection",
          lambda q: reflect(n, d, q) + c, off),
     ]
 
@@ -691,6 +702,10 @@ class TestClosedFormCertificate:
         rng = np.random.default_rng(41)
         accepted, refused = Counter(), Counter()
         for name, v, factors, mode, _, off in closed_forms(17, 200):
+            if v is None:  # out of range, which the numeric certificate refuses too
+                with pytest.raises(SingularVersorError):
+                    make_versor(math.prod(factors))
+                continue
             try:
                 ref = make_versor(v.mv)
             except SingularVersorError:
@@ -723,6 +738,8 @@ class TestClosedFormCertificate:
         rng = np.random.default_rng(43)
         refused = Counter()
         for name, v, _, mode, euclid, off in closed_forms(17, 200):
+            if v is None:
+                continue
             try:
                 make_versor(v.mv)
                 continue
@@ -765,10 +782,17 @@ class TestClosedFormCertificate:
 
     def test_scalor_about_the_origin_is_its_core(self):
         """T(0) core T(0) is core bit for bit, signs of zeros included, so scalor needs no
-        branch for a zero centre."""
-        for s in 10 ** np.random.default_rng(53).uniform(-300, 300, 400):
+        branch for a zero centre; scalor(s) is that core wherever s is in range."""
+        T0, kept = translator([0.0, 0.0, 0.0]).mv, 0
+        rng = np.random.default_rng(53)
+        for s in 10 ** np.concatenate([rng.uniform(-300, 300, 400), rng.uniform(-6, 6, 100)]):
             core = exp_special((0.5 * math.log(float(s))) * E)
-            assert scalor(float(s)).mv.coeffs.tobytes() == core.coeffs.tobytes(), s
+            assert (T0 * core * T0).coeffs.tobytes() == core.coeffs.tobytes(), s
+            v = in_range(lambda: scalor(float(s)))
+            if v is not None:
+                assert v.mv.coeffs.tobytes() == core.coeffs.tobytes(), s
+                kept += 1
+        assert kept >= 100, kept
 
     @pytest.mark.parametrize("build, norm2, p, want", [
         (lambda: translator([1e6, 0.0, 0.0]), 1.0, [1.0, 2.0, 3.0], [1e6 + 1.0, 2.0, 3.0]),
@@ -787,23 +811,83 @@ class TestClosedFormCertificate:
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-class TestOverflowGuards:
-    """Without the numeric certificate, `apply` and `compose` refuse what overflows themselves."""
+RANGE_REFUSAL = "versor's action on points is all rounding or overflows: error bound "
 
-    def test_apply_refuses_an_action_matrix_that_overflows(self):
-        v = translator([1e200, 0.0, 0.0])  # an exact versor: T ~T = 1
-        with pytest.raises(DomainError) as info:  # any RuntimeWarning on the way is an error in this suite
-            apply(v, embed_point([0.0, 0.0, 0.0]), "motion")
-        assert str(info.value) == "the versor's action overflows; its largest coefficient is 5e+199"
 
-    @pytest.mark.parametrize("build, message", [
-        (lambda: compose([translator([1e200, 0.0, 0.0])] * 2), "<v ~v>_0 = 1.0, largest factor coefficient 5e+199"),
-        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "<v ~v>_0 = 1.0, largest factor coefficient 5e+199"),
-        (lambda: compose([make_versor(1e100 * e1)] * 2), "<v ~v>_0 = inf, largest factor coefficient 1e+100"),
-        (lambda: reflector_sphere([0.0, 0.0, 0.0], 1e-160), "<v ~v>_0 = 1e-320, largest factor coefficient 0.5"),
-        (lambda: reflector_sphere([0.0, 0.0, 0.0], 0.0), "<v ~v>_0 = 0.0, largest factor coefficient 0.5"),
-    ], ids=["compose-product", "scalor-product", "compose-norm", "sphere-norm-underflows", "sphere-radius-0"])
-    def test_closed_form_that_is_not_finite_is_refused(self, build, message):
+def unchecked(mv, norm2=1.0):
+    """A closed form's versor without the range check: what `apply` would use."""
+    return Versor(mv, "odd" if mv.parity() == "odd" else "even", norm2, ~mv / norm2)
+
+
+class TestRangeCheck:
+    """A closed form whose action on points near the origin would be all rounding, or would
+    overflow, is refused when it is built, by a bound named in the message."""
+
+    @pytest.mark.parametrize("build, formula, norm2, euclid", [
+        (lambda: translator([1e7, 0.0, 0.0]), lambda: ALG.scalar(1.0) + 0.5 * (1e7 * e1 ^ einf), 1.0,
+         lambda q: q + [1e7, 0.0, 0.0]),
+        (lambda: compose([translator([6e4, 0.0, 0.0])] * 250), lambda: ALG.scalar(1.0) + 0.5 * (1.5e7 * e1 ^ einf),
+         1.0, lambda q: q + [1.5e7, 0.0, 0.0]),
+        (lambda: reflector_plane([1.0, 0.0, 0.0], 1e7), lambda: plane_vector([1.0, 0.0, 0.0], 1e7), 1.0,
+         lambda q: q * [-1.0, 1.0, 1.0] + [2e7, 0.0, 0.0]),
+        (lambda: reflector_sphere([1e7, 0.0, 0.0], 1.5), lambda: sphere_vector([1e7, 0.0, 0.0], 1.5), 2.25,
+         lambda q: [1e7, 0.0, 0.0] + 2.25 * (q - [1e7, 0.0, 0.0]) / ((q - [1e7, 0.0, 0.0]) ** 2).sum(axis=1)[:, None]),
+        (lambda: scalor(1e7), lambda: exp_special((0.5 * math.log(1e7)) * E), 1.0, lambda q: 1e7 * q),
+    ], ids=["translator-1e7", "chain-of-250-T(6e4)", "plane-1e7", "sphere-1e7", "scalor-1e7"])
+    def test_refuses_where_the_image_is_rounding(self, build, formula, norm2, euclid):
+        """Refused with its bound, which is at least 1; applied without the check, the same
+        versor moves points near the origin by at least 1e-4 of their image's size away
+        from the Euclidean answer, up to all of it."""
         with pytest.raises(DomainError) as info:
             build()
-        assert str(info.value) == "versor overflows or has no inverse: " + message
+        message = str(info.value)
+        assert message.startswith(RANGE_REFUSAL) and float(message[len(RANGE_REFUSAL):].split()[0]) >= 1.0
+        v = unchecked(formula(), norm2)
+        P = np.random.default_rng(59).uniform(-1.7, 1.7, (8, 3))
+        got = locations(apply(v, embed_points(P), "motion" if v.parity == "even" else "reflection"))
+        want = np.asarray(euclid(P), dtype=float)
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert not np.all(err < 1e-4), err
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: translator([1e150, 0.0, 0.0]), "1.14e+287 from <v ~v>_0 = 1.0 and largest coefficient 5e+149"),
+        (lambda: translator([1e200, 0.0, 0.0]), "nan from <v ~v>_0 = 1.0 and largest coefficient 5e+199"),
+        (lambda: scalor(1e200), "inf from <v ~v>_0 = 1.0 and largest coefficient 5.000000000000055e+99"),
+        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "nan from <v ~v>_0 = 1.0 and largest coefficient 5e+199"),
+        (lambda: compose([make_versor(1e100 * e1)] * 2), "nan from <v ~v>_0 = inf and largest coefficient 1e+200"),
+        (lambda: reflector_sphere([0.0, 0.0, 0.0], 1e-160), "nan from <v ~v>_0 = 1e-320 and largest coefficient 0.5"),
+        (lambda: reflector_sphere([0.0, 0.0, 0.0], 0.0), "nan from <v ~v>_0 = 0.0 and largest coefficient 0.5"),
+    ], ids=["translator-1e150", "translator-overflow", "scalor-1e200", "scalor-center-overflow", "compose-norm-overflow",
+            "sphere-norm-underflows", "sphere-radius-0"])
+    def test_refusal_names_the_bound_the_norm_and_the_size(self, build, message):
+        with pytest.raises(DomainError) as info:  # any RuntimeWarning on the way is an error in this suite
+            build()
+        assert str(info.value) == RANGE_REFUSAL + message
+
+    def test_bound_holds_where_it_accepts(self):
+        """Seeded forms from 10^0 out past the refusals: wherever the closed form is accepted,
+        its images of points within 3 of the origin are within 0.2 of the Euclidean answer,
+        relative. Its bound is below 1 there, and seeded runs stay under a fifth of it."""
+        rng = np.random.default_rng(61)
+        accepted = refused = 0
+        for k in range(300):
+            off = float(10 ** rng.uniform(0, 8))
+            c, n, r = off * unit_vector(rng), unit_vector(rng), float(10 ** rng.uniform(-1, 1))
+            s = float(10 ** rng.uniform(-8, 8))
+            name, build, mode, euclid = [
+                ("translator", lambda: translator(c), "motion", lambda q: q + c),
+                ("plane", lambda: reflector_plane(n, off), "reflection", lambda q: reflect(n, off, q)),
+                ("sphere", lambda: reflector_sphere(c, r), "reflection",
+                 lambda q: c + r * r * (q - c) / ((q - c) ** 2).sum(axis=1)[:, None]),
+                ("scalor", lambda: scalor(s), "motion", lambda q: s * q),
+            ][k % 4]
+            v = in_range(build)
+            if v is None:
+                refused += 1
+                continue
+            accepted += 1
+            P = rng.uniform(-1.7, 1.7, (4, 3))
+            want = euclid(P)
+            err = np.abs(locations(apply(v, embed_points(P), mode)) - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert np.all(err <= 0.2), (name, off, s, err)
+        assert accepted >= 150 and refused >= 40, (accepted, refused)
