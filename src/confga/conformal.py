@@ -27,8 +27,11 @@ null-basis coefficients of A and of A I5^-1 for planes, flat points, lines and
 a circle's normal) stacked into one (32, k) matrix, one matmul per block; the
 row-wise product kernel for A ~A (is A a blade?) with <A A>_0, then for
 <(einf | A)^2>_0 and the center <A einf A>_1 of rounds; grade masks; and
-`_LIMIT`, every tolerance decision. `classify_batch` returns each row's object
-or error, `classify` and `round_params` run it on one row and raise the error.
+`_LIMIT`, every tolerance decision, applied to a block's residuals as arrays.
+The decisions are masks that route rows to the tree's branches; each row keeps
+the first error it meets in tree order, and only its object and parameter
+tuples are built per row. `classify_batch` returns each row's object or error,
+`classify` and `round_params` run it on one row and raise the error.
 A row's result does not depend on the other rows.
 """
 
@@ -345,7 +348,7 @@ _VECTOR = tuple(np.flatnonzero(ALG.grades == 1).tolist())
 _ONE = ALG.scalar(1.0).coeffs
 # Sign fixing r^2 = sign * <A A>_0 / <(einf | A)^2>_0, by grade; verified
 # against brute-force circumcenter/circumradius solves in the test suite.
-_ROUND_SIGN = (0.0, 1.0, 1.0, -1.0, 1.0, 0.0)
+_ROUND_SIGN = np.array([0.0, 1.0, 1.0, -1.0, 1.0, 0.0])
 
 # the bilinear maps, as product tables for `row_product`
 _XOR, _SIGNS = ALG.product_tables["gp"]
@@ -382,12 +385,18 @@ def _stacked_maps() -> tuple[np.ndarray, dict]:
 _LINEAR, _COL = _stacked_maps()
 _POINT = _NULL[_VECTOR, :][:, [0b01000, 0b00001, 0b00010, 0b00100]]  # of a point's grade-1 part: w, then w p
 
-# Every tolerance decision of the tree: the limit of its residual, from one row's quantities.
+
+def _max(a, b):
+    """Python's max(a, b) row by row: b where b > a, else a, so a NaN in a is kept and one in b is not."""
+    return np.where(b > a, b, a)
+
+
+# Every tolerance decision of the tree: the limit of its residual, from the rows' quantities as arrays.
 _LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),  # counts toward its grade above this
-    "blade": lambda scale, gram0: tolerance.threshold(max(abs(gram0), scale * scale)),  # off-scalar A ~A within
+    "blade": lambda scale, gram0: tolerance.threshold(_max(abs(gram0), scale * scale)),  # off-scalar A ~A within
     "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
-    "wedge": lambda scale: tolerance.threshold(max(1.0, 2.0 * scale)),  # grade 2..4 with A ^ einf within is flat
+    "wedge": lambda scale: tolerance.threshold(_max(1.0, 2.0 * scale)),  # grade 2..4 with A ^ einf within is flat
     "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,  # a point's P^2 is within
     "finite": lambda scale: tolerance.threshold(scale),  # a point whose e0 weight is within is at infinity
     "carrier": lambda scale: tolerance.threshold(scale * scale),  # a round with <(einf | A)^2>_0 within has none
@@ -399,78 +408,81 @@ _LIMIT = {
 }
 
 
-def _clean(values: np.ndarray, by: list | None = None) -> list:
-    """Rows of values (/ by, a number per row or None) as tuples; +0.0 clears negative zeros."""
+def _fail(errors: dict, mask: np.ndarray, error: type, message: str) -> None:
+    """Give each row of mask that has no error yet this one. Checks run in tree
+    order, so a row keeps the first check it fails."""
+    for r in mask.nonzero()[0].tolist():
+        if r not in errors:
+            errors[r] = error(message)
+
+
+def _clean(values: np.ndarray, by: np.ndarray | None = None) -> list:
+    """Rows of values (/ by, a number per row, 0 for none) as tuples; +0.0 clears negative zeros."""
     if by is not None:
-        values = values / np.array([1.0 if b is None else b for b in by])[:, None]
+        values = values / np.where(by == 0.0, 1.0, by)[:, None]
     return [tuple(row) for row in (values + 0.0).tolist()]
 
 
 class _Block:
     """A block of rows through the plan's first stage: the rows X (any with a non-finite
-    coefficient zeroed), the linear maps Y = X @ _LINEAR, and per row its scale max|A|,
-    <A A>_0, and the key (grade, flat) of a blade or its error."""
+    coefficient zeroed), the linear maps Y = X @ _LINEAR, per row its scale max|A|, <A A>_0,
+    grade and flatness, and the errors of the rows that are no blade."""
 
     def __init__(self, X: np.ndarray):
         absX = np.abs(X)
         scale = np.maximum.reduce(absX, axis=1)
-        self.scale = scale.tolist()
         self.errors = errors = {}
-        if not all(map(math.isfinite, self.scale)):  # a non-finite coefficient makes max|A| inf or nan
-            bad = ~np.isfinite(X)
-            for r in bad.any(axis=1).nonzero()[0].tolist():
+        if not np.isfinite(scale).all():  # a non-finite coefficient makes max|A| inf or nan
+            bad = ~np.isfinite(X).all(axis=1)
+            for r in bad.nonzero()[0].tolist():
                 errors[r] = _non_finite(X[r])
-            X = np.where(bad.any(axis=1)[:, None], 0.0, X)  # so that the steps below stay finite
+            X = np.where(bad[:, None], 0.0, X)  # so that the steps below stay finite
             absX = np.abs(X)
             scale = np.maximum.reduce(absX, axis=1)
-            self.scale = scale.tolist()
         has = (absX > _LIMIT["coefficient"](scale)[:, None]) @ _GRADE_ONE_HOT > 0
         del absX  # before the largest temporary, the gram's
         gram = row_product(X, X, _GRAM)
-        self.X, self.Y = X, X @ _LINEAR
-        self.top, self.keys = gram[:, -1].tolist(), []
-        for r, (s, n, g, gram0, off, e0, wedge) in enumerate(zip(
-            self.scale, np.add.reduce(has, axis=1).tolist(), has.argmax(axis=1).tolist(), gram[:, 0].tolist(),
-            np.maximum.reduce(np.abs(gram[:, 1:-1]), axis=1).tolist(), self.Y[:, _COL["e0"]][:, 0].tolist(),
-            np.maximum.reduce(np.abs(self.Y[:, _COL["wedge"]]), axis=1).tolist(),
-        )):
-            key = None
-            if r in errors:
-                pass
-            elif n == 0:
-                errors[r] = UnknownObjectError("zero multivector")
-            elif n > 1:
+        self.X, self.Y, self.scale, self.top = X, X @ _LINEAR, scale, gram[:, -1]
+        count, self.grade = np.add.reduce(has, axis=1), has.argmax(axis=1)
+        _fail(errors, count == 0, UnknownObjectError, "zero multivector")
+        for r in (count > 1).nonzero()[0].tolist():
+            if r not in errors:
                 errors[r] = NotABladeError(f"grade-inhomogeneous multivector (grades {has[r].nonzero()[0].tolist()})")
-            elif not off <= _LIMIT["blade"](s, gram0):
-                errors[r] = NotABladeError("mv * ~mv is not scalar; not a blade")
-            elif g == 1:  # a vector is flat when its e0 weight vanishes
-                key = (1, abs(e0) <= _LIMIT["e0"](s))
-            else:  # a blade of grade 2..4 when A ^ einf does
-                key = (g, 2 <= g <= 4 and wedge <= _LIMIT["wedge"](s))
-            self.keys.append(key)
+        off = np.maximum.reduce(np.abs(gram[:, 1:-1]), axis=1)
+        _fail(errors, ~(off <= _LIMIT["blade"](scale, gram[:, 0])), NotABladeError, "mv * ~mv is not scalar; not a blade")
+        # a vector is flat when its e0 weight vanishes, a blade of grade 2..4 when A ^ einf does
+        e0 = np.abs(self.Y[:, _COL["e0"]][:, 0])
+        wedge = np.maximum.reduce(np.abs(self.Y[:, _COL["wedge"]]), axis=1)
+        g = self.grade
+        self.flat = np.where(g == 1, e0 <= _LIMIT["e0"](scale), (2 <= g) & (g <= 4) & (wedge <= _LIMIT["wedge"](scale)))
 
-    def rows(self, rows: list) -> tuple:
-        """X and Y of the rows (a view if all), and lists of their grades, scales and <A A>_0."""
-        pick = slice(None) if len(rows) == len(self.keys) else rows
-        return (self.X[pick], self.Y[pick], [self.keys[r][0] for r in rows],
-                [self.scale[r] for r in rows], [self.top[r] for r in rows])
+    def routes(self):
+        """Each branch of the tree that rows take, with those rows (ascending) that have no error."""
+        route = _ROUTE[2 * self.grade + self.flat]
+        route[list(self.errors)] = -1
+        for k in set(route.tolist()) - {-1}:
+            yield _BRANCH_LIST[k], (route == k).nonzero()[0]
+
+    def rows(self, rows: np.ndarray) -> tuple:
+        """X, Y, grade, scale and <A A>_0 of the rows (views if all)."""
+        pick = slice(None) if len(rows) == len(self.X) else rows
+        return self.X[pick], self.Y[pick], self.grade[pick], self.scale[pick], self.top[pick]
 
 
 def _locations(P: np.ndarray) -> tuple[np.ndarray, dict]:
     """Euclidean locations of conformal points given as rows of grade-1 coefficients,
     at any homogeneous scale, and the error of each row that is not one."""
-    weighted, errors, weights = P @ _POINT, {}, []
-    for r, (s, square, w) in enumerate(zip(np.maximum.reduce(np.abs(P), axis=1).tolist(),
-                                           row_product(P, P, _VECTOR_SCALAR)[:, 0].tolist(), weighted[:, 0].tolist())):
-        finite = abs(w) > _LIMIT["finite"](s)
-        if s == 0.0:
-            errors[r] = NotAPointError("zero multivector is not a point")
-        elif not abs(square) <= _LIMIT["null"](s):
-            errors[r] = NotAPointError("vector is not null; not a conformal point")
-        elif not finite:
-            errors[r] = PointAtInfinityError("no finite location: e0 coefficient vanishes")
-        weights.append(w if finite else 1.0)
-    return weighted[:, 1:] / np.array(weights)[:, None], errors
+    weighted, errors = P @ _POINT, {}
+    scale, w = np.maximum.reduce(np.abs(P), axis=1), weighted[:, 0]
+    square = row_product(P, P, _VECTOR_SCALAR)[:, 0]
+    finite = np.abs(w) > _LIMIT["finite"](scale)
+    _fail(errors, scale == 0.0, NotAPointError, "zero multivector is not a point")
+    _fail(errors, ~(np.abs(square) <= _LIMIT["null"](scale)), NotAPointError, "vector is not null; not a conformal point")
+    _fail(errors, ~finite, PointAtInfinityError, "no finite location: e0 coefficient vanishes")
+    return weighted[:, 1:] / np.where(finite, w, 1.0)[:, None], errors
+
+
+_SIGN_LABELS = ("real", "imaginary", "degenerate")
 
 
 def _rounds(X, Y, grade, scale, top):
@@ -478,20 +490,19 @@ def _rounds(X, Y, grade, scale, top):
     the center is the point A einf A, and r^2 = sign * <A A>_0 / <(einf | A)^2>_0."""
     center, errors = _locations(row_product(Y[:, _COL["a_einf"]], X, _VECTOR_GP))
     carrier = Y[:, _COL["carrier"]]
-    bottom, r2, sign = row_product(carrier, carrier, _SCALAR_GP)[:, 0].tolist(), [], []
-    for r, (g, s, t, b, c2) in enumerate(zip(grade, scale, top, bottom, _sq_norms(center).tolist())):
-        if not abs(b) > _LIMIT["carrier"](s):
-            errors.setdefault(r, DegenerateError("round has no finite carrier; cannot extract radius"))
-            b = 1.0
-        r2.append(_ROUND_SIGN[g] * t / b)
-        sign.append("degenerate" if abs(r2[-1]) <= _LIMIT["radius"](c2) else "real" if r2[-1] > 0 else "imaginary")
+    bottom = row_product(carrier, carrier, _SCALAR_GP)[:, 0]
+    none = ~(np.abs(bottom) > _LIMIT["carrier"](scale))
+    _fail(errors, none, DegenerateError, "round has no finite carrier; cannot extract radius")
+    r2 = _ROUND_SIGN[grade] * top / np.where(none, 1.0, bottom)
+    degenerate = np.abs(r2) <= _LIMIT["radius"](_sq_norms(center))
+    sign = np.where(degenerate, 2, np.where(r2 > 0, 0, 1))  # an index into _SIGN_LABELS
     return center, r2, sign, errors
 
 
 def _pair_endpoints(X, Y, top) -> tuple[np.ndarray, np.ndarray, dict]:
     """Endpoints of real point pairs via the idempotent split (1 +- F)/2
     with F = A / sqrt(<A A>_0); the (1 - F) endpoint comes first."""
-    F = X / np.sqrt(np.array(top))[:, None]
+    F = X / np.sqrt(top)[:, None]
     halves = 0.5 * (_ONE + np.concatenate([-F, F]))  # (1 - F)/2 over (1 + F)/2
     n, carrier = len(X), Y[:, _COL["carrier"]]
     ends, errors = _locations(row_product(halves, np.concatenate([carrier, carrier]), _VECTOR_GP))
@@ -499,63 +510,58 @@ def _pair_endpoints(X, Y, top) -> tuple[np.ndarray, np.ndarray, dict]:
     return ends[:n], ends[n:], {r % n: errors[r] for r in sorted(errors, reverse=True)}
 
 
-def _directions(D: np.ndarray) -> list:
+def _directions(D: np.ndarray) -> np.ndarray:
     """Per row, the signed norm alpha that makes D / alpha a unit vector whose
-    first clearly nonzero component is positive, or None if the row vanishes."""
+    first clearly nonzero component is positive, or 0 if the row vanishes."""
     norms = np.sqrt(_sq_norms(D))
     big = ~np.isfinite(norms)
     if big.any():  # d @ d overflowed: m * |d / m| with m = max|d|; other rows keep sqrt(d @ d)
         m = np.maximum.reduce(np.abs(D[big]), axis=1)
         norms[big] = m * np.sqrt(_sq_norms(D[big] / m[:, None]))
-    out = []
-    for d, norm in zip(D.tolist(), norms.tolist()):
-        limit = _LIMIT["direction"](norm)
-        first = next((v for v in d if abs(v) > limit), norm)
-        out.append(None if norm == 0.0 else norm if first >= 0 else -norm)
-    return out
+    clear = np.abs(D) > _LIMIT["direction"](norms)[:, None]
+    first = np.where(clear.any(axis=1), D[np.arange(len(D)), clear.argmax(axis=1)], norms)
+    return np.where(norms == 0.0, 0.0, np.where(first >= 0, norms, -norms))
 
 
 def _plane_outcomes(plane: np.ndarray, form: str) -> list:
     """Planes n + d einf from rows (n, d): unit normal and distance, signed so
     that d > 0, or by the normal's first clear component when d vanishes."""
-    alphas = []
-    for alpha, d in zip(_directions(plane[:, :3]), plane[:, 3].tolist()):
-        if alpha is not None:
-            norm, limit = abs(alpha), _LIMIT["distance"](abs(alpha))
-            alpha = -norm if d < -limit else alpha if abs(d) <= limit else norm
-        alphas.append(alpha)
+    alpha, d = _directions(plane[:, :3]), plane[:, 3]
+    norm = np.abs(alpha)
+    limit = _LIMIT["distance"](norm)
+    alpha = np.where(alpha == 0.0, 0.0, np.where(d < -limit, -norm, np.where(np.abs(d) <= limit, alpha, norm)))
     return [
-        DegenerateError("plane with zero normal") if alpha is None
-        else ("plane", {"normal": p[:3], "distance": p[3], "form": form})
-        for alpha, p in zip(alphas, _clean(plane, alphas))
+        ("plane", {"normal": p[:3], "distance": p[3], "form": form}) if a
+        else DegenerateError("plane with zero normal")
+        for a, p in zip(alpha.tolist(), _clean(plane, alpha))
     ]
 
 
 def _ipns_planes(X, Y, grade, scale, top) -> list:
     """Flat vectors: IPNS planes, unless the normal vanishes too."""
     plane = Y[:, _COL["ipns_plane"]]
-    normal = np.maximum.reduce(np.abs(plane[:, :3]), axis=1).tolist()
+    infinite = np.maximum.reduce(np.abs(plane[:, :3]), axis=1) <= _LIMIT["infinity"](scale)
     return [
-        UnknownObjectError("pure einf direction (point at infinity)") if n <= _LIMIT["infinity"](s) else o
-        for n, s, o in zip(normal, scale, _plane_outcomes(plane, "ipns"))
+        UnknownObjectError("pure einf direction (point at infinity)") if i else o
+        for i, o in zip(infinite.tolist(), _plane_outcomes(plane, "ipns"))
     ]
 
 
 def _flat_points(X, Y, grade, scale, top) -> list:
     null = Y[:, _COL["flat_point"]]
-    weights = [None if abs(w) <= _LIMIT["infinity"](s) else w for w, s in zip(null[:, 0].tolist(), scale)]
+    w = np.where(np.abs(null[:, 0]) <= _LIMIT["infinity"](scale), 0.0, null[:, 0])
     return [
-        UnknownObjectError("flat point at infinity") if w is None else ("flat_point", {"location": p})
-        for w, p in zip(weights, _clean(null[:, 1:], weights))
+        ("flat_point", {"location": p}) if a else UnknownObjectError("flat point at infinity")
+        for a, p in zip(w.tolist(), _clean(null[:, 1:], w))
     ]
 
 
 def _lines(X, Y, grade, scale, top) -> list:
     null = Y[:, _COL["line"]]
-    alphas = _directions(null[:, :3])
+    alpha = _directions(null[:, :3])
     return [
-        DegenerateError("vanishing direction") if alpha is None else ("line", {"direction": p[:3], "moment": p[3:]})
-        for alpha, p in zip(alphas, _clean(null, alphas))
+        ("line", {"direction": p[:3], "moment": p[3:]}) if a else DegenerateError("vanishing direction")
+        for a, p in zip(alpha.tolist(), _clean(null, alpha))
     ]
 
 
@@ -563,33 +569,37 @@ def _round_objects(X, Y, grade, scale, top) -> list:
     """Points and spheres (grade 1, IPNS), point pairs, circles and OPNS
     spheres: center and squared radius for all, then what each kind adds."""
     center, r2, sign, errors = _rounds(X, Y, grade, scale, top)
-    params = [{"center": c, "radius2": v + 0.0, "sign": k} for c, v, k in zip(_clean(center), r2, sign)]
-    pairs = [i for i, (g, k) in enumerate(zip(grade, sign)) if g == 2 and k == "real" and i not in errors]
-    if pairs:
-        a, b, pair_errors = _pair_endpoints(X[pairs], Y[pairs], [top[i] for i in pairs])
+    labels = [_SIGN_LABELS[k] for k in sign.tolist()]
+    params = [{"center": c, "radius2": v, "sign": k} for c, v, k in zip(_clean(center), (r2 + 0.0).tolist(), labels)]
+    failed = np.zeros(len(X), dtype=bool)
+    failed[list(errors)] = True
+    pairs = ((grade == 2) & (sign == 0) & ~failed).nonzero()[0]
+    if len(pairs):
+        a, b, pair_errors = _pair_endpoints(X[pairs], Y[pairs], top[pairs])
+        pairs = pairs.tolist()
         errors.update({pairs[i]: exc for i, exc in pair_errors.items()})
         for i, p, q in zip(pairs, _clean(a), _clean(b)):
             params[i]["points"] = (p, q)
-    circles = [i for i, g in enumerate(grade) if g == 3]
-    if circles:
+    circles = (grade == 3).nonzero()[0]
+    if len(circles):
         # the unit normal of the carrier plane (A ^ einf)*, when it has one; |alpha| is its norm
         normal_raw = Y[circles, _COL["circle_normal"]]
-        alphas = [None if a is None or not abs(a) > _LIMIT["normal"](scale[i]) else a
-                  for i, a in zip(circles, _directions(normal_raw))]
-        for i, a, n in zip(circles, alphas, _clean(normal_raw, alphas)):
-            if a is not None:
+        alpha = _directions(normal_raw)
+        alpha = np.where(np.abs(alpha) > _LIMIT["normal"](scale[circles]), alpha, 0.0)
+        for i, a, n in zip(circles.tolist(), alpha.tolist(), _clean(normal_raw, alpha)):
+            if a:
                 params[i]["normal"] = n
     return [
         errors[i] if i in errors
         else ("point", {"location": p["center"]}) if g == 1 and k == "degenerate"
         else ("sphere", {**p, "form": "ipns" if g == 1 else "opns"}) if g in (1, 4)
         else ("point_pair" if g == 2 else "circle", p)
-        for i, (g, k, p) in enumerate(zip(grade, sign, params))
+        for i, (g, k, p) in enumerate(zip(grade.tolist(), labels, params))
     ]
 
 
 # The branches of the decision tree, by the key (grade, flat) of a row. Each takes the rows' X and Y and
-# lists of their grades, scales and <A A>_0, and returns each row's error or (kind, params).
+# arrays of their grades, scales and <A A>_0, and returns each row's error or (kind, params).
 _BRANCHES = {
     (0, False): lambda X, *rest: [UnknownObjectError("scalars are not conformal objects") for _ in X],
     (5, False): lambda X, *rest: [("space", {}) for _ in X],
@@ -599,6 +609,10 @@ _BRANCHES = {
     (4, True): lambda X, Y, *rest: _plane_outcomes(Y[:, _COL["opns_plane"]], "opns"),  # from the dual vector
     **{(g, False): _round_objects for g in (1, 2, 3, 4)},
 }
+_BRANCH_LIST = list(dict.fromkeys(_BRANCHES.values()))
+# at 2 grade + flat, the index into _BRANCH_LIST of the key (grade, flat); -1 for keys no row has
+_ROUTE = np.array([_BRANCH_LIST.index(_BRANCHES[g, f]) if (g, f) in _BRANCHES else -1
+                   for g in range(ALG.n + 1) for f in (False, True)])
 
 
 def _classify_block(X: np.ndarray) -> list:
@@ -607,12 +621,8 @@ def _classify_block(X: np.ndarray) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         block = _Block(X)
         out = [block.errors.get(r) for r in range(len(X))]
-        by_branch: dict = {}
-        for r, key in enumerate(block.keys):
-            if key is not None:
-                by_branch.setdefault(_BRANCHES[key], []).append(r)
-        for branch, rows in by_branch.items():
-            for r, o in zip(rows, branch(*block.rows(rows))):
+        for branch, rows in block.routes():
+            for r, o in zip(rows.tolist(), branch(*block.rows(rows))):
                 # the objects keep rows of the block as given, which are read-only
                 out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector.view(ALG, X[r]), o[1])
         return out
@@ -651,12 +661,12 @@ def round_params(mv: Multivector) -> dict:
         block = _Block(mv.coeffs[None, :])
         if block.errors:
             raise block.errors.pop(0)
-        g, flat = block.keys[0]
+        g = int(block.grade[0])
         if not 1 <= g <= 4:
             raise UnknownObjectError(f"grade {g} is not a round object")
-        if flat:
+        if block.flat[0]:
             raise FlatObjectError("grade-1 flat (plane) has no center/radius" if g == 1 else "flat object has no center/radius")
-        center, r2, sign, errors = _rounds(*block.rows([0]))
+        center, r2, sign, errors = _rounds(*block.rows(np.arange(1)))
         if errors:
             raise errors.pop(0)
-        return {"center": _clean(center)[0], "radius2": r2[0] + 0.0, "sign": sign[0]}
+        return {"center": _clean(center)[0], "radius2": float(r2[0]) + 0.0, "sign": _SIGN_LABELS[sign[0]]}

@@ -12,6 +12,11 @@ a trailing newline, so a written file round-trips byte for byte.
 In memory a section is a `Section`: its names in file order and one
 read-only (N, ALG.dim) array of rows, read and written without a
 Multivector per object; `scene.objects[name]` is a view of its row.
+The reader looks up each object's key tuple once for its columns and
+checks and converts a section's values together; a section that holds
+anything else goes through the per-entry loop, the one source of every
+refusal and its file order. The writer fills one %-template per pattern
+of nonzero coefficients, built for each call.
 """
 
 from __future__ import annotations
@@ -93,8 +98,47 @@ _NULL_TERMS = {key: [(k, c) for k, c in enumerate(mv.coeffs.tolist()) if c] for 
 
 
 def _section(table: dict) -> Section:
-    """Add each entry into zeros in file order; a finite float on a
-    canonical blade name needs no further check."""
+    """The table's rows: one lookup per object of its key tuple gives its
+    columns, and all its values are checked and converted at once. A table
+    that lookup cannot vouch for goes through `_entry_rows` instead."""
+    rows = _canonical_rows(table)
+    return Section(table, _entry_rows(table) if rows is None else rows)
+
+
+def _canonical_rows(table: dict) -> np.ndarray | None:
+    """The rows of a table whose entries are all dicts of finite floats on
+    canonical blade names, or None for any other table. Each key is then one
+    column, so writing the values into zeros is the per-entry sum; + 0.0
+    clears negative zeros as adding into 0.0 does."""
+    columns: dict = {}  # key tuple -> its columns, for this table only
+    cols, counts, values = [], [], []
+    for entries in table.values():
+        if type(entries) is not dict:
+            return None
+        keys = tuple(entries)
+        col = columns.get(keys)
+        if col is None:
+            try:
+                col = columns[keys] = [_COLUMN[key] for key in keys]
+            except KeyError:  # e0, einf, a digit alias or a bad key
+                return None
+        cols += col
+        counts.append(len(col))
+        values += entries.values()
+    if not set(map(type, values)) <= {float}:
+        return None
+    flat = np.array(values, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        return None
+    rows = np.zeros((len(counts), ALG.dim))
+    rows[np.repeat(np.arange(len(counts)), counts), np.array(cols, dtype=np.intp)] = flat + 0.0
+    return rows
+
+
+def _entry_rows(table: dict) -> list:
+    """Add each entry into zeros in file order, refusing the first bad one
+    with its message; a finite float on a canonical blade name needs no
+    further check."""
     flat = [0.0] * (len(table) * ALG.dim)
     for base, (name, entries) in zip(range(0, len(flat), ALG.dim), table.items()):
         if not isinstance(entries, dict):
@@ -114,7 +158,7 @@ def _section(table: dict) -> Section:
                     raise DomainError(f"bad blade key {key!r}") from exc
             for bits, unit in terms:
                 flat[base + bits] += float(value) * unit
-    return Section(table, flat)
+    return flat
 
 
 def mv_entries(mv: Multivector) -> dict:
@@ -167,15 +211,32 @@ def read_scene(path) -> Scene:
 
 # what json.dumps(indent=2) writes before a coefficient, in canonical blade order
 _PREFIXES = ["      " + _quote(ALG.blade_names[bits]) + ": " for bits in ALG.blade_order]
+_PATTERN_BITS = 1 << np.arange(ALG.dim, dtype=np.int64)  # a row's nonzero coefficients as one int
+
+
+def _entry_template(present) -> str:
+    """An object whose coefficients in blade order are nonzero where present is,
+    as json.dumps(indent=2) lays it out, with a %s for its quoted name and a %r
+    for each coefficient (%r of a float is its repr)."""
+    body = ",\n".join([prefix + "%r" for prefix, keep in zip(_PREFIXES, present) if keep])
+    return "    %s: " + ("{\n" + body + "\n    }" if body else "{}")
 
 
 def _section_text(title: str, section: Section) -> str:
-    """One section as json.dumps(indent=2) lays it out, names sorted."""
+    """One section as json.dumps(indent=2) lays it out, names sorted. Rows with
+    the same nonzero coefficients share one template, built for this call."""
     names, rows = section.by_name()
-    parts = []
-    for name, values in zip(names, rows[:, ALG.blade_order].tolist()):
-        body = ",\n".join([p + repr(v) for p, v in zip(_PREFIXES, values) if v != 0.0])
-        parts.append(f"    {_quote(name)}: " + ("{\n" + body + "\n    }" if body else "{}"))
+    rows = rows[:, ALG.blade_order]
+    nonzero = rows != 0.0
+    values = rows[nonzero].tolist()  # row after row
+    templates: dict = {}  # nonzero pattern -> (template, count), for this call only
+    parts, end = [], 0
+    for r, (name, pattern) in enumerate(zip(names, (nonzero @ _PATTERN_BITS).tolist())):
+        if pattern not in templates:
+            templates[pattern] = _entry_template(nonzero[r]), int(np.count_nonzero(nonzero[r]))
+        template, n = templates[pattern]
+        parts.append(template % (_quote(name), *values[end:end + n]))
+        end += n
     return f'  "{title}": ' + ("{\n" + ",\n".join(parts) + "\n  }" if parts else "{}")
 
 

@@ -263,4 +263,6 @@ def compose(versors: Sequence[Versor]) -> Versor:
     if any(v.is_null for v in versors):
         raise SingularVersorError("cannot compose a degenerate point mirror")
     parity = "odd" if sum(v.parity == "odd" for v in versors) % 2 else "even"
-    return _certified(math.prod((v.mv for v in versors), start=ALG.scalar(1.0)), parity, math.prod(v.norm2 for v in versors))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is _certified's to refuse
+        mv = math.prod((v.mv for v in versors), start=ALG.scalar(1.0))
+    return _certified(mv, parity, math.prod(v.norm2 for v in versors))

@@ -219,6 +219,16 @@ class TestFarClosedForms:
         assert "versor's action on points is all rounding or overflows: error bound" in result.stderr
         assert "largest coefficient 7500000.0" in result.stderr and "Traceback" not in result.stderr
 
+    def test_chain_whose_product_overflows_exit_1(self, runner, tmp_path):
+        """Four factors 1e100*e1 overflow their product: compose forms it without a
+        warning, and the range check refuses it with one error line."""
+        scene_path = write_point_scene(tmp_path / "s.json", include_versor=False)
+        chain = [arg for _ in range(4) for arg in ("--chain", "1e100*e1")]
+        result = runner.invoke(main, ["transform", "--scene", str(scene_path), *chain, "--mode", "motion"])
+        assert result.exit_code == 1 and result.stdout == "", result.stdout
+        assert result.stderr == ("error: versor's action on points is all rounding or overflows: "
+                                 "error bound nan from <v ~v>_0 = inf and largest coefficient inf\n")
+
 
 class TestDeepInput:
     def test_nested_parentheses_past_the_bound_exit_2(self, runner):

@@ -4,6 +4,7 @@ Round parameters (centers, radii) are checked against brute-force linear
 circumcenter solves that never touch the algebra under test.
 """
 
+import itertools
 import json
 import math
 
@@ -948,6 +949,35 @@ class TestLargeWeights:
         D = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
         want = np.sqrt(conformal._sq_norms(D)).tolist()
         assert [abs(a) for a in conformal._directions(D)] == want
+
+
+# Each _LIMIT row as a formula on one row's Python floats, with Python's max: the limits the
+# tree compared against before they were taken on arrays.
+_SCALAR_LIMIT = {
+    "coefficient": lambda scale: tolerance.threshold(scale),
+    "blade": lambda scale, gram0: tolerance.threshold(max(abs(gram0), scale * scale)),
+    "e0": lambda scale: tolerance.threshold(scale),
+    "wedge": lambda scale: tolerance.threshold(max(1.0, 2.0 * scale)),
+    "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,
+    "finite": lambda scale: tolerance.threshold(scale),
+    "carrier": lambda scale: tolerance.threshold(scale * scale),
+    "radius": lambda center2: tolerance.threshold(1.0 + center2) * 10.0,
+    "direction": lambda norm: tolerance.threshold(norm),
+    "distance": lambda norm: tolerance.threshold(norm) * 10.0,
+    "infinity": lambda scale: tolerance.threshold(scale),
+    "normal": lambda scale: tolerance.threshold(scale),
+}
+_LIMIT_INPUTS = [0.0, -0.0, 5e-324, 1e-310, 1.0, -1.0, 1e154, 1e308, -1e308, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("rel", [None, 1e-5])
+@pytest.mark.parametrize("name", sorted(_SCALAR_LIMIT))
+def test_array_limits_are_the_scalar_formulas_bit_for_bit(name, rel):
+    columns = list(zip(*itertools.product(_LIMIT_INPUTS, repeat=_SCALAR_LIMIT[name].__code__.co_argcount)))
+    with np.errstate(over="ignore", invalid="ignore"), tolerance.scope(rel):
+        got = np.asarray(conformal._LIMIT[name](*map(np.array, columns)), dtype=float)
+        want = np.array([_SCALAR_LIMIT[name](*args) for args in zip(*columns)])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestPlan:

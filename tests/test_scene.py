@@ -488,3 +488,100 @@ def test_reader_expands_null_and_alias_keys():
     scene = scene_from_dict({"objects": {"p": {"e1": 1.0, "e0": 1.0, "einf": 0.5}, "q": {"e45": 2.0, "e+-": 1}}})
     assert np.array_equal(scene.objects["p"].coeffs, (e1 + e0 + 0.5 * einf).coeffs)
     assert np.array_equal(scene.objects["q"].coeffs, ALG.blade(0b11000, 3.0).coeffs)
+
+
+# -- the reader's one-lookup pass against the per-entry loop ------------------
+
+
+def reference_section(table: dict) -> Section:
+    """The reader as it was before the one-lookup pass: each entry added into
+    zeros in file order, refusing the first bad one."""
+    flat = [0.0] * (len(table) * ALG.dim)
+    for base, (name, entries) in zip(range(0, len(flat), ALG.dim), table.items()):
+        if not isinstance(entries, dict):
+            raise DomainError(f"entry {name!r} must map blade names to numbers")
+        for key, value in entries.items():
+            bits = ALG.blade_names.index(key) if key in ALG.blade_names else None
+            if bits is not None and type(value) is float and value - value == 0.0:
+                flat[base + bits] += value
+                continue
+            try:
+                number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+            except OverflowError:
+                number = False
+            if not number:
+                raise DomainError(f"coefficient for {name}.{key} must be a number and finite, got {value!r}")
+            if key in ("e0", "einf"):
+                terms = [(k, c) for k, c in enumerate((e0 if key == "e0" else einf).coeffs.tolist()) if c]
+            else:
+                try:
+                    terms = [(ALG.blade_bits(key), 1.0)]
+                except ValueError as exc:
+                    raise DomainError(f"bad blade key {key!r}") from exc
+            for bits, unit in terms:
+                flat[base + bits] += float(value) * unit
+    return Section(table, flat)
+
+
+_ODD_KEYS = ["e0", "einf", "e45", "e4", "e5", "e1+-", "e145", "e21", "e4+", "E1", "x", ""]
+_ODD_VALUES = [2 ** 60, -(2 ** 60), 10 ** 400, 3, 0, True, False, "1.0", None, math.nan, math.inf, -math.inf]
+_NOT_TABLES = [[1.0], 1.0, None, "e1"]
+
+
+@st.composite
+def _tables(draw):
+    """Blade tables of many objects: a few key tuples, in varying orders, that the
+    objects take in turn, and a pool of values they take from. Most tables are
+    canonical keys and finite floats; some hold one odd key, value or entry,
+    often after many objects the one-lookup pass accepts."""
+    shapes = draw(st.lists(st.lists(st.sampled_from(ALG.blade_names), unique=True, max_size=8), min_size=1, max_size=3))
+    shapes.append(shapes[0][::-1])
+    odd = draw(st.sampled_from(["key", "value", "entry", None, None, None]))
+    if odd == "key":
+        shapes.append(draw(st.lists(st.sampled_from(ALG.blade_names + _ODD_KEYS), unique=True, min_size=1, max_size=6)))
+    values = draw(st.lists(_coefficients, min_size=1, max_size=12))
+    if odd == "value":
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from(_ODD_VALUES)))
+    n = draw(st.integers(1, 60))
+    order = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=8))
+    pool, picks = cycle(values), cycle(order)
+    table = {f"o{i}": {key: next(pool) for key in shapes[next(picks)]} for i in range(n)}
+    if odd == "entry":
+        where = draw(st.sampled_from([n - 1, n // 2, 0]))
+        table[f"o{where}"] = draw(st.sampled_from(_NOT_TABLES))
+    return table
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=_tables())
+@example(table={f"o{i}": {"e1": 1.0, "e2": -0.0} for i in range(300)} | {"o299": {"e1": 1.0, "e0": 2.0}})
+@example(table={f"o{i}": {"e12": 5e-324, "1": 1e16} for i in range(300)} | {"last": {"e1": math.nan}})
+@example(table={f"o{i}": {"e1": 2 ** 60 + 1, "e2": 0.5} for i in range(100)} | {"big": {"e2": 10 ** 400}})
+@example(table={"a": {"e1": 1.0}, "b": [1.0], "c": {"e21": 1.0}})
+def test_reader_matches_per_entry_reference(table):
+    try:
+        want = reference_section(table)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            scene_from_dict({"objects": table})
+        assert str(info.value) == str(exc)
+        return
+    got = scene_from_dict({"objects": table}).objects
+    assert got.names == want.names
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert not np.signbit(got.rows[got.rows == 0.0]).any()
+
+
+def test_writer_groups_rows_by_pattern_byte_for_byte():
+    # hundreds of rows on a few nonzero patterns, an all-zero row, names with % in them
+    patterns = [[1, 2, 4], [0, 31], list(range(ALG.dim)), [8, 16, 24]]
+    values = cycle([-0.0, 5e-324, 1e16, 0.1, -2.5, 1 / 3, 1e-310, 1.7976931348623157e308])
+    names = ["%", "%s", "%%", "100%s %d done", "%(x)s", "a%r"]
+    mvs = {}
+    for i in range(400):
+        name = names[i % len(names)] + str(i // len(names)) if i >= len(names) else names[i]
+        mvs[name] = _mv({bits: next(values) for bits in patterns[i % len(patterns)]})
+    mvs["zero"] = ALG.zero()
+    want = json.dumps({"objects": {name: mv_entries(mvs[name]) for name in sorted(mvs)}, "versors": {}}, indent=2) + "\n"
+    assert scene_to_json(Scene(objects=mvs)) == want
+    assert '"zero": {}' in want and '"%s": {' in want
