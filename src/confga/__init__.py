@@ -12,7 +12,6 @@ from .algebra import (
     algebra,
     exp_special,
     format_multivector,
-    versor_inverse,
 )
 from .conformal import (
     ALG,
@@ -70,6 +69,7 @@ from .errors import (
 from .neuron import (
     GeometricNeuron,
     TrainConfig,
+    fd_gradient,
     forward,
     from_versor,
     generate_dataset,

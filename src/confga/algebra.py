@@ -19,9 +19,7 @@ from .errors import (
     DomainError,
     GradeError,
     NotExponentiableError,
-    NotVersorError,
     SignatureMismatchError,
-    SingularVersorError,
 )
 
 MAX_DIM = 8
@@ -274,7 +272,7 @@ class Multivector:
         """Grades carrying weight above tolerance (relative to the largest)."""
         thr = tolerance.threshold(self.max_abs())
         present = np.abs(self.coeffs) > thr
-        return frozenset(int(g) for g in np.unique(self.alg.grades[present]))
+        return frozenset(self.alg.grades[present].tolist())
 
     def parity(self) -> str | None:
         """'even', 'odd', 'mixed', or None for a zero multivector."""
@@ -408,16 +406,6 @@ def scalar_product(a: Multivector, b: Multivector, what: str) -> tuple[float | N
     s = float(m[0])
     scalar = np.abs(m[1:]).max() <= tolerance.threshold(max(abs(s), scale))
     return (s if scalar else None), abs(s) <= tolerance.threshold(scale)
-
-
-def versor_inverse(v: Multivector) -> Multivector:
-    """Inverse ~v / <v ~v>_0 for v with scalar v ~v."""
-    s, vanishes = scalar_product(v, ~v, "v * ~v")
-    if s is None:
-        raise NotVersorError("v * ~v is not a scalar; no versor inverse")
-    if vanishes:
-        raise SingularVersorError("versor norm vanishes; no inverse")
-    return ~v / s
 
 
 def exp_special(b: Multivector) -> Multivector:

@@ -240,11 +240,12 @@ def is_point(v: Multivector) -> bool:
     a / w. The factored form keeps the rounding of v^2 near u |a|^2, so the
     points `embed_point` builds are recognised out to |p| near 1e7; past 1e8
     the (e+, e-) basis loses w. A weight that rounds v+ and v- apart adds
-    about u |p|^4 / 2 to r^2, so weighted points pass out to |p| near 1e4."""
+    about u |p|^4 / 2 to r^2, so weighted points pass out to |p| near 1e4.
+    A multivector of another algebra is no conformal point."""
     absv = np.abs(v.coeffs)
     big = absv.max()
     limit = tolerance.threshold(big)
-    if not big > limit or (absv[_OFF_VECTOR] > limit).any():  # v.grades() != {1}, without np.unique
+    if v.alg is not ALG or not big > limit or (absv[_OFF_VECTOR] > limit).any():  # not a Cl(4,1) vector
         return False
     x1, x2, x3, plus, minus = v.coeffs[[*_EUCLID, _PLUS, _MINUS]].tolist()
     w = minus - plus

@@ -31,9 +31,11 @@ and one constructor per accepted string of argument kinds; any other call
 is refused with "<name> expects <what>".  The object constructors (``pair``,
 ``circle``, ``sphere``, ``line``, ``plane``, ``flat_point``) return the blade
 they build, unclassified; their multivector arguments must be conformal
-points (``conformal.is_point``).  ``apply`` takes a null versor only as the
-point mirror, under the same rule.  Arithmetic that overflows to inf or nan
-is refused.  Every successful evaluation yields a plain multivector.
+points (``conformal.is_point``).  ``apply`` and ``inv`` take their versor
+through ``versor.make_versor``, which accepts a null versor only as the point
+mirror, under the same rule; that mirror has no inverse, so ``inv`` refuses
+it.  Arithmetic that overflows to inf or nan is refused.  Every successful
+evaluation yields a plain multivector.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector, exp_special, format_multivector, versor_inverse
+from .algebra import Multivector, exp_special, format_multivector
 from .conformal import (
     ALG,
     E,
@@ -274,10 +276,10 @@ _BUILTINS = {
         "nnnn": lambda s, x, y, z: _versor.scalor(s, [x, y, z]).mv,
     }),
     "apply": ("a versor, a multivector, and motion or reflection", {
-        "mms": lambda v, x, mode: _versor.apply(_versor.make_versor(v, allow_null=True), x, mode),
+        "mms": lambda v, x, mode: _versor.apply(_versor.make_versor(v), x, mode),
     }),
     "dual": ("one multivector", {"m": lambda a: a.dual()}),
-    "inv": ("one invertible versor", {"m": lambda v: versor_inverse(v)}),
+    "inv": ("one invertible versor", {"m": lambda v: _versor.make_versor(v).inverse()}),
     "exp": ("one bivector with scalar square", {"m": lambda b: exp_special(b)}),
     "grade": ("a multivector and an integer grade", {
         "mn": lambda a, k: a.grade(int(k)) if k.is_integer() else None,

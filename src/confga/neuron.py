@@ -202,7 +202,7 @@ def penalty_value(w: np.ndarray) -> float:
     return float(np.sum(m[1:] ** 2))
 
 
-def gradient(neuron, samples, penalty: float = PENALTY, method: str = "analytic"):
+def gradient(neuron, samples, penalty: float = PENALTY):
     """Gradient of data loss + penalty with respect to (W, Theta), and the
     data loss itself: returns (grad_w, grad_theta, data_loss).
 
@@ -211,19 +211,14 @@ def gradient(neuron, samples, penalty: float = PENALTY, method: str = "analytic"
     `data_loss` is what `loss` returns for the same weights, taken from the
     residuals the gradient forms anyway.
 
-    The analytic path differentiates the sandwich through the left/right
-    multiplication operators. With residuals R = Y - T and per-sample
-    partial products U1 = x' W and U2 = ~W x', the weight gradient needs
+    It differentiates the sandwich through the left/right multiplication
+    operators. With residuals R = Y - T and per-sample partial products
+    U1 = x' W and U2 = ~W x', the weight gradient needs
     sum_n sum_j S[i,j] U1[n,j] R[n, i xor j] (and its mirror for U2).
     Summing over samples first turns that into the 32x32 products
     C = U1^T R and D = U2^T R followed by a fixed XOR gather of each.
-    'fd' recomputes the same objective under central differences and is
-    the independent check."""
-    if method == "fd":
-        return _fd_gradient(neuron, samples, penalty)
-    if method != "analytic":
-        raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
-
+    `fd_gradient` recomputes the same objective under central differences
+    and is the independent check."""
     d = _stack(samples)
     n = d.n
     U, B, R, q = _forward(neuron, d.x, d.c)
@@ -244,7 +239,9 @@ def gradient(neuron, samples, penalty: float = PENALTY, method: str = "analytic"
     return grad_w, grad_theta, float(np.vdot(R, R)) / n
 
 
-def _fd_gradient(neuron, samples, penalty: float):
+def fd_gradient(neuron, samples, penalty: float = PENALTY):
+    """`gradient` by central differences of data loss + penalty, for checking it:
+    the same arguments and the same (grad_w, grad_theta, data_loss)."""
     d = _stack(samples)
 
     def J() -> float:

@@ -13,9 +13,9 @@ first, and equals the product a.mv * b.mv.
 
 The point mirror P(p) is a null vector with no inverse; it is kept as a
 degenerate versor applied by the uninverted sandwich v alpha(X) v, which
-collapses every point onto the mirror point. `make_versor(v, allow_null=True)`
-returns it only for a v that passes the point rule (`conformal.is_point`);
-any other v whose norm vanishes is refused, as without allow_null.
+collapses every point onto the mirror point. `make_versor` returns it for
+a vanishing v that passes the point rule (`conformal.is_point`) and refuses
+any other v whose norm vanishes; `Versor.inverse` is the one versor inverse.
 
 The paper-literal convention replaces alpha^p(X) by the global sign
 (-1)^p; the two agree on odd-grade arguments and differ by an overall
@@ -100,7 +100,10 @@ class Versor:
         return f"<{tag}{self.parity} versor {self.mv!r}>"
 
 
-def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
+def make_versor(mv: Multivector) -> Versor:
+    """The versor of a multivector a user writes: purely even or purely odd, with v ~v
+    a scalar (`algebra.scalar_product`). A vanishing norm is taken only from a conformal
+    point (`conformal.is_point`), as the null point mirror, which has no inverse."""
     parity = mv.parity()
     if parity is None:
         raise NotVersorError("zero multivector is not a versor")
@@ -110,7 +113,7 @@ def make_versor(mv: Multivector, allow_null: bool = False) -> Versor:
     if s is None:
         raise NotVersorError("v * ~v is not scalar")
     if vanishes:
-        if allow_null and is_point(mv):
+        if is_point(mv):
             return Versor(mv, parity, 0.0, None)
         raise SingularVersorError("v * ~v vanishes; versor is not invertible")
     return Versor(mv, parity, s, ~mv / s)
@@ -162,7 +165,7 @@ def reflector_sphere(center, r: float) -> Versor:
 
 def reflector_point(p) -> Versor:
     """Degenerate mirror: P(p) is null, acts as the constant map onto p."""
-    return make_versor(embed_point(p), allow_null=True)
+    return make_versor(embed_point(p))
 
 
 def reflector_line(line) -> Versor:

@@ -72,7 +72,7 @@ def reference_product(a, b, what):
     return out
 
 
-def reference_make_versor(mv, allow_null=False):
+def reference_make_versor(mv):
     parity = mv.parity()
     if parity is None:
         raise NotVersorError("zero multivector is not a versor")
@@ -84,13 +84,14 @@ def reference_make_versor(mv, allow_null=False):
     if not off.is_zero(scale=max(abs(s), mv.max_abs() ** 2)):
         raise NotVersorError("v * ~v is not scalar")
     if abs(s) <= tolerance.threshold(mv.max_abs() ** 2):
-        if allow_null and is_point(mv):  # only a conformal point is the null point mirror
+        if is_point(mv):  # only a conformal point is the null point mirror
             return Versor(mv, parity, 0.0, None)
         raise SingularVersorError("v * ~v vanishes; versor is not invertible")
     return Versor(mv, parity, s, ~mv / s)
 
 
 def reference_versor_inverse(v):
+    """The deleted `algebra.versor_inverse`, which did not check parity."""
     m = reference_product(v, ~v, "v * ~v")
     s = m.scalar_part()
     off = m - m.grade(0)
@@ -102,7 +103,7 @@ def reference_versor_inverse(v):
 
 
 def reference_vector_inverse(a):
-    """The deleted `vector_inverse`; its NullVectorError is now versor_inverse's SingularVersorError."""
+    """The deleted `vector_inverse`; its NullVectorError is now make_versor's SingularVersorError."""
     gs = a.grades()
     if gs and gs != frozenset({1}):
         raise GradeError(f"vector_inverse needs a grade-1 vector, got grades {sorted(gs)}")

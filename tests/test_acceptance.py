@@ -22,6 +22,7 @@ from confga import (
     embed_point,
     eval_expression,
     extract_point,
+    fd_gradient,
     from_versor,
     generate_dataset,
     gradient,
@@ -352,7 +353,7 @@ def test_criterion_11_analytic_gradient_matches_fd(capsys):
         net.theta += rng.normal(0.0, 0.2, ALG.dim)
         samples = generate_dataset(generators[parity], 5 + (k % 3) * 10, seed=k, convention=mode)
         gw, gt, _ = gradient(net, samples, penalty=penalty)
-        fw, ft, _ = gradient(net, samples, penalty=penalty, method="fd")
+        fw, ft, _ = fd_gradient(net, samples, penalty=penalty)
         err = max(
             float(np.max(np.abs(gw - fw))) / max(1.0, float(np.max(np.abs(fw)))),
             float(np.max(np.abs(gt - ft))) / max(1.0, float(np.max(np.abs(ft)))),

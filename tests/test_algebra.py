@@ -16,17 +16,18 @@ from confga.algebra import (
     format_multivector,
     row_product,
     scalar_product,
-    versor_inverse,
 )
 from confga.errors import (
     DomainError,
     GAError,
     GradeError,
+    MixedParityError,
     NotExponentiableError,
     NotVersorError,
     SignatureMismatchError,
     SingularVersorError,
 )
+from confga.expr import default_env, eval_expression
 from confga.oracle import oracle_product
 from confga.versor import make_versor, translator
 from conftest import (
@@ -42,6 +43,16 @@ from conftest import (
 
 ALG = algebra(4, 1)
 E1, E2, E3, EP, EM = (ALG.basis_vector(k) for k in range(5))
+
+
+def certified_inverse(v):
+    """The one versor inverse: make_versor's certificate, then Versor.inverse."""
+    return make_versor(v).inverse()
+
+
+def inv_builtin(v):
+    """The expression builtin inv, with v bound to a name."""
+    return eval_expression("inv(v)", {**default_env(), "v": v})
 
 
 def coeffs_strategy():
@@ -248,17 +259,18 @@ class TestDual:
 
 class TestVectorInverse:
     def test_null_vector_rejected(self):
-        # a null vector squares to zero, so versor_inverse has no norm to divide by
+        # a null vector squares to zero, so it has no norm to divide by; the last two are
+        # conformal points, which make_versor takes as the point mirror, and it has no inverse
         for v in (EP + EM, E1 - EM, 2.0 * (E3 + EM)):
             with pytest.raises(SingularVersorError):
-                versor_inverse(v)
+                certified_inverse(v)
 
 
 class TestVersorInverse:
     def test_unit_and_scaled_vectors(self):
-        assert versor_inverse(E1) == E1
-        assert versor_inverse(2.0 * E1) == (0.5 * E1)
-        assert versor_inverse(EM) == -EM
+        assert certified_inverse(E1) == E1
+        assert certified_inverse(2.0 * E1) == (0.5 * E1)
+        assert certified_inverse(EM) == -EM
 
     def test_random_vectors(self, cga, rng):
         for _ in range(50):
@@ -266,42 +278,45 @@ class TestVersorInverse:
             sq = (v * v).scalar_part()
             if abs(sq) < 1e-3:
                 continue
-            assert_mv_close(versor_inverse(v) * v, cga.scalar(1.0), tol=1e-12)
+            assert_mv_close(certified_inverse(v) * v, cga.scalar(1.0), tol=1e-12)
 
     def test_rotor_inverse_is_reverse(self):
         r = exp_special((math.pi / 5) * (E1 ^ E2))
-        assert_mv_close(versor_inverse(r), ~r, tol=1e-14)
-        assert_mv_close(versor_inverse(r) * r, ALG.scalar(1.0), tol=1e-14)
+        assert_mv_close(certified_inverse(r), ~r, tol=1e-14)
+        assert_mv_close(certified_inverse(r) * r, ALG.scalar(1.0), tol=1e-14)
 
     def test_scaled_versor(self, cga):
         v = 3.0 * (E1 * E2)
-        assert_mv_close(versor_inverse(v) * v, cga.scalar(1.0), tol=1e-14)
+        assert_mv_close(certified_inverse(v) * v, cga.scalar(1.0), tol=1e-14)
 
     def test_grade_mixed_versor_in_cl30(self):
-        # 1 + e123 in Cl(3,0): v ~v = 2, so the inverse certificate holds.
+        # 1 + e123 in Cl(3,0): v ~v = 2 is a scalar, but a versor is purely even or purely odd
         g3 = algebra(3, 0)
         v = g3.scalar(1.0) + g3.pseudoscalar()
-        inv = versor_inverse(v)
-        assert_mv_close(inv * v, g3.scalar(1.0), tol=1e-14)
+        assert (v * ~v) == g3.scalar(2.0)
+        with pytest.raises(MixedParityError, match="^versor must be purely even or purely odd$"):
+            certified_inverse(v)
 
     def test_non_versor_rejected(self):
-        with pytest.raises(NotVersorError):
-            versor_inverse(ALG.scalar(1.0) + E1)
+        # even, but v ~v = 2 - 2 e123+ (1 + e1 is refused as mixed parity before that test)
+        with pytest.raises(NotVersorError, match=r"^v \* ~v is not scalar$"):
+            certified_inverse((E1 ^ E2) + (E3 ^ EP))
 
     def test_singular_rejected(self):
         # a null 2-blade: v ~v = (EP + EM)^2 = 0
         with pytest.raises(SingularVersorError):
-            versor_inverse((EP + EM) ^ E1)
+            certified_inverse((EP + EM) ^ E1)
 
     def test_accepts_what_make_versor_accepts(self):
-        # its off-scalar test used to scale by max|v ~v|, not max|v|^2, and refused this one
+        # an off-scalar test scaled by max|v ~v|, not max|v|^2, refused this one
         v = translator([6000, 15000, 6000]).mv + ALG.blade(0b1001, 2e-10)
-        assert versor_inverse(v).coeffs.tobytes() == make_versor(v).inv.coeffs.tobytes()
+        assert inv_builtin(v).coeffs.tobytes() == make_versor(v).inv.coeffs.tobytes()
 
 
 class TestCertificate:
-    """`scalar_product` is the one check of make_versor, versor_inverse, exp_special and
-    rotor; here it is held to the checks they had before it (conftest's reference copies)."""
+    """`scalar_product` is the one check of make_versor (so of every versor inverse),
+    exp_special and rotor; here it is held to the checks they had before it (conftest's
+    reference copies)."""
 
     def test_decisions(self):
         assert scalar_product(E1 + EP, E1 + EP, "x") == (2.0, False)
@@ -324,29 +339,41 @@ class TestCertificate:
         assert seen >= {"gives", "NotExponentiableError", "DomainError", "OverflowError"}
 
     def test_versor_inverse_is_make_versors_inverse(self):
-        """On every pure-parity row, versor_inverse succeeds exactly when make_versor does,
-        with its inverse bit for bit."""
-        accepted = 0
+        """On every row, the builtin inv(v) gives make_versor(v).inv bit for bit where
+        make_versor accepts v, and make_versor's error class and message where it refuses."""
+        seen = set()
         for c in certificate_rows():
             v = ALG.mv(c)
-            if v.parity() not in ("even", "odd"):
-                continue
-            got = outcome(versor_inverse, v)
+            got = outcome(inv_builtin, v)
             try:
-                want = make_versor(v).inv.coeffs.tobytes()
-            except GAError:
-                assert got[0] == "raises", v
+                versor = make_versor(v)
+            except GAError as exc:
+                assert got == ("raises", type(exc).__name__, str(exc)), v
+                seen.add(type(exc).__name__)
                 continue
-            assert got == ("gives", want), v
-            accepted += 1
-        assert accepted >= 100
+            if versor.is_null:
+                assert got == ("raises", "SingularVersorError", "degenerate (null) versor has no inverse"), v
+                seen.add("null")
+            else:
+                assert got == ("gives", versor.inv.coeffs.tobytes()), v
+                seen.add("gives")
+        assert seen >= {"gives", "null", "NotVersorError", "MixedParityError", "SingularVersorError", "DomainError"}
 
     def test_versor_inverse_accepts_what_its_reference_accepts(self):
+        """Every pure-parity row the old versor_inverse (conftest's reference copy) inverted
+        has the same inverse; a mixed-parity one, which it also inverted, is now refused."""
+        mixed = 0
         for c in certificate_rows():
             v = ALG.mv(c)
             want = outcome(reference_versor_inverse, v)
-            if want[0] == "gives":
-                assert outcome(versor_inverse, v) == want, v
+            if want[0] != "gives":
+                continue
+            if v.parity() == "mixed":
+                assert outcome(certified_inverse, v)[:2] == ("raises", "MixedParityError"), v
+                mixed += 1
+            else:
+                assert outcome(certified_inverse, v) == want, v
+        assert mixed > 0
 
     def test_vectors_as_vector_inverse_did(self):
         # exact vectors: for one with noise on other grades, ~v is not v
@@ -356,9 +383,12 @@ class TestCertificate:
             want = outcome(reference_vector_inverse, v)
             if want[0] == "gives":
                 # ~v has -0.0 where v has 0.0, so only the values are equal
-                assert versor_inverse(v) == Multivector(ALG, np.frombuffer(want[1]))
+                assert certified_inverse(v) == Multivector(ALG, np.frombuffer(want[1]))
+            elif v.parity() is None:  # all coefficients within EPS_ABS: no versor at all
+                assert want[:2] == ("raises", "SingularVersorError")
+                assert outcome(certified_inverse, v) == ("raises", "NotVersorError", "zero multivector is not a versor")
             else:
-                assert outcome(versor_inverse, v)[:2] == want[:2]
+                assert outcome(certified_inverse, v)[:2] == want[:2]
 
 
 class TestExpSpecial:

@@ -122,13 +122,20 @@ class TestEval:
         ("exp(800*E)", "exp's argument is too large"),
         ("rotor(1e200*e12,1)", "the square of the rotation plane overflows"),
         ("inv(1e200*e12)", "v * ~v overflows"),
+        ("inv(e1 + e23)", "error: versor must be purely even or purely odd\n"),  # v ~v = 2, but mixed parity
+        ("inv(point(1,0,0))", "error: degenerate (null) versor has no inverse\n"),
+        ("inv(0*e1)", "error: zero multivector is not a versor\n"),
+        ("inv(e12 + e3+)", "error: v * ~v is not scalar\n"),
+        ("inv(e+ + e-)", "error: v * ~v vanishes; versor is not invertible\n"),
         ("mirror_sphere(0,0,0,1e200)", "sphere radius 1e+200 overflows"),
         ("apply(translator(1,0,0), 1e308*e1 + 1e308*e+ + 1e308*e-, motion)", "'apply' overflows: it gives inf"),
         ("mirror_plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
         ("plane(1e200,0,0,1)", "|n|^2 of plane normal (1e+200, 0.0, 0.0) overflows"),
         ("e0(1)", "error: e0 is not a function\n"),
     ], ids=["negated-mode", "reversed-mode", "float-overflow", "product-overflow", "translator-overflow",
-            "rotor-angle-overflow", "exp-overflow", "exp-cosh-overflow", "exp-E-cosh-overflow", "rotor-plane-overflow", "inverse-overflow", "sphere-mirror-overflow",
+            "rotor-angle-overflow", "exp-overflow", "exp-cosh-overflow", "exp-E-cosh-overflow", "rotor-plane-overflow", "inverse-overflow",
+            "inverse-mixed-parity", "inverse-point-mirror", "inverse-zero", "inverse-not-scalar",
+            "inverse-vanishing-non-point", "sphere-mirror-overflow",
             "apply-overflow", "plane-mirror-overflow", "ipns-plane-overflow", "constant-call"])
     def test_refused_operand_exit_1_without_traceback(self, runner, src, reason):
         result = runner.invoke(main, ["eval", src])
@@ -404,7 +411,7 @@ class TestTransform:
                                           "--mode", mode, "--out", str(out)])
             assert result.exit_code == 0, result.stderr
             moved = read_scene(out).objects
-            v = make_versor(eval_expression(spec), allow_null=True)
+            v = make_versor(eval_expression(spec))
             want = apply(v, scene.objects.rows, mode)
             assert moved.names == names
             assert np.array_equal(moved.rows, want)

@@ -42,7 +42,6 @@ from confga import (
     scalor,
     sphere_ipns,
     translator,
-    versor_inverse,
 )
 from confga.conformal import ALG, e0, e1, e2, e3, einf, plane_vector, sphere_vector, wedge_points
 from confga import expr as expr_module
@@ -99,10 +98,10 @@ _BUILTINS = {
     }),
     "apply": ("a versor, a multivector, and motion or reflection", {
         "mms": ("translator(1,2,3), point(0,0,0), motion",
-                lambda: apply(make_versor(translator([1, 2, 3]).mv, allow_null=True), P, "motion")),
+                lambda: apply(make_versor(translator([1, 2, 3]).mv), P, "motion")),
     }),
     "dual": ("one multivector", {"m": ("e1 + e12", lambda: (e1 + e12).dual())}),
-    "inv": ("one invertible versor", {"m": ("2 * e1", lambda: versor_inverse(2.0 * e1))}),
+    "inv": ("one invertible versor", {"m": ("2 * e1", lambda: make_versor(2.0 * e1).inverse())}),
     "exp": ("one bivector with scalar square", {"m": ("0.35 * e12", lambda: exp_special(0.35 * e12))}),
     "grade": ("a multivector and an integer grade", {"mn": ("e1 + e12, 2", lambda: e12)}),
 }

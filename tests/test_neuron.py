@@ -13,6 +13,7 @@ from confga import (
     embed_point,
     embed_points,
     extract_point,
+    fd_gradient,
     forward,
     from_versor,
     generate_dataset,
@@ -180,7 +181,7 @@ class TestGradient:
             v = rotor(e1 ^ e2, 0.7) if parity == "even" else reflector_sphere([0.2, 0, 0], 1.3)
             samples = generate_dataset(v, 10, seed=50 + trial, convention=mode)
             gw, gt, _ = gradient(net, samples, penalty=0.1)
-            fw, ft, _ = gradient(net, samples, penalty=0.1, method="fd")
+            fw, ft, _ = fd_gradient(net, samples, penalty=0.1)
             assert np.max(np.abs(gw - fw)) <= 1e-5 * max(1.0, np.max(np.abs(fw)))
             assert np.max(np.abs(gt - ft)) <= 1e-5 * max(1.0, np.max(np.abs(ft)))
 
@@ -193,13 +194,13 @@ class TestGradient:
                              gather_reference_gradient(net, samples, penalty)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    @pytest.mark.parametrize("grad", [gradient, fd_gradient], ids=["analytic", "fd"])
     @pytest.mark.parametrize("penalty", [0.0, 0.1])
     @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
     @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_returns_data_loss(self, rng, parity, mode, penalty, method):
+    def test_returns_data_loss(self, rng, parity, mode, penalty, grad):
         net, samples = perturbed_fit(rng, parity, mode)
-        _, _, data = gradient(net, samples, penalty=penalty, method=method)
+        _, _, data = grad(net, samples, penalty=penalty)
         assert_loss_close(data, loss(net, samples))
 
     @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
@@ -236,8 +237,8 @@ class TestGradient:
         # their own, so the two agree far inside the 1e-5 the analytic check uses
         for parity in ("even", "odd"):
             net, samples = perturbed_fit(rng, parity, "twisted-adjoint", n=200, noise=0.01)
-            got = gradient(net, nn.compress(samples), penalty=0.1, method="fd")
-            want = gradient(net, samples, penalty=0.1, method="fd")
+            got = fd_gradient(net, nn.compress(samples), penalty=0.1)
+            want = fd_gradient(net, samples, penalty=0.1)
             for g, w in zip(got[:2], want[:2]):
                 assert np.max(np.abs(g - w)) <= 1e-6 * max(1.0, np.max(np.abs(w)))
             assert_loss_close(got[2], want[2])
@@ -259,7 +260,7 @@ class TestGradient:
         keep = net.w.copy()
         samples = generate_dataset(reflector_plane([0, 1.0, 0], 0.0), 5, seed=1)
         with pytest.raises(SingularWeightError):
-            gradient(net, samples, method="fd")
+            fd_gradient(net, samples)
         assert np.array_equal(net.w, keep)
 
     def test_zero_residual_leaves_penalty_only(self):
@@ -279,12 +280,6 @@ class TestGradient:
         net.theta = net.theta - 0.01 * gt
         assert loss(net, samples) < before
 
-    def test_rejects_unknown_method(self):
-        net = new_neuron("even", seed=0)
-        samples = generate_dataset(translator([0.1, 0, 0]), 3, seed=0)
-        with pytest.raises(ValueError):
-            gradient(net, samples, method="symbolic")
-
     def test_rejects_empty_samples(self):
         net = new_neuron("even", seed=0)
         with pytest.raises(ValueError):
@@ -303,7 +298,7 @@ class TestGradient:
         run = {
             "loss": lambda: loss(net, pair),
             "gradient": lambda: gradient(net, pair),
-            "fd": lambda: gradient(net, pair, method="fd"),
+            "fd": lambda: fd_gradient(net, pair),
             "compress": lambda: nn.compress(pair),
             "train": lambda: train(net, pair, TrainConfig(epochs=2)),
         }[call]
