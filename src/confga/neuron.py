@@ -28,15 +28,22 @@ of |T|^2 terms would suffer near convergence (Golub and Van Loan,
 Matrix Computations, ch. 5).
 
 There is one forward pass (`_forward`), and it is the one the gradient
-differentiates: the partial products U1 = x' W and U2 = ~W x', both in
-one (k, 32) @ (32, 64) product by the versor module's action matrices
-with a unit left or right factor (convention folded in), then the
-numerators B = ~W x' W = U1 L(~W)^T and the outputs
-Y = B / <W ~W>_0 + c Theta^T. `forward`, `loss` and `gradient` all
-read it. The gradient sums over rows before it touches the Cayley
-table: the 32x32 products C = U1^T R and D = U2^T R of the partial
-products with the residuals R (one (64, k) @ (k, 32) product) meet the
-table through one (32, 64) gather of signed entries. `gradient` also
+differentiates. Every entry of every weight matrix an epoch needs is
++-w[i xor j], so it takes them all in one signed gather of W (`_block`,
+32x128): the versor module's action matrices x' -> x' W and
+x' -> ~W x' (convention folded in), L(~W) and R(~W)^T. The gather's
+index and its four (parity, convention) sign tables are read at import
+off those same matrices on constant weights, so the convention is still
+decided in one place. Then the partial products U1 = x' W and
+U2 = ~W x' are one (k, 32) @ (32, 64) product, the numerators
+B = ~W x' W = U1 L(~W)^T and the outputs Y = B / <W ~W>_0 + c Theta^T.
+`forward`, `loss` and `gradient` all read it. The gradient sums over
+rows before it touches the Cayley table: the 32x32 products C = U1^T R
+and D = U2^T R of the partial products with the residuals R (one
+(64, k) @ (k, 32) product) meet the table through one (32, 64) gather
+of signed entries. The penalty reads R(~W)^T from the same block:
+W ~W = R(~W) w, and the penalty's gradient is 4 R(~W)^T times the
+non-scalar part of W ~W. `gradient` also
 returns the data loss, the mean squared residual of the R it formed,
 which is exactly what `loss` returns. The module-level `gradient` is
 called once per step, plus once at the weights where training stops,
@@ -45,6 +52,7 @@ and its loss is the history entry for the weights it was called at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,13 +77,39 @@ _KAPPA = ALG.rev_norm_signs
 _EVEN_MASK = (ALG.grades % 2 == 0).astype(float)
 _ODD_MASK = 1.0 - _EVEN_MASK
 
-# The XOR gathers of C and D as one gather of [C; D].ravel():
-# sum_j (_GATHER_SIGN * [C; D].ravel()[_GATHER_INDEX])[k, j]
+# The XOR gathers of C and D as one flat gather of [C; D]:
+# sum_j (_GATHER_SIGN * [C; D].take(_GATHER_INDEX))[k, j]
 #     = ~k * sum_j S[k,j] C[j, k xor j] + sum_i S[i,k] D[i, i xor k]
 # where ~k is the reversion sign of blade k.
 _C_INDEX = np.arange(ALG.dim) * ALG.dim + _XOR  # [k, j] -> C[j, k xor j]
 _GATHER_INDEX = np.concatenate((_C_INDEX, _C_INDEX + ALG.dim * ALG.dim), axis=1)
 _GATHER_SIGN = np.concatenate((_REV[:, None] * _SIGN, _SIGN.T), axis=1)
+
+
+def _matrices(w: np.ndarray, parity: str, mode: str) -> np.ndarray:
+    """An epoch's weight matrices side by side, (32, 128), from the multiplication
+    matrices: [x' -> x' W | x' -> ~W x'] (convention folded in), L(~W) and R(~W)^T."""
+    w_rev = _REV * w
+    left = ALG.left_matrix(w_rev)
+    return np.concatenate((
+        _action_matrix(None, ALG.right_matrix(w), parity, mode).T,
+        _action_matrix(left, None, parity, mode).T,
+        left,
+        ALG.right_matrix(w_rev).T,
+    ), axis=1)
+
+
+# Every entry of `_matrices` is +-w[i xor j]: the index is read off w = 1..32
+# and the signs off w = 1, so `_block` gathers them all with one take.
+_BLOCK_INDEX = np.abs(_matrices(np.arange(1.0, ALG.dim + 1), "even", "twisted-adjoint")).astype(np.intp) - 1
+_BLOCK_SIGN = {(p, c): _matrices(np.ones(ALG.dim), p, c) for p in PARITIES for c in CONVENTIONS}
+
+
+def _block(w: np.ndarray, parity: str, mode: str) -> np.ndarray:
+    """`_matrices(w, parity, mode)` bit for bit, by one signed gather."""
+    block = w.take(_BLOCK_INDEX)
+    block *= _BLOCK_SIGN[parity, mode]
+    return block
 
 
 @dataclass
@@ -131,28 +165,26 @@ def new_neuron(parity: str, seed: int, mode: str = "twisted-adjoint") -> Geometr
 
 def _norm_scalar(w: np.ndarray) -> float:
     q = float(_KAPPA @ (w * w))
-    scale = float(np.max(np.abs(w))) ** 2
-    if abs(q) <= tolerance.threshold(max(1.0, scale)):
-        raise SingularWeightError(f"<W ~W>_0 = {q} is too close to zero")
+    peak = float(np.abs(w).max())
+    limit = tolerance.threshold(max(1.0, peak * peak))
+    if abs(q) <= limit:
+        raise SingularWeightError(
+            f"<W ~W>_0 = {q} is too close to zero: |<W ~W>_0| <= {limit}, the threshold at max|W| = {peak}")
     return q
 
 
 def _forward(neuron: GeometricNeuron, X: np.ndarray, c: np.ndarray):
-    """The forward pass on rows X with bias weights c, as (U, B, Y, q): the partial
-    products U = [x' W | ~W x'], the numerators B = (x' W) L(~W)^T = ~W x' W, the
-    outputs Y = B / q + c Theta^T, and q = <W ~W>_0."""
+    """The forward pass on rows X with bias weights c, as (U, B, Y, q, M): the
+    weight matrices M = [x' -> x' W | x' -> ~W x' | L(~W) | R(~W)^T] (`_block`),
+    the partial products U = [x' W | ~W x'], the numerators
+    B = (x' W) L(~W)^T = ~W x' W, the outputs Y = B / q + c Theta^T, and q = <W ~W>_0."""
     q = _norm_scalar(neuron.w)
-    left = ALG.left_matrix(_REV * neuron.w)
-    partial = np.concatenate(
-        (_action_matrix(None, ALG.right_matrix(neuron.w), neuron.parity, neuron.mode).T,  # x' -> x' W
-         _action_matrix(left, None, neuron.parity, neuron.mode).T),  # x' -> ~W x'
-        axis=1,
-    )
-    U = X @ partial
-    B = U[:, :ALG.dim] @ left.T
+    M = _block(neuron.w, neuron.parity, neuron.mode)
+    U = X @ M[:, :2 * ALG.dim]
+    B = U[:, :ALG.dim] @ M[:, 2 * ALG.dim:3 * ALG.dim].T
     Y = B * (1.0 / q)
     Y += c[:, None] * neuron.theta  # outer(c, Theta)
-    return U, B, Y, q
+    return U, B, Y, q, M
 
 
 def _stack(samples) -> Rows:
@@ -192,13 +224,9 @@ def loss(neuron: GeometricNeuron, samples) -> float:
     return float(np.vdot(R, R)) / d.n
 
 
-def _weight_gram(w: np.ndarray) -> np.ndarray:
-    # coefficients of W ~W; self-reverse, so only grades 0, 1, 4, 5 survive
-    return ALG.left_matrix(w) @ (_REV * w)
-
-
 def penalty_value(w: np.ndarray) -> float:
-    m = _weight_gram(w)
+    # the coefficients of W ~W, self-reverse, so only grades 0, 1, 4, 5 survive
+    m = ALG.left_matrix(w) @ (_REV * w)
     return float(np.sum(m[1:] ** 2))
 
 
@@ -221,7 +249,7 @@ def gradient(neuron, samples, penalty: float = PENALTY):
     and is the independent check."""
     d = _stack(samples)
     n = d.n
-    U, B, R, q = _forward(neuron, d.x, d.c)
+    U, B, R, q, M = _forward(neuron, d.x, d.c)
     R -= d.t
 
     grad_theta = (2.0 / n) * (d.c @ R)
@@ -229,13 +257,14 @@ def gradient(neuron, samples, penalty: float = PENALTY):
     CD = U.T @ R  # [C; D]
     r_dot_b = float(np.vdot(R, B))
 
-    grad_w = (2.0 / (n * q)) * np.einsum("kj,kj->k", CD.ravel()[_GATHER_INDEX], _GATHER_SIGN)
+    grad_w = (2.0 / (n * q)) * np.einsum("kj,kj->k", CD.take(_GATHER_INDEX), _GATHER_SIGN)
     grad_w -= (4.0 * r_dot_b / (n * q * q)) * (_KAPPA * neuron.w)
 
     if penalty:
-        m = _weight_gram(neuron.w)
+        right_t = M[:, 3 * ALG.dim:]  # R(~W)^T
+        m = neuron.w @ right_t  # W ~W
         m[0] = 0.0
-        grad_w += (4.0 * penalty) * (ALG.right_matrix(_REV * neuron.w).T @ m)
+        grad_w += (4.0 * penalty) * (right_t @ m)
     return grad_w, grad_theta, float(np.vdot(R, R)) / n
 
 
@@ -289,12 +318,12 @@ def train(neuron: GeometricNeuron, samples, cfg: TrainConfig) -> list[float]:
                 break
             neuron.w = (neuron.w - cfg.lr * grad_w) * mask
             neuron.theta = neuron.theta - cfg.lr * grad_theta
-            peak = float(np.max(np.abs(neuron.w)))
-            if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+            peak = float(np.abs(neuron.w).max())
+            if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"weight norm diverged to {peak}", history=history)
             grad_w, grad_theta, data = gradient(neuron, rows, penalty=PENALTY)
             history.append(data)
-            if not np.isfinite(data) or data > DIVERGENCE_LIMIT:
+            if not math.isfinite(data) or data > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"loss diverged to {data}", history=history)
     return history
 

@@ -33,7 +33,9 @@ from confga import (
     TrainConfig,
 )
 from confga import neuron as nn
+from confga import tolerance
 from confga.conformal import ALG, e1, e2, e3
+from confga.versor import _action_matrix
 
 from conftest import assert_mv_close
 
@@ -161,6 +163,41 @@ class TestForward:
         )
         with pytest.raises(SingularWeightError):
             forward(net, embed_point([0.0, 0.0, 0.0]))
+
+    def test_singular_weight_error_carries_its_numbers(self):
+        # <W ~W>_0 = 1e-10 at max|W| = 2 is within rel * 4 + EPS_ABS of zero
+        w = np.zeros(32)
+        w[0b00001] = 2.0
+        w[0b10000] = math.sqrt(4.0 - 1e-10)
+        net = GeometricNeuron(w=w, theta=np.zeros(32), parity="odd")
+        q = float(ALG.rev_norm_signs @ (w * w))
+        with pytest.raises(SingularWeightError) as info:
+            forward(net, embed_point([0.0, 0.0, 0.0]))
+        limit = tolerance.threshold(4.0)
+        assert 0.0 < abs(q) <= limit
+        assert str(info.value) == (f"<W ~W>_0 = {q} is too close to zero: "
+                                   f"|<W ~W>_0| <= {limit}, the threshold at max|W| = 2.0")
+
+    @pytest.mark.parametrize("mode", ["twisted-adjoint", "paper-literal"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_block_is_the_weight_matrices_bit_for_bit(self, parity, mode):
+        # every entry is +-w[i xor j], so one signed gather is exact, signs of zeros included
+        rng = np.random.default_rng(23)
+        w = rng.normal(size=32) * nn.parity_mask(parity)  # off-parity entries are +0 and -0
+        inside = np.flatnonzero(nn.parity_mask(parity))
+        w[inside[:2]] = 0.0, -0.0
+        assert np.signbit(w[w == 0.0]).any() and not np.signbit(w[w == 0.0]).all()
+        wt = ALG.reverse_signs * w
+        want = np.concatenate((
+            _action_matrix(None, ALG.right_matrix(w), parity, mode).T,
+            _action_matrix(ALG.left_matrix(wt), None, parity, mode).T,
+            ALG.left_matrix(wt),
+            ALG.right_matrix(wt).T,
+        ), axis=1)
+        got = nn._block(w, parity, mode)
+        assert got.shape == (32, 128)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_scaled_weight_same_action(self, rng):
         v = rotor(e1 ^ e2, 0.4)
