@@ -343,8 +343,10 @@ def generate_dataset(
     """The (X, T) pair of (n, 32) arrays: rows P(p) with p uniform in
     [-2, 2]^3, and v acting on each row.
 
-    Targets keep the raw sandwich coefficients so that exact versor
-    weights reach exactly zero loss; noise perturbs target coefficients."""
+    Targets are `apply`'s images, which keep only the action's grade
+    blocks, so a point's target is a vector; the weights of the versor
+    itself (`from_versor`) reach a loss at rounding level, not exactly 0.
+    Noise perturbs every target coefficient."""
     rng = np.random.default_rng(seed)
     mode = "motion" if v.parity == "even" else "reflection"
     X = embed_points(rng.uniform(-2.0, 2.0, size=(n, 3)))

@@ -36,6 +36,13 @@ any arithmetic.
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
 folded in (`_action_matrix`, shared with the neuron), so `apply` on an
 (N, 32) array is one (N, 32) @ (32, 32) product; a multivector is one row.
+A versor's action preserves grade (a point stays a point, a circle a
+circle), so the exact K is block diagonal by grade; the computed K holds
+rounding in its cross-grade entries, which would land in every grade the
+input does not have. `apply` keeps only K's grade-diagonal blocks
+(`_SAME_GRADE`), and every coefficient it keeps is the float the full K
+gives. The neuron keeps the full K: a weight in training is not a versor,
+and its gradient needs the cross-grade terms.
 """
 
 from __future__ import annotations
@@ -119,6 +126,7 @@ def make_versor(mv: Multivector) -> Versor:
     return Versor(mv, parity, s, ~mv / s)
 
 
+_SAME_GRADE = ALG.grades[:, None] == ALG.grades[None, :]  # K's grade-diagonal blocks
 _LOCATION = np.vstack([np.eye(ALG.dim)[[0b001, 0b010, 0b100]], -einf.coeffs * ALG.rev_norm_signs])  # e1, e2, e3, weight
 
 
@@ -238,7 +246,16 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     """Act on a multivector, a classified object, or an (N, dim) array of
     rows (an array back) by one matrix product, a multivector as one row;
     'motion' demands an even versor and 'reflection' an odd one. A batch row
-    equals that row applied alone only to rounding (gemm vs gemv)."""
+    equals that row applied alone only to rounding (gemm vs gemv).
+
+    The product is with K's grade-diagonal blocks only, so each grade of X
+    maps into the same grade and nothing else: the cross-grade entries of the
+    computed K are rounding, within 64 u (|L| |R|) with |v| taken as the
+    absolute product of v's factors (the bound `_certified` uses), and
+    np.where rather than a mask multiply sends an overflowed one to 0, not
+    NaN. A v that `make_versor` accepts only within
+    the tolerance (v ~v a scalar up to rel) acts by the grade-preserving part
+    of its sandwich."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if convention not in CONVENTIONS:
@@ -252,7 +269,7 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     elif not isinstance(X, np.ndarray):
         raise TypeError(f"apply takes a Multivector, a ConformalObject or an (N, dim) array, not {type(X).__name__}")
     left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
-    K = _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
+    K = np.where(_SAME_GRADE, _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention), 0.0)
     if isinstance(X, np.ndarray):
         return X @ K.T
     out = Multivector(ALG, (mv.coeffs[None, :] @ K.T)[0], copy=False)

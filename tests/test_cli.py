@@ -149,6 +149,20 @@ class TestEval:
         assert result.exit_code == 1
         assert "wibble" in result.stderr
 
+    @pytest.mark.parametrize("src, location", [
+        ("apply(mirror_point(1e6,0,0), point(1,2,3), reflection)", [1e6, 0.0, 0.0]),
+        ("apply(motor(e12,0.7,1,0,-0.5), point(1,2,3), motion)", None),
+    ], ids=["far-point-mirror", "motor"])
+    def test_moved_point_prints_grade_1_only(self, runner, src, location):
+        """The sandwich preserves grade, so no rounding residue is printed in the blades a
+        point cannot have, even where it is as large as the far null mirror's."""
+        result = runner.invoke(main, ["eval", src])
+        assert result.exit_code == 0, result.stderr
+        moved = eval_expression(result.stdout)
+        assert np.all(moved.coeffs[ALG.grades != 1] == 0.0), result.stdout
+        if location is not None:
+            assert_proportional(moved, embed_point(location), tol=1e-9)
+
 
 class TestNullVersor:
     """Only a conformal point is taken as the null point mirror; any other versor whose norm

@@ -35,7 +35,7 @@ from confga import (
     sphere_ipns,
     translator,
 )
-from confga.versor import Versor
+from confga.versor import CONVENTIONS, Versor, _SAME_GRADE, _action_matrix
 from confga.conformal import (
     ALG,
     E,
@@ -891,3 +891,75 @@ class TestRangeCheck:
             err = np.abs(locations(apply(v, embed_points(P), mode)) - want).max(axis=1) / np.abs(want).max(axis=1)
             assert np.all(err <= 0.2), (name, off, s, err)
         assert accepted >= 150 and refused >= 40, (accepted, refused)
+
+
+# -- apply keeps the action's grade blocks --------------------------------------------
+
+
+def full_action(v, convention):
+    """The action matrix K = L(v^-1) R(v) with every block, as the neuron uses it."""
+    left = v.mv if v.inv is None else v.inv
+    return _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
+
+
+def grade_block_cases():
+    return {
+        **operator_families(),
+        "point-far": reflector_point([1e6, 0.0, 0.0]),
+        "compose": compose([reflector_sphere([0.5, -0.2, 0.0], 1.5), motor(e23, 0.6, [0.3, 0.2, -0.1])]),
+    }
+
+
+class TestGradeBlocks:
+    """A versor's action preserves grade, so `apply` keeps only the grade-diagonal blocks of
+    K: the cross-grade entries of the computed K are rounding, which the full K writes into
+    every grade the input does not have."""
+
+    @pytest.mark.parametrize("family", sorted(grade_block_cases()))
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_no_off_grade_output(self, rng, family, convention):
+        """Row g of the batch has grade g: its image is exactly 0.0 outside grade g, and inside
+        it the same floats as the full K gives."""
+        v = grade_block_cases()[family]
+        mode = "motion" if v.parity == "even" else "reflection"
+        X = np.stack([random_mv(ALG, rng, grade=g).coeffs for g in range(ALG.n + 1)])
+        got = apply(v, X, mode, convention=convention)
+        in_grade = np.arange(ALG.n + 1)[:, None] == ALG.grades[None, :]
+        assert np.all(got[~in_grade] == 0.0)
+        assert np.array_equal(got[in_grade], (X @ full_action(v, convention).T)[in_grade])
+
+    @pytest.mark.parametrize("family", sorted(grade_block_cases()))
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_mixed_grade_maps_grade_by_grade(self, rng, family, convention):
+        v = grade_block_cases()[family]
+        mode = "motion" if v.parity == "even" else "reflection"
+        X = random_mv(ALG, rng)
+        got = apply(v, X, mode, convention=convention).coeffs
+        for g in range(ALG.n + 1):
+            part = apply(v, X.grade(g), mode, convention=convention).coeffs
+            assert np.all(part[ALG.grades != g] == 0.0)
+            assert np.array_equal(got[ALG.grades == g], part[ALG.grades == g]), g
+
+    def test_dropped_entries_are_rounding(self):
+        """Every entry the mask drops is within 64 u (|L| |R|) of zero, the bound of
+        `_certified` for K's nested sums (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 3), with the absolute product w of v's factors for |v| since a
+        computed .mv carries its product's rounding (`abs_product`): |L| = L(w / |norm2|)
+        and |R| = R(w) for the seeded closed forms at offsets up to 10^6, point mirrors, and
+        `make_versor` of products of 1 to 4 random vectors. An even or odd v with v ~v a
+        scalar is a versor in Cl(4,1) (Lounesto, Clifford Algebras and Spinors, 2nd ed.,
+        sec. 17), so its exact K has no cross-grade entries."""
+        rng = np.random.default_rng(21)
+        cases = [(v, factors) for _, v, factors, *_ in closed_forms(17, 200) if v is not None]
+        cases += [(reflector_point(p), [embed_point(p)]) for p in rng.uniform(-1e3, 1e3, (20, 3))]
+        for k in rng.integers(1, 5, 400):
+            factors = [random_mv(ALG, rng, grade=1) for _ in range(k)]
+            cases.append((make_versor(math.prod(factors, start=ALG.scalar(1.0))), factors))
+        nonzero = 0
+        for v, factors in cases:
+            w, scale = abs_product(*factors), 1.0 if v.inv is None else abs(v.norm2)
+            K = np.abs(full_action(v, "twisted-adjoint"))[~_SAME_GRADE]
+            terms = (np.abs(ALG.left_matrix(w / scale)) @ np.abs(ALG.right_matrix(w)))[~_SAME_GRADE]
+            assert np.all(K <= 64 * U * terms), v
+            nonzero += int(np.count_nonzero(K))
+        assert nonzero > 0  # the full K does carry cross-grade rounding
