@@ -24,8 +24,9 @@ mirror both use it. Every numeric argument of a builder must be finite.
 Classification runs one plan, built once at import: the linear maps the tree
 reads of a blade A (the e0 weight and A ^ einf: is it flat?; einf | A; A einf;
 null-basis coefficients of A and of A I5^-1 for planes, flat points, lines and
-a circle's normal) stacked into one (32, k) matrix, one matmul per block; the
-row-wise product kernel for A ~A (is A a blade?) with <A A>_0, then for
+a circle's normal) stacked into one (32, k) matrix, one matmul per block of
+2048 rows; the row-wise product kernel for grades 0 and 4 of A ~A (is A a
+blade? a k-vector's A ~A has no other grades) with <A A>_0, then for
 <(einf | A)^2>_0 and the center <A einf A>_1 of rounds; grade masks; and
 `_LIMIT`, every tolerance decision, applied to a block's residuals as arrays.
 The decisions are masks that route rows to the tree's branches; each row keeps
@@ -343,7 +344,7 @@ def sphere_ipns(center, r: float) -> ConformalObject:
 # The plan of the module docstring. The matmul's entries are +-1 and +-1/2, at
 # most two per column, so its sums are exact whatever the rows around them.
 
-_BLOCK = 256  # rows per pass; keeps each (rows, 32, 33) product temporary near 2 MB
+_BLOCK = 2048  # rows per pass; the gram's product temporary, 32 x 7 terms a row, is then 3.7 MB
 _GRADE_ONE_HOT = np.eye(ALG.n + 1)[ALG.grades]
 _VECTOR = tuple(np.flatnonzero(ALG.grades == 1).tolist())
 _ONE = ALG.scalar(1.0).coeffs
@@ -353,7 +354,10 @@ _ROUND_SIGN = np.array([0.0, 1.0, 1.0, -1.0, 1.0, 0.0])
 
 # the bilinear maps, as product tables for `row_product`
 _XOR, _SIGNS = ALG.product_tables["gp"]
-_GRAM = (np.hstack([_XOR, _XOR[:, :1]]), np.hstack([_SIGNS * ALG.reverse_signs[_XOR], _SIGNS[:, :1]]))  # A ~A, <A A>_0
+# A ~A of a k-vector is even and its own reverse, so grades 0 and 4 only; then <A A>_0
+_GRAM_BLADES = np.flatnonzero((ALG.grades == 0) | (ALG.grades == 4))
+_GRAM = (np.hstack([_XOR[:, _GRAM_BLADES], _XOR[:, :1]]),
+         np.hstack([(_SIGNS * ALG.reverse_signs[_XOR])[:, _GRAM_BLADES], _SIGNS[:, :1]]))
 _SCALAR_GP = (_XOR[:, :1], _SIGNS[:, :1])  # <a b>_0
 _VECTOR_GP = (_XOR[:, _VECTOR], _SIGNS[:, _VECTOR])  # <a b>_1
 _VECTOR_SCALAR = (np.arange(len(_VECTOR))[:, None], _SIGNS[_VECTOR, :1])  # <v w>_0 from grade-1 coefficients
@@ -395,7 +399,7 @@ def _max(a, b):
 # Every tolerance decision of the tree: the limit of its residual, from the rows' quantities as arrays.
 _LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),  # counts toward its grade above this
-    "blade": lambda scale, gram0: tolerance.threshold(_max(abs(gram0), scale * scale)),  # off-scalar A ~A within
+    "blade": lambda scale, gram0: tolerance.threshold(_max(abs(gram0), scale * scale)),  # the grade-4 part of A ~A within
     "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
     "wedge": lambda scale: tolerance.threshold(_max(1.0, 2.0 * scale)),  # grade 2..4 with A ^ einf within is flat
     "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,  # a point's P^2 is within

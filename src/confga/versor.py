@@ -177,14 +177,16 @@ def reflector_point(p) -> Versor:
 
 
 def reflector_line(line) -> Versor:
-    """Half-turn about a line: even, equal to two perpendicular plane mirrors."""
+    """Half-turn about a line: even, equal to two perpendicular plane mirrors. The
+    half-turn is a bivector, so only the product's grade-2 part is kept; its other
+    grades are rounding."""
     obj = line if isinstance(line, ConformalObject) else classify(line)
     if obj.kind != "line":
         raise DomainError(f"line mirror needs a line, got {obj.kind}")
     d = euclid_vector(obj.params["direction"])
     foot = d | euclid_bivector(obj.params["moment"])
     p0 = np.array([foot.coeff(0b001), foot.coeff(0b010), foot.coeff(0b100)])
-    return _certified(translator(-p0).mv * (d | I3) * translator(p0).mv, "even", 1.0)  # d | I3: the plane normal to d
+    return _certified((translator(-p0).mv * (d | I3) * translator(p0).mv).grade(2), "even", 1.0)  # d | I3: the plane normal to d
 
 
 # -- motions ------------------------------------------------------------------

@@ -163,6 +163,14 @@ class TestEval:
         if location is not None:
             assert_proportional(moved, embed_point(location), tol=1e-9)
 
+    def test_far_line_mirror_prints_grade_2_only(self, runner):
+        """A line's half-turn is a bivector; the rounding of the product that builds it
+        lands in grade 4 and is not printed."""
+        result = runner.invoke(main, ["eval", "mirror_line(point(300,7,0), point(301,7.5,0.3))"])
+        assert result.exit_code == 0, result.stderr
+        mirror = eval_expression(result.stdout)
+        assert np.all(mirror.coeffs[ALG.grades != 2] == 0.0), result.stdout
+
 
 class TestNullVersor:
     """Only a conformal point is taken as the null point mirror; any other versor whose norm

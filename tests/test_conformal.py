@@ -794,7 +794,7 @@ def _rows(mvs) -> np.ndarray:
 
 class TestClassifyBatch:
     def test_matches_per_object_reference(self, rng):
-        mix = classification_mix(rng)
+        mix = classification_mix(rng, rounds=_BLOCK // 20 + 1)  # 20 objects a round: past one block
         got = classify_batch(_rows(mix))
         assert len(got) == len(mix) > _BLOCK
         kinds, errors = set(), set()
@@ -1024,9 +1024,12 @@ class TestPlan:
         bottom = row_product(carrier, carrier, conformal._SCALAR_GP)[:, 0]
         center = row_product(Y[:, conformal._COL["a_einf"]], X, conformal._VECTOR_GP)
         vector = list(conformal._VECTOR)
+        # row 0 of a table is the scalar's term, at the output blade's own index
+        kept = conformal._GRAM[0][0]
+        assert kept[-1] == 0 and kept[:-1].tolist() == [k for k in range(ALG.dim) if ALG.grades[k] in (0, 4)]
         for i, x in enumerate(X):
             A = Multivector(ALG, x)
-            assert np.array_equal(gram[i, :-1], (A * ~A).coeffs)
+            assert np.array_equal(gram[i, :-1], (A * ~A).coeffs[kept[:-1]])
             assert gram[i, -1] == (A * A).coeffs[0]
             assert bottom[i] == ((einf | A) * (einf | A)).coeffs[0]
             assert np.array_equal(center[i], (A * einf * A).coeffs[vector])
@@ -1051,6 +1054,23 @@ class TestPlan:
                 else:
                     assert got == {k: obj.params[k] for k in ("center", "radius2", "sign")}
         assert rounds >= 100
+
+    def test_gram_grades_left_out_cannot_fail_a_blade(self):
+        """_GRAM keeps grades 0 and 4 of A ~A: for a row whose coefficients outside its
+        grade are exactly 0, the full product's grades 1, 2, 3 and 5 are rounding, within
+        the blade limit, so dropping them cannot change the blade test's decision."""
+        mix = [mv for seed in range(20) for mv in classification_mix(np.random.default_rng(seed))]
+        X = _rows(mix)
+        one_grade = np.array([len(set(ALG.grades[x != 0.0].tolist())) == 1 for x in X])
+        X = X[one_grade]
+        assert len(X) >= 5000
+        full = ALG.product("gp", X, X * ALG.reverse_signs)  # A ~A
+        left_out = np.abs(full[:, np.isin(ALG.grades, [1, 2, 3, 5])]).max(axis=1)
+        assert (left_out > 0.0).any()  # they are rounding, not zeros
+        for rel in (1e-12, 1e-9, 1e-6, 1e-3):
+            with tolerance.scope(rel):
+                limit = conformal._LIMIT["blade"](np.abs(X).max(axis=1), full[:, 0])
+            assert (left_out <= limit).all(), (rel, np.max(left_out / limit))
 
 
 # -- the builders --------------------------------------------------------------
