@@ -262,7 +262,7 @@ class Multivector:
         return float(self.coeffs[0])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).max())
 
     def is_zero(self, scale: float | None = None) -> bool:
         s = self.max_abs() if scale is None else scale

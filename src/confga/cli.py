@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections import ChainMap
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes for a str
 from pathlib import Path
 
 import click
@@ -84,11 +85,15 @@ def eval_cmd(expression: str, fmt: str):
     Expressions may start with a minus sign; only --format is parsed as
     an option."""
     mv = expr.eval_expression(expression)
-    if fmt == "json":
-        payload = {"text": expr.render(mv), "coefficients": mv_entries(mv)}
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(expr.render(mv))
+    click.echo(_eval_json(mv) if fmt == "json" else expr.render(mv))
+
+
+def _eval_json(mv) -> str:
+    """json.dumps({"text": ..., "coefficients": mv_entries(mv)}, indent=2), byte for byte,
+    filled in as the scene writers fill theirs (%r of a float is its repr)."""
+    lines = ",\n".join(["    %s: %r" % (_quote(blade), c) for blade, c in mv_entries(mv).items()])
+    coefficients = "{\n" + lines + "\n  }" if lines else "{}"
+    return '{\n  "text": %s,\n  "coefficients": %s\n}' % (_quote(expr.render(mv)), coefficients)
 
 
 @main.command("transform")

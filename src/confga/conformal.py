@@ -38,6 +38,7 @@ A row's result does not depend on the other rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,9 +130,14 @@ def as_real(x, name: str) -> float:
     return value
 
 
+_EUCLID = [0b00001, 0b00010, 0b00100]  # e1, e2, e3: the same coefficient in both bases
+
+
 def euclid_vector(p, name: str = "vector") -> Multivector:
-    arr = as_vec3(p, name)
-    return arr[0] * e1 + arr[1] * e2 + arr[2] * e3
+    """p0 e1 + p1 e2 + p2 e3, its three coefficients written into zeros."""
+    coeffs = np.zeros(ALG.dim)
+    coeffs[_EUCLID] = as_vec3(p, name)
+    return Multivector(ALG, coeffs, copy=False)
 
 
 def euclid_bivector(m) -> Multivector:
@@ -155,7 +161,6 @@ class ConformalObject:
 
 # -- points -------------------------------------------------------------------
 
-_EUCLID = (0b00001, 0b00010, 0b00100)  # e1, e2, e3: the same coefficient in both bases
 _PLUS, _MINUS = 0b01000, 0b10000
 _OFF_VECTOR = ALG.grades != 1
 _SQRT_SMALLEST_NORMAL = math.sqrt(np.finfo(float).tiny)  # 2**-511: below it, |n|^2 is subnormal or 0
@@ -261,16 +266,18 @@ def wedge_points(*points: Multivector, with_inf: bool = False) -> Multivector:
     for k, P in enumerate(points, 1):
         if not is_point(P):
             raise NotAPointError(f"construction point {k} of {len(points)} is not a conformal point")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            scale = max(1.0, points[i].max_abs(), points[j].max_abs())
-            if (points[i] - points[j]).is_zero(scale=scale):
-                raise DegenerateError("coincident points")
+    sizes = [P.max_abs() for P in points]
+    if len(points) > 1:  # Pi and Pj coincide when every |Pi - Pj| <= threshold(max(1, max|Pi|, max|Pj|))
+        i, j = np.array(list(itertools.combinations(range(len(points)), 2))).T
+        rows, m = np.array([P.coeffs for P in points]), np.array(sizes)
+        limit = tolerance.threshold(np.maximum(np.maximum(m[i], m[j]), 1.0))
+        if (np.abs(rows[i] - rows[j]) <= limit[:, None]).all(axis=1).any():
+            raise DegenerateError("coincident points")
     acc = points[0]
-    scale = points[0].max_abs()
-    for P in points[1:]:
+    scale = sizes[0]
+    for P, size in zip(points[1:], sizes[1:]):
         acc = acc ^ P
-        scale = scale * P.max_abs()
+        scale = scale * size
     if with_inf:
         acc = acc ^ einf
         scale = scale * 2.0

@@ -65,14 +65,16 @@ from .errors import DomainError, ParseError, UnboundNameError
 from . import versor as _versor
 
 # The operator table, loosest binding first.  Binary operator -> (binding
-# level, function, whether two numbers stay a number); every binary level is
-# left associative.  Unary operators bind tighter than any binary one.
+# level, function, when its number operands stay numbers: `all` when both are
+# numbers, `any` when either is, so that a number scales a multivector, or None
+# for never); every binary level is left associative.  Unary operators bind
+# tighter than any binary one.
 _BINARY = {
-    "+": (1, operator.add, True),
-    "-": (1, operator.sub, True),
-    "*": (2, operator.mul, True),
-    "^": (3, operator.xor, False),
-    "|": (3, operator.or_, False),
+    "+": (1, operator.add, all),
+    "-": (1, operator.sub, all),
+    "*": (2, operator.mul, any),
+    "^": (3, operator.xor, None),
+    "|": (3, operator.or_, None),
 }
 _UNARY = {"~": lambda v: ~_as_mv(v), "!": lambda v: _as_mv(v).involute(), "-": operator.neg}
 
@@ -122,7 +124,7 @@ def tokenize(text: str) -> list[_Token]:
             value = None
         elif kind == "bad":
             raise ParseError(f"unexpected character {value!r}", line, col)
-        tokens.append(_Token(kind, value, line, col))
+        tokens.append(tuple.__new__(_Token, (kind, value, line, col)))  # skips NamedTuple's Python-level __new__
     return tokens
 
 
@@ -293,8 +295,7 @@ def _builtin(name: str):
 
     def call(args):
         constructor = overloads.get("".join(map(_kind, args)))
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite reports the overflow instead
-            value = None if constructor is None else constructor(*args)
+        value = None if constructor is None else constructor(*args)
         if value is None:
             raise DomainError(f"{name} expects {expects}")
         return _finite(name, value)
@@ -327,10 +328,11 @@ def _operand(v):
 
 def _finite(op: str, value):
     """value, unless overflow made it, or one of its coefficients, inf or nan."""
-    coeffs = np.array([value]) if _num(value) else value.coeffs
-    finite = np.isfinite(coeffs)
-    if not finite.all():
-        raise DomainError(f"'{op}' overflows: it gives {coeffs[~finite][0]}")
+    if _num(value):
+        if not math.isfinite(value):
+            raise DomainError(f"'{op}' overflows: it gives {value}")
+    elif not np.isfinite(value.coeffs).all():
+        raise DomainError(f"'{op}' overflows: it gives {value.coeffs[~np.isfinite(value.coeffs)][0]}")
     return value
 
 
@@ -348,12 +350,11 @@ def _lookup(step, env):
 
 
 def _binary(op: str, a, b):
-    """a op b: two numbers stay a number where the table says so; otherwise numbers become scalars."""
-    _, fn, numeric = _BINARY[op]
-    if not (numeric and _num(a) and _num(b)):
+    """a op b: numbers stay numbers where the table says so, and otherwise become scalars."""
+    _, fn, keep = _BINARY[op]
+    if not (keep and keep((_num(a), _num(b)))):
         a, b = _as_mv(a), _as_mv(b)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports the overflow instead
-        return _finite(op, fn(a, b))
+    return _finite(op, fn(a, b))
 
 
 def _eval(program, env):
@@ -385,8 +386,11 @@ def _eval(program, env):
 
 
 def evaluate(program, env=None) -> Multivector:
-    """Evaluate a parsed program to a multivector (numbers become scalars)."""
-    return _as_mv(_operand(_eval(program, env if env is not None else default_env())))
+    """Evaluate a parsed program to a multivector (numbers become scalars).
+    Overflow to inf or nan raises no warning: every step's value goes through
+    `_finite`, which refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _as_mv(_operand(_eval(program, env if env is not None else default_env())))
 
 
 def eval_expression(text: str, env=None) -> Multivector:

@@ -204,9 +204,16 @@ def rotor(i: Multivector, theta: float) -> Versor:
     return _certified(exp_special((0.5 * theta) * (i / math.sqrt(-s))), "even", 1.0)
 
 
+_TRANSLATION = [ALG.blade_bits(f"e{i}{sign}") for i in "123" for sign in "+-"]  # e1+, e1-, e2+, ...
+
+
 def translator(t) -> Versor:
-    """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
-    return _certified(ALG.scalar(1.0) + 0.5 * (euclid_vector(t, "translation") ^ einf), "even", 1.0)
+    """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t. Since
+    einf = e+ + e-, T is 1 on the scalar and t_i / 2 on both e_i+ and e_i-."""
+    coeffs = np.zeros(ALG.dim)
+    coeffs[0] = 1.0
+    coeffs[_TRANSLATION] = np.repeat(0.5 * as_vec3(t, "translation"), 2)
+    return _certified(Multivector(ALG, coeffs, copy=False), "even", 1.0)
 
 
 def motor(i: Multivector, theta: float, t) -> Versor:
@@ -280,11 +287,12 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
 
 def compose(versors: Sequence[Versor]) -> Versor:
     """Product in application order: compose([a, b]) acts as a then b, and its
-    .mv is 1 * a.mv * b.mv, left to right. Its norm is the product of the
-    factors' norms, since (ab)~(ab) = a (b ~b) ~a."""
+    .mv is a.mv * b.mv, left to right (1 for no factors). Its norm is the
+    product of the factors' norms, since (ab)~(ab) = a (b ~b) ~a."""
     if any(v.is_null for v in versors):
         raise SingularVersorError("cannot compose a degenerate point mirror")
     parity = "odd" if sum(v.parity == "odd" for v in versors) % 2 else "even"
+    factors = [v.mv for v in versors] or [ALG.scalar(1.0)]
     with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is _certified's to refuse
-        mv = math.prod((v.mv for v in versors), start=ALG.scalar(1.0))
+        mv = math.prod(factors[1:], start=factors[0])
     return _certified(mv, parity, math.prod(v.norm2 for v in versors))

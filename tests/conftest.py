@@ -19,6 +19,12 @@ from confga.errors import (
 from confga.versor import Versor
 
 
+# floats whose repr or arithmetic is easy to get wrong: a negative zero, subnormals,
+# the smallest normal, large and small powers of ten, inexact decimals, the largest float
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-05, 1e22, -1.5e-07, 0.1, 1 / 3,
+                  1.7976931348623157e308]
+
+
 @pytest.fixture
 def cga():
     return algebra(4, 1)

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confga import (
     TrainConfig,
@@ -37,7 +39,9 @@ from confga.cli import main
 from confga.algebra import Multivector
 from confga.conformal import ALG, classify, e1, e2, einf
 
-from conftest import assert_proportional
+from conftest import SPECIAL_FLOATS, assert_proportional
+
+_coefficients = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @pytest.fixture
@@ -88,6 +92,28 @@ class TestEval:
         payload = json.loads(result.output)
         mv = eval_expression("2*e1 + e12")
         assert payload == {"text": render(mv), "coefficients": mv_entries(mv)}
+
+    @staticmethod
+    def _assert_json_is_json_dumps(runner, mv):
+        result = runner.invoke(main, ["eval", "--format", "json", render(mv)])
+        assert result.exit_code == 0, result.output
+        want = json.dumps({"text": render(mv), "coefficients": mv_entries(mv)}, indent=2) + "\n"
+        assert result.output == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(0, ALG.dim - 1), _coefficients, max_size=8))
+    @example({})
+    @example({0: SPECIAL_FLOATS[-1], 31: -SPECIAL_FLOATS[1], 7: -0.0})
+    def test_json_format_is_json_dumps_byte_for_byte(self, columns):
+        coeffs = np.zeros(ALG.dim)
+        for bits, value in columns.items():
+            coeffs[bits] = value
+        self._assert_json_is_json_dumps(CliRunner(), ALG.mv(coeffs))
+
+    def test_json_format_of_every_blade(self, runner):
+        for bits in range(ALG.dim):
+            for value in (1.0, -1.0, 0.1, -2.2250738585072014e-308):
+                self._assert_json_is_json_dumps(runner, ALG.blade(bits, value))
 
     def test_leading_minus_is_an_expression_not_an_option(self, runner):
         result = runner.invoke(main, ["eval", "-2*e1 - 0.5*e12"])

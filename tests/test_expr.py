@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -458,6 +459,46 @@ class TestEval:
         env = default_env()
         env["P"] = embed_point([1.0, 2.0, 3.0])
         assert_mv_close(evaluate(parse("P ^ einf"), env), embed_point([1, 2, 3]) ^ einf)
+
+
+class TestFloatingPointState:
+    """`evaluate` ignores overflow for the whole program, since `_finite` refuses
+    every non-finite value, and gives the caller's numpy error state back."""
+
+    _STATES = [np.geterr(), {"all": "raise"}, {"over": "warn", "invalid": "raise", "divide": "ignore", "under": "warn"}]
+
+    @pytest.mark.parametrize("state", _STATES)
+    def test_error_state_is_restored_after_a_result(self, state):
+        with np.errstate(**state):
+            before = np.geterr()
+            assert_mv_close(ev("apply(translator(1,0,0), point(0,0,0), motion)"), embed_point([1, 0, 0]))
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("text", [
+        "e1 + 1e308*e2 * 10 + e3",
+        "point(1,2,3) ^ grade(e1, 1.5) ^ e2",
+        "point(1,2,3) + exp(1000*e1-) + e3",
+        "apply(translator(1e200,0,0), point(0,0,0), motion) + e1",
+    ])
+    @pytest.mark.parametrize("state", _STATES)
+    def test_error_state_is_restored_after_a_domain_error(self, state, text):
+        with np.errstate(**state):
+            before = np.geterr()
+            with pytest.raises(DomainError):
+                ev(text)
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("text, message", [
+        ("exp(1000*e1-)", "exp's argument is too large"),
+        ("1e308*e1 * 10", "'*' overflows: it gives inf"),
+        ("(1e200*e1) * (1e200*e2)", "'*' overflows: it gives inf"),
+        ("(1e200*e1 + 1e200*e2) | (1e200*e1 - 1e200*e2)", "'|' overflows: it gives nan"),
+    ])
+    def test_overflow_raises_no_runtime_warning(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                ev(text)
 
 
 # -- object constructors against the library -----------------------------------

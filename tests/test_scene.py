@@ -31,7 +31,7 @@ from confga.conformal import ALG, e0, e1, e2, einf
 from confga.expr import tokenize
 from confga.scene import classification_to_json
 
-from conftest import assert_mv_close, random_mv
+from conftest import SPECIAL_FLOATS, assert_mv_close, random_mv
 
 
 class TestReading:
@@ -320,8 +320,7 @@ def test_blade_name_errors_keep_their_messages():
 
 # -- the writer is json.dumps, the reader is the per-entry loop ---------------
 
-_SPECIAL = [-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-05, 1e22, -1.5e-07, 0.1, 1 / 3, 1.7976931348623157e308]
-_coefficients = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+_coefficients = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 _names = st.one_of(
     st.sampled_from(['a"b', "back\\slash", "tab\there", "new\nline", "\x00\x1f\x7f", "ünï", "雪", "\u2028", "😀", ""]),
     st.text(max_size=6),
@@ -354,7 +353,7 @@ def test_writer_is_json_dumps_byte_for_byte(objects, versors, tol):
     assert scene_to_json(Scene(**sections, tolerance_rel=tol)) == want
 
 
-_leaves = st.one_of(st.sampled_from(_SPECIAL + [math.inf, -math.inf, math.nan]), st.floats(), st.integers())
+_leaves = st.one_of(st.sampled_from(SPECIAL_FLOATS + [math.inf, -math.inf, math.nan]), st.floats(), st.integers())
 _texts = st.one_of(st.sampled_from(["real", "imaginary", "ipns", "opns"]), _names)
 _messages = st.one_of(st.sampled_from(['say "no"', "tab\tcr\r", "\x00\x1f\x7f", "ünï 雪 😀", "\u2028"]), st.text())
 _V = ("f", "f", "f")
