@@ -9,8 +9,8 @@ Exit codes: 0 on success, 2 for usage and expression syntax errors, and
 1 for domain errors (degenerate constructions, parity mismatches,
 diverged training, and similar). The GA_TOLERANCE environment variable
 overrides the relative tolerance for the command and must be a number
->= 0 and < 1; a scene's "tolerance" section overrides that while the scene
-is in use.
+>= 0 and < 1, a number below 2**-43 acting as 2**-43 (`tolerance.scope`); a
+scene's "tolerance" section overrides that while the scene is in use.
 """
 
 from __future__ import annotations

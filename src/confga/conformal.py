@@ -163,7 +163,6 @@ class ConformalObject:
 
 _PLUS, _MINUS = 0b01000, 0b10000
 _OFF_VECTOR = ALG.grades != 1
-_SQRT_SMALLEST_NORMAL = math.sqrt(np.finfo(float).tiny)  # 2**-511: below it, |n|^2 is subnormal or 0
 
 
 def _sq_norms(V: np.ndarray) -> np.ndarray:
@@ -227,8 +226,7 @@ def point_distance(P1: Multivector, P2: Multivector) -> float:
         if not np.isfinite(P.coeffs).all():
             raise _non_finite(P.coeffs)
     inner = (P1 | P2).scalar_part()
-    scale = max(1.0, P1.max_abs() * P2.max_abs())
-    if inner > tolerance.threshold(scale):
+    if inner > tolerance.threshold(P1.max_abs() * P2.max_abs()):
         raise MetricError(f"positive point inner product {inner}; not normalized points")
     return math.sqrt(max(0.0, -2.0 * inner))
 
@@ -267,21 +265,19 @@ def wedge_points(*points: Multivector, with_inf: bool = False) -> Multivector:
         if not is_point(P):
             raise NotAPointError(f"construction point {k} of {len(points)} is not a conformal point")
     sizes = [P.max_abs() for P in points]
-    if len(points) > 1:  # Pi and Pj coincide when every |Pi - Pj| <= threshold(max(1, max|Pi|, max|Pj|))
+    if len(points) > 1:  # Pi and Pj coincide when every |Pi - Pj| <= threshold(max(max|Pi|, max|Pj|))
         i, j = np.array(list(itertools.combinations(range(len(points)), 2))).T
         rows, m = np.array([P.coeffs for P in points]), np.array(sizes)
-        limit = tolerance.threshold(np.maximum(np.maximum(m[i], m[j]), 1.0))
+        limit = tolerance.threshold(np.maximum(m[i], m[j]))
         if (np.abs(rows[i] - rows[j]) <= limit[:, None]).all(axis=1).any():
             raise DegenerateError("coincident points")
-    acc = points[0]
-    scale = sizes[0]
-    for P, size in zip(points[1:], sizes[1:]):
+    acc, scale = points[0], math.prod(sizes)
+    for P in points[1:]:
         acc = acc ^ P
-        scale = scale * size
     if with_inf:
         acc = acc ^ einf
         scale = scale * 2.0
-    if acc.is_zero(scale=max(1.0, scale)):
+    if acc.is_zero(scale=scale):
         raise DegenerateError("wedge of construction points vanishes")
     return acc
 
@@ -303,7 +299,7 @@ def plane_vector(n, d: float) -> Multivector:
     d = as_real(d, "plane distance")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr))
-    if norm < _SQRT_SMALLEST_NORMAL:  # |n|^2 underflowed: take the norm of n / max|n_i| instead
+    if norm < tolerance.UNDERFLOW:  # |n|^2 underflowed: take the norm of n / max|n_i| instead
         big = float(np.abs(arr).max())
         if big == 0.0:
             raise DegenerateError("plane mirror needs a nonzero normal")
@@ -408,7 +404,7 @@ _LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),  # counts toward its grade above this
     "blade": lambda scale, gram0: tolerance.threshold(_max(abs(gram0), scale * scale)),  # the grade-4 part of A ~A within
     "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
-    "wedge": lambda scale: tolerance.threshold(_max(1.0, 2.0 * scale)),  # grade 2..4 with A ^ einf within is flat
+    "wedge": lambda scale: tolerance.threshold(2.0 * scale),  # grade 2..4 with A ^ einf within is flat
     "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,  # a point's P^2 is within
     "finite": lambda scale: tolerance.threshold(scale),  # a point whose e0 weight is within is at infinity
     "carrier": lambda scale: tolerance.threshold(scale * scale),  # a round with <(einf | A)^2>_0 within has none

@@ -166,7 +166,7 @@ def new_neuron(parity: str, seed: int, mode: str = "twisted-adjoint") -> Geometr
 def _norm_scalar(w: np.ndarray) -> float:
     q = float(_KAPPA @ (w * w))
     peak = float(np.abs(w).max())
-    limit = tolerance.threshold(max(1.0, peak * peak))
+    limit = tolerance.threshold(peak * peak)
     if abs(q) <= limit:
         raise SingularWeightError(
             f"<W ~W>_0 = {q} is too close to zero: |<W ~W>_0| <= {limit}, the threshold at max|W| = {peak}")

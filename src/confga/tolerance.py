@@ -1,13 +1,15 @@
-"""Coefficient tolerance policy.
+"""Coefficient tolerance policy: one zero rule, from float64's own limits.
 
 A coefficient c of a multivector A counts as zero iff
 
-    |c| <= EPS_ABS + rel_eps() * max_abs(A)
+    |c| <= UNDERFLOW + rel_eps() * max_abs(A)
 
-so thresholds scale with the size of the object being tested.  The relative
-part can be overridden for the extent of a ``with scope(rel):`` block (the
-CLI opens one per command, from GA_TOLERANCE and a scene's "tolerance"
-section); the absolute floor is fixed.
+UNDERFLOW = 2**-511 is the one absolute number (below it a product of two
+coefficients is subnormal) and there is no length unit, so a threshold scales
+with its object at every weight. The relative part can be overridden for a
+``with scope(rel):`` block (the CLI opens one per command, from GA_TOLERANCE
+and a scene's "tolerance" section); a rel below RESOLUTION = 2**-43 (1024 u)
+acts as RESOLUTION.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 
-EPS_ABS = 1e-12
+UNDERFLOW = 2.0**-511  # sqrt of the smallest normal float64
+RESOLUTION = 2.0**-43  # 1024 u: the least relative tolerance
 RANGE = "a number >= 0 and < 1"  # of rel: at rel >= 1 every coefficient is within rel * max|A| of zero
 
 _REL_EPS = contextvars.ContextVar("rel_eps", default=1e-9)
@@ -32,12 +35,12 @@ def in_range(rel: float) -> bool:
 
 @contextlib.contextmanager
 def scope(rel: float | None):
-    """Use relative tolerance rel, 0 <= rel < 1, until the block ends;
-    None keeps the current one."""
+    """Use relative tolerance rel, 0 <= rel < 1 (below RESOLUTION it is
+    RESOLUTION), until the block ends; None keeps the current one."""
     value = _REL_EPS.get() if rel is None else float(rel)
     if not in_range(value):
         raise ValueError(f"relative tolerance must be {RANGE}, got {rel!r}")
-    token = _REL_EPS.set(value)
+    token = _REL_EPS.set(max(value, RESOLUTION))
     try:
         yield
     finally:
@@ -46,4 +49,4 @@ def scope(rel: float | None):
 
 def threshold(scale: float) -> float:
     """Zero threshold for coefficients of an object of the given magnitude."""
-    return EPS_ABS + _REL_EPS.get() * abs(scale)
+    return UNDERFLOW + _REL_EPS.get() * abs(scale)

@@ -53,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tolerance
 from .algebra import Multivector, exp_special, scalar_product
 from .conformal import (
     ALG,
@@ -152,7 +153,7 @@ def _certified(mv: Multivector, parity: str, norm2: float) -> Versor:
         inv = ~mv / norm2
         L, R = ALG.left_matrix(inv.coeffs), ALG.right_matrix(mv.coeffs)
         terms, image = np.abs(_LOCATION) @ np.abs(L) @ np.abs(R), np.abs(_LOCATION @ L @ R)  # location rows of K
-        bound = 2.0**-43 * float(np.maximum(terms[:3].max() / image[:3].max(), terms[3].max() / image[3].max()))
+        bound = tolerance.RESOLUTION * float(np.maximum(terms[:3].max() / image[:3].max(), terms[3].max() / image[3].max()))
     if not bound < 1.0:  # NaN too
         raise DomainError(f"versor's action on points is all rounding or overflows: error bound {bound:.3g} from <v ~v>_0 = {norm2!r} and largest coefficient {mv.max_abs()!r}")
     return Versor(mv, parity, norm2, inv)

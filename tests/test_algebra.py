@@ -321,7 +321,8 @@ class TestCertificate:
     def test_decisions(self):
         assert scalar_product(E1 + EP, E1 + EP, "x") == (2.0, False)
         assert scalar_product(EP + EM, EP + EM, "x") == (0.0, True)
-        assert scalar_product(1e-7 * (E1 ^ E2), 1e-7 * (E1 ^ E2), "x")[1]
+        assert not scalar_product(1e-7 * (E1 ^ E2), 1e-7 * (E1 ^ E2), "x")[1]  # -1e-14 = -max|a|^2: not zero
+        assert scalar_product(1e-160 * (E1 ^ E2), 1e-160 * (E1 ^ E2), "x")[1]  # a square below 2^-511 is
         assert scalar_product(E1 + (E1 ^ E2), E1, "x") == (None, False)
         with pytest.raises(DomainError, match="x overflows; the largest coefficient is 1e\\+200"):
             scalar_product(1e200 * E1, 1e200 * E2, "x")
@@ -384,7 +385,7 @@ class TestCertificate:
             if want[0] == "gives":
                 # ~v has -0.0 where v has 0.0, so only the values are equal
                 assert certified_inverse(v) == Multivector(ALG, np.frombuffer(want[1]))
-            elif v.parity() is None:  # all coefficients within EPS_ABS: no versor at all
+            elif v.parity() is None:  # every coefficient below the zero threshold: no versor at all
                 assert want[:2] == ("raises", "SingularVersorError")
                 assert outcome(certified_inverse, v) == ("raises", "NotVersorError", "zero multivector is not a versor")
             else:
@@ -486,6 +487,14 @@ class TestToleranceAndHelpers:
                 pass
         assert str(info.value) == f"relative tolerance must be a number >= 0 and < 1, got {rel!r}"
         assert tolerance.rel_eps() == default
+
+    @pytest.mark.parametrize("rel", [0.0, 5e-324, 1e-16, 2.0**-44])
+    def test_scope_raises_a_tolerance_below_the_resolution_to_it(self, rel):
+        # below 1024 u a coefficient's own rounding is no longer within the tolerance
+        with tolerance.scope(rel):
+            assert tolerance.rel_eps() == tolerance.RESOLUTION == 2.0**-43
+        with tolerance.scope(2.0**-42):
+            assert tolerance.rel_eps() == 2.0**-42
 
     def test_parity_helper(self, cga):
         assert (E1 * E2).parity() == "even"

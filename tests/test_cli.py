@@ -235,6 +235,19 @@ class TestNullVersor:
         assert eval_expression(result.stdout) == embed_point([300.0, 0.0, 0.0]) - 0.5 * einf
 
 
+class TestSmallWeights:
+    """A versor is one up to scale: w v is accepted at small w, as v is."""
+
+    def test_inverse_of_a_small_vector(self, runner):
+        result = runner.invoke(main, ["eval", "inv(1e-7*e1)"])
+        assert (result.exit_code, result.stdout) == (0, "10000000.000000002*e1\n"), result.stderr
+
+    def test_small_translator_moves_a_point(self, runner):
+        result = runner.invoke(main, ["eval", "apply(1e-7*translator(1,0,0), point(0,0,0), motion)"])
+        assert result.exit_code == 0, result.stderr
+        assert_proportional(eval_expression(result.stdout), embed_point([1.0, 0.0, 0.0]), tol=1e-15)
+
+
 class TestFarClosedForms:
     """The closed forms state their own norm, so exact versors far from the origin print, up
     to the range where their action is all rounding; `apply` in an expression still certifies
@@ -695,6 +708,24 @@ class TestToleranceEnv:
 
     def test_zero_env_value_accepted(self, runner):
         assert runner.invoke(main, ["eval", "e1"], env={"GA_TOLERANCE": "0"}).exit_code == 0
+
+    def test_zero_env_value_classifies_a_moved_scene_as_the_default(self, runner, tmp_path):
+        """rel = 0 acts as tolerance.RESOLUTION, which leaves room for the rounding of a motion."""
+        scene = tmp_path / "keys.json"
+        scene.write_text('{"objects": {"p": {"e1": 1.0, "e0": 1.0, "einf": 0.5}, '
+                         '"q": {"e2": -0.0, "e3": 2.0, "e0": 1.0, "einf": 2.0}, '
+                         '"r": {"e1": 1.0, "e2": 1.0, "e3": 1.0, "e4": 1.0, "e5": 2.0}, "s": {"e45": 2.0, "e1": -0.0}}}')
+        moved = tmp_path / "moved.json"
+        result = runner.invoke(main, ["transform", "--scene", str(scene), "--versor", "motor(e12,0.7,1,0,-0.5)",
+                                      "--mode", "motion", "--out", str(moved)])
+        assert result.exit_code == 0, result.stderr
+        command = ["classify", "--scene", str(moved), "--format", "json"]
+        default = json.loads(runner.invoke(main, command).stdout)
+        zero = runner.invoke(main, command, env={"GA_TOLERANCE": "0"})
+        assert zero.exit_code == 0, zero.stderr
+        assert [(v["kind"], v["params"]["location"]) for v in json.loads(zero.stdout).values()] == \
+            [(v["kind"], v["params"]["location"]) for v in default.values()]
+        assert [v["kind"] for v in default.values()] == ["point", "point", "point", "flat_point"]
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_env_value_exit_2(self, runner, raw):

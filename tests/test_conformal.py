@@ -957,7 +957,7 @@ _SCALAR_LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),
     "blade": lambda scale, gram0: tolerance.threshold(max(abs(gram0), scale * scale)),
     "e0": lambda scale: tolerance.threshold(scale),
-    "wedge": lambda scale: tolerance.threshold(max(1.0, 2.0 * scale)),
+    "wedge": lambda scale: tolerance.threshold(2.0 * scale),
     "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,
     "finite": lambda scale: tolerance.threshold(scale),
     "carrier": lambda scale: tolerance.threshold(scale * scale),

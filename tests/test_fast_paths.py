@@ -155,7 +155,7 @@ def _pairwise_wedge_points(*points, with_inf=False):
             raise NotAPointError(f"construction point {k} of {len(points)} is not a conformal point")
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            scale = max(1.0, points[i].max_abs(), points[j].max_abs())
+            scale = max(points[i].max_abs(), points[j].max_abs())
             if (points[i] - points[j]).is_zero(scale=scale):
                 raise DegenerateError("coincident points")
     acc = points[0]
@@ -166,7 +166,7 @@ def _pairwise_wedge_points(*points, with_inf=False):
     if with_inf:
         acc = acc ^ einf
         scale = scale * 2.0
-    if acc.is_zero(scale=max(1.0, scale)):
+    if acc.is_zero(scale=scale):
         raise DegenerateError("wedge of construction points vanishes")
     return acc
 
@@ -190,12 +190,12 @@ def _assert_wedges_agree(points, with_inf):
 
 def _pair_at_the_limit(y: float, above: bool):
     """P at (0, y, 0) and Q at (d, y, 0), where |Q - P| is largest on e1, and d is
-    exactly threshold(max(1, max|P|, max|Q|)), or the float just above it."""
+    exactly threshold(max(max|P|, max|Q|)), or the float just above it."""
     P = embed_point([0.0, y, 0.0])
     d = tolerance.threshold(1.0)
     for _ in range(100):  # Q's size moves its threshold a little: settle on d
         Q = embed_point([d, y, 0.0])
-        limit = tolerance.threshold(max(1.0, P.max_abs(), Q.max_abs()))
+        limit = tolerance.threshold(max(P.max_abs(), Q.max_abs()))
         want = math.nextafter(limit, math.inf) if above else limit
         if d == want:
             break
@@ -231,7 +231,7 @@ _copies = st.tuples(st.integers(0, 3), st.one_of(st.sampled_from([0.0, 0.5, 0.99
                     st.booleans())
 
 
-# a point within 1 of the origin has max|P| < 1, so the floor of 1 sets its threshold
+# points near the origin, where max|P| < 1, and out to 1e3
 _places = st.one_of(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
                     st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
 
@@ -254,6 +254,6 @@ def test_wedge_points_matches_the_pairwise_loop(coords, copies, weight, with_inf
         for source, steps, weighted in copies:
             P = points[source % len(points)]
             Q = P.coeffs.copy()
-            Q[0b001] += steps * tolerance.threshold(max(1.0, P.max_abs()))
+            Q[0b001] += steps * tolerance.threshold(P.max_abs())
             points.append(ALG.mv(Q) * (weight if weighted else 1.0))
         _assert_wedges_agree(points[:5], with_inf)

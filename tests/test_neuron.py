@@ -165,7 +165,7 @@ class TestForward:
             forward(net, embed_point([0.0, 0.0, 0.0]))
 
     def test_singular_weight_error_carries_its_numbers(self):
-        # <W ~W>_0 = 1e-10 at max|W| = 2 is within rel * 4 + EPS_ABS of zero
+        # <W ~W>_0 = 1e-10 at max|W| = 2 is within 2^-511 + rel * 4 of zero
         w = np.zeros(32)
         w[0b00001] = 2.0
         w[0b10000] = math.sqrt(4.0 - 1e-10)

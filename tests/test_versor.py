@@ -154,7 +154,7 @@ class TestRotor:
 
     def test_tiny_plane_is_a_plane(self):
         plane = 1e-7 * e12
-        assert scalar_product(plane, plane, "")[1]  # its square vanishes, which rotor ignores
+        assert not scalar_product(plane, plane, "")[1]  # its square, -1e-14, is its size squared: no zero
         assert_mv_close(rotor(plane, 1.0).mv, rotor(e12, 1.0).mv, tol=1e-15)
 
     def test_mode_enforcement(self):

@@ -1,0 +1,144 @@
+"""The weight contract: a conformal object w X is the object X, and a versor w v acts as v,
+for every weight w from 1e-15 to 1e15 of either sign; a row whose coefficients all lie below
+`tolerance.UNDERFLOW` is refused as zero, never given a kind."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from confga import tolerance
+from confga.conformal import (
+    classify,
+    classify_batch,
+    e1,
+    e2,
+    einf,
+    embed_point,
+    embed_points,
+    plane_vector,
+    sphere_vector,
+)
+from confga.errors import GAError
+from confga.versor import apply, make_versor, motor, reflector_plane, reflector_sphere, rotor, translator
+
+# each form from four points P (or a centre, radius, normal and distance); the kind classify gives it
+FORMS = {
+    "point": (lambda P, c, r, n, d: P[0], "point"),
+    "pair": (lambda P, c, r, n, d: P[0] ^ P[1], "point_pair"),
+    "circle": (lambda P, c, r, n, d: P[0] ^ P[1] ^ P[2], "circle"),
+    "sphere_opns": (lambda P, c, r, n, d: P[0] ^ P[1] ^ P[2] ^ P[3], "sphere"),
+    "sphere_ipns": (lambda P, c, r, n, d: sphere_vector(c, r), "sphere"),
+    "flat_point": (lambda P, c, r, n, d: P[0] ^ einf, "flat_point"),
+    "line": (lambda P, c, r, n, d: P[0] ^ P[1] ^ einf, "line"),
+    "plane_opns": (lambda P, c, r, n, d: P[0] ^ P[1] ^ P[2] ^ einf, "plane"),
+    "plane_ipns": (lambda P, c, r, n, d: plane_vector(n, d), "plane"),
+}
+
+_coordinate = st.floats(-3.0, 3.0)
+_vec3 = st.tuples(_coordinate, _coordinate, _coordinate)
+_inputs = st.tuples(st.lists(_vec3, min_size=4, max_size=4), _vec3, st.floats(0.5, 2.0), _vec3, st.floats(0.1, 3.0))
+# w = +-10^k U(1, 10), k from -15 to 15, so |w| runs from 1e-15 to 1e16
+_weights = st.builds(lambda k, m, s: s * m * 10.0**k, st.integers(-15, 15), st.floats(1.0, 10.0), st.sampled_from([1.0, -1.0]))
+
+
+def _numbers(params: dict) -> list:
+    """A kind's numeric params in one list, a point pair's endpoints in order."""
+    out = []
+    for key, value in sorted(params.items()):
+        if key == "points":
+            value = value[0] + value[1]
+        if not isinstance(value, str):
+            out += list(value) if isinstance(value, tuple) else [value]
+    return out
+
+
+def _build(inputs) -> tuple[np.ndarray, list]:
+    """The nine forms' rows from one draw, and their unit-weight objects; a draw with points
+    closer than 0.5, three collinear or four coplanar, or a round of radius past 10, is left out:
+    a round far larger than its points is ill-conditioned, and rescaling its blade moves it by
+    rounding."""
+    points, c, r, n, d = inputs
+    P = [embed_point(p) for p in points]
+    distances = [np.linalg.norm(np.subtract(p, q)) for k, p in enumerate(points) for q in points[k + 1:]]
+    assume(min(distances) >= 0.5 and np.linalg.norm(n) >= 0.1)
+    rows = np.array([build(P, c, r, n, d).coeffs for build, _ in FORMS.values()])
+    unit = classify_batch(rows)
+    assume(all(not isinstance(o, GAError) and o.kind == kind for o, (_, kind) in zip(unit, FORMS.values())))
+    assume(all(abs(o.params.get("radius2", 0.0)) <= 100.0 for o in unit))
+    return rows, unit
+
+
+# four points, a sphere's centre and radius, a plane's normal and distance
+_DRAW = ([(1.0, 0.5, 0.2), (0.0, 2.0, -1.0), (-2.0, 0.0, 1.0), (0.5, -1.5, -2.0)], (0.5, 1.0, -1.0), 1.5, (0.3, -0.4, 0.5), 0.7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_inputs, w=_weights)
+@example(inputs=_DRAW, w=1e-11)
+@example(inputs=_DRAW, w=-9.9e15)
+def test_reweighted_objects_keep_their_kinds_and_params(inputs, w):
+    """w X classifies as X for each of the nine forms: the same kind and labels, and params
+    within 1e-12 of X's, relative to their largest; a point pair's orientation turns with the
+    sign of w, so its endpoints swap for w < 0."""
+    rows, unit = _build(inputs)
+    for form, got, want in zip(FORMS, classify_batch(w * rows), unit):
+        assert not isinstance(got, GAError) and got.kind == want.kind, (form, got)
+        params = dict(want.params)
+        if w < 0 and "points" in params:
+            params["points"] = params["points"][::-1]
+        assert {k: v for k, v in got.params.items() if isinstance(v, str)} == {k: v for k, v in params.items() if isinstance(v, str)}, form
+        a, b = np.array(_numbers(got.params)), np.array(_numbers(params))
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (form, got, want)
+
+
+VERSORS = {
+    "translator": lambda: translator([1.0, -2.0, 0.5]),
+    "rotor": lambda: rotor(e1 ^ e2, 0.7),
+    "motor": lambda: motor(e1 ^ e2, 0.7, [1.0, 0.0, -0.5]),
+    "sphere_mirror": lambda: reflector_sphere([0.5, 1.0, -1.0], 1.5),
+    "plane_mirror": lambda: reflector_plane([1.0, 2.0, 2.0], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERSORS))
+def test_reweighted_versor_acts_as_the_versor(name):
+    """make_versor accepts w v for w = 10^k, k from -15 to 15; its action on points within 3
+    of the origin agrees with v's to 1e-15 of the image's largest coefficient, and w times its
+    inverse is v's inverse to 1e-15 of that's largest."""
+    v = VERSORS[name]()
+    mode = "motion" if v.parity == "even" else "reflection"
+    X = embed_points(np.random.default_rng(24).uniform(-3.0, 3.0, (20, 3)))
+    want = apply(v, X, mode)
+    for k in range(-15, 16):
+        w = 10.0**k
+        u = make_versor(w * v.mv)
+        assert np.max(np.abs(apply(u, X, mode) - want)) <= 1e-15 * np.max(np.abs(want)), k
+        assert np.max(np.abs(w * u.inverse().coeffs - v.inv.coeffs)) <= 1e-15 * v.inv.max_abs(), k
+
+
+@pytest.mark.parametrize("w", [1e-160, 1e-310, 5e-324, -5e-324])
+def test_rows_below_underflow_are_refused(w):
+    """Every coefficient of w X or w v below UNDERFLOW: the object is a zero multivector and
+    the versor no versor, with no kind given and no RuntimeWarning (the suite raises those)."""
+    P = [embed_point(p) for p in _DRAW[0]]
+    for build, _ in FORMS.values():
+        row = w * build(P, *_DRAW[1:])
+        assert row.max_abs() < tolerance.UNDERFLOW
+        with pytest.raises(GAError, match="^zero multivector$"):
+            classify(row)
+    for build in VERSORS.values():
+        v = w * build().mv
+        assert v.max_abs() < tolerance.UNDERFLOW
+        with pytest.raises(GAError, match="^zero multivector is not a versor$"):
+            make_versor(v)
+
+
+def test_subnormal_flat_point_is_zero():
+    """5e-324 (P ^ einf) for P at (1, 0.5, 0.2) keeps one bit per coefficient: its exact
+    rescaling by 2^1074 is a flat point at (1, 0, 0), and read as it stands it would be one at
+    (0, 0, 0). It is refused."""
+    row = 5e-324 * (embed_point([1.0, 0.5, 0.2]) ^ einf)
+    assert classify(row * 2.0**537 * 2.0**537).params["location"] == (1.0, 0.0, 0.0)
+    with pytest.raises(GAError, match="^zero multivector$"):
+        classify(row)
