@@ -21,11 +21,13 @@ with the norm its formula states, and the expression language returns it as
 built. `is_point` is the one rule
 for "a conformal point at some weight"; the wedge builder and the null point
 mirror both use it. Every numeric argument of a builder must be finite.
-Classification runs one plan, built once at import: the linear maps the tree
-reads of a blade A (the e0 weight and A ^ einf: is it flat?; einf | A; A einf;
-null-basis coefficients of A and of A I5^-1 for planes, flat points, lines and
-a circle's normal) stacked into one (32, k) matrix, one matmul per block of
-2048 rows; the row-wise product kernel for grades 0 and 4 of A ~A (is A a
+Classification runs one plan, built once at import, on rows at unit scale:
+each times the power of two that puts its max|A| in [0.5, 1), which is exact,
+so no weight changes an answer. The plan: the linear maps the tree reads of a
+blade A (the e0 weight and A ^ einf: is it flat?; einf | A; A einf; null-basis
+coefficients of A and of A I5^-1 for planes, flat points, lines and a circle's
+normal) stacked into one (32, k) matrix, one matmul per block of 2048 rows;
+the row-wise product kernel for grades 0 and 4 of A ~A (is A a
 blade? a k-vector's A ~A has no other grades) with <A A>_0, then for
 <(einf | A)^2>_0 and the center <A einf A>_1 of rounds; grade masks; and
 `_LIMIT`, every tolerance decision, applied to a block's residuals as arrays.
@@ -91,8 +93,6 @@ def _build_null_matrix() -> np.ndarray:
 
 PM_FROM_NULL = _build_null_matrix()
 NULL_FROM_PM = np.linalg.inv(PM_FROM_NULL)
-
-KINDS = ("point", "point_pair", "circle", "sphere", "flat_point", "line", "plane", "space")
 
 
 def to_null_coeffs(mv: Multivector) -> np.ndarray:
@@ -203,12 +203,14 @@ def embed_point(p, name: str = "point") -> Multivector:
 
 
 def extract_point(P: Multivector) -> np.ndarray:
-    """Euclidean location of a conformal point, any homogeneous scale."""
+    """Euclidean location of a conformal point, any homogeneous scale, read at unit scale as `_Block` reads a row."""
+    if not np.isfinite(P.coeffs).all():
+        raise _non_finite(P.coeffs)
     gs = P.grades()
-    if gs and gs != frozenset({1}):
-        raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})")
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _classify_block
-        loc, errors = _locations(P.coeffs[None, _VECTOR])
+    if gs != frozenset({1}):
+        raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})" if gs else "zero multivector is not a point")
+    v = P.coeffs[None, _VECTOR]
+    loc, errors = _locations(np.ldexp(v, -np.frexp(np.abs(v).max())[1]))
     if errors:
         raise errors.pop(0)
     return loc[0]
@@ -394,15 +396,10 @@ _LINEAR, _COL = _stacked_maps()
 _POINT = _NULL[_VECTOR, :][:, [0b01000, 0b00001, 0b00010, 0b00100]]  # of a point's grade-1 part: w, then w p
 
 
-def _max(a, b):
-    """Python's max(a, b) row by row: b where b > a, else a, so a NaN in a is kept and one in b is not."""
-    return np.where(b > a, b, a)
-
-
 # Every tolerance decision of the tree: the limit of its residual, from the rows' quantities as arrays.
 _LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),  # counts toward its grade above this
-    "blade": lambda scale, gram0: tolerance.threshold(_max(abs(gram0), scale * scale)),  # the grade-4 part of A ~A within
+    "blade": lambda scale, gram0: tolerance.threshold(np.maximum(abs(gram0), scale * scale)),  # the grade-4 part of A ~A within
     "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
     "wedge": lambda scale: tolerance.threshold(2.0 * scale),  # grade 2..4 with A ^ einf within is flat
     "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,  # a point's P^2 is within
@@ -432,9 +429,10 @@ def _clean(values: np.ndarray, by: np.ndarray | None = None) -> list:
 
 
 class _Block:
-    """A block of rows through the plan's first stage: the rows X (any with a non-finite
-    coefficient zeroed), the linear maps Y = X @ _LINEAR, per row its scale max|A|, <A A>_0,
-    grade and flatness, and the errors of the rows that are no blade."""
+    """A block of rows through the plan's first stage: the rows X at unit scale (any with a
+    non-finite coefficient zeroed, then each times the power of two that puts max|A| in
+    [0.5, 1)), the linear maps Y = X @ _LINEAR, per row that scale, <A A>_0, grade and
+    flatness, and the errors of the rows that are no blade."""
 
     def __init__(self, X: np.ndarray):
         absX = np.abs(X)
@@ -448,7 +446,9 @@ class _Block:
             absX = np.abs(X)
             scale = np.maximum.reduce(absX, axis=1)
         has = (absX > _LIMIT["coefficient"](scale)[:, None]) @ _GRADE_ONE_HOT > 0
-        del absX  # before the largest temporary, the gram's
+        # after the grades, so a row below 2^-511 stays zero: X 2^-e for max|A| = scale 2^e, exact, into |X|'s buffer
+        scale, e = np.frexp(scale)
+        X = np.ldexp(X, -e[:, None], out=absX)
         gram = row_product(X, X, _GRAM)
         self.X, self.Y, self.scale, self.top = X, X @ _LINEAR, scale, gram[:, -1]
         count, self.grade = np.add.reduce(has, axis=1), has.argmax(axis=1)
@@ -522,10 +522,6 @@ def _directions(D: np.ndarray) -> np.ndarray:
     """Per row, the signed norm alpha that makes D / alpha a unit vector whose
     first clearly nonzero component is positive, or 0 if the row vanishes."""
     norms = np.sqrt(_sq_norms(D))
-    big = ~np.isfinite(norms)
-    if big.any():  # d @ d overflowed: m * |d / m| with m = max|d|; other rows keep sqrt(d @ d)
-        m = np.maximum.reduce(np.abs(D[big]), axis=1)
-        norms[big] = m * np.sqrt(_sq_norms(D[big] / m[:, None]))
     clear = np.abs(D) > _LIMIT["direction"](norms)[:, None]
     first = np.where(clear.any(axis=1), D[np.arange(len(D)), clear.argmax(axis=1)], norms)
     return np.where(norms == 0.0, 0.0, np.where(first >= 0, norms, -norms))
@@ -624,16 +620,13 @@ _ROUTE = np.array([_BRANCH_LIST.index(_BRANCHES[g, f]) if (g, f) in _BRANCHES el
 
 
 def _classify_block(X: np.ndarray) -> list:
-    # a row whose products overflow goes through the checks like any other, most often to
-    # NotAPointError or NotABladeError; numpy's warnings would only add noise on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = _Block(X)
-        out = [block.errors.get(r) for r in range(len(X))]
-        for branch, rows in block.routes():
-            for r, o in zip(rows.tolist(), branch(*block.rows(rows))):
-                # the objects keep rows of the block as given, which are read-only
-                out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector.view(ALG, X[r]), o[1])
-        return out
+    block = _Block(X)
+    out = [block.errors.get(r) for r in range(len(X))]
+    for branch, rows in block.routes():
+        for r, o in zip(rows.tolist(), branch(*block.rows(rows))):
+            # the objects keep rows of the block as given, which are read-only
+            out[r] = o if isinstance(o, GAError) else ConformalObject(o[0], Multivector.view(ALG, X[r]), o[1])
+    return out
 
 
 def classify_batch(coeffs) -> list:
@@ -665,16 +658,15 @@ def classify(mv: Multivector) -> ConformalObject:
 def round_params(mv: Multivector) -> dict:
     """Center and signed squared radius of a round blade (grades 1..4), from
     the classification plan's first stage and round stage on one row."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _classify_block
-        block = _Block(mv.coeffs[None, :])
-        if block.errors:
-            raise block.errors.pop(0)
-        g = int(block.grade[0])
-        if not 1 <= g <= 4:
-            raise UnknownObjectError(f"grade {g} is not a round object")
-        if block.flat[0]:
-            raise FlatObjectError("grade-1 flat (plane) has no center/radius" if g == 1 else "flat object has no center/radius")
-        center, r2, sign, errors = _rounds(*block.rows(np.arange(1)))
-        if errors:
-            raise errors.pop(0)
-        return {"center": _clean(center)[0], "radius2": float(r2[0]) + 0.0, "sign": _SIGN_LABELS[sign[0]]}
+    block = _Block(mv.coeffs[None, :])
+    if block.errors:
+        raise block.errors.pop(0)
+    g = int(block.grade[0])
+    if not 1 <= g <= 4:
+        raise UnknownObjectError(f"grade {g} is not a round object")
+    if block.flat[0]:
+        raise FlatObjectError("grade-1 flat (plane) has no center/radius" if g == 1 else "flat object has no center/radius")
+    center, r2, sign, errors = _rounds(*block.rows(np.arange(1)))
+    if errors:
+        raise errors.pop(0)
+    return {"center": _clean(center)[0], "radius2": float(r2[0]) + 0.0, "sign": _SIGN_LABELS[sign[0]]}

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -585,7 +586,8 @@ class TestClassify:
         done = subprocess.run([sys.executable, "-c", "from confga.cli import main; main()", "classify", "--scene", str(path)],
                               capture_output=True, text=True, env=env)
         assert (done.returncode, done.stderr) == (0, "")
-        assert "s: error: vector is not null; not a conformal point" in done.stdout
+        assert re.search(r"^s: sphere .* form=ipns$", done.stdout, re.M), done.stdout
+        assert "l: line direction=(0, 0, 1) moment=(0, 0, 0)" in done.stdout
 
 
 class TestTrain:

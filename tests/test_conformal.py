@@ -166,6 +166,23 @@ class TestPoints:
             extract_point(ALG.zero())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_extract_refuses_non_finite_coefficients(self, bad):
+        P = Multivector(ALG, np.where(np.arange(ALG.dim) == 0b00001, bad, embed_point([1.0, 2.0, 3.0]).coeffs))
+        with pytest.raises(DomainError) as info:
+            extract_point(P)
+        assert str(info.value) == f"non-finite coefficient {bad!r} on e1"
+
+    def test_extract_refuses_rows_below_underflow(self):
+        # every coefficient below tolerance.UNDERFLOW: a zero multivector, as classify has it
+        with pytest.raises(NotAPointError, match=r"^zero multivector is not a point$"):
+            extract_point(1e-300 * embed_point([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("k", [-480, 500, 990])
+    def test_extract_at_power_of_two_weights_is_bit_for_bit(self, k):
+        P = embed_point([3.0, -2.0, 0.5])
+        assert extract_point(2.0**k * P).tobytes() == extract_point(P).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("first", [True, False])
     def test_distance_refuses_non_finite_coefficients(self, bad, first):
         P = embed_point([1.0, 2.0, 3.0])
@@ -903,27 +920,25 @@ def _unit_weight_kinds() -> list:
 
 
 class TestLargeWeights:
-    """Rows whose products overflow: a round's center P^2 is quartic in the
-    weight, A ~A quadratic. The suite turns RuntimeWarning into an error, so
+    """Rows whose raw products would overflow: a round's center P^2 is quartic
+    in the weight, A ~A quadratic. Classification reads each row at unit scale,
+    so they keep their kinds. The suite turns RuntimeWarning into an error, so
     these also check that classification warns about none of them."""
 
-    @pytest.mark.parametrize("w, want", [
-        (1e80, [NotAPointError] * 5 + ["flat_point", "line", "plane"]),
-        (1e100, [NotAPointError] * 5 + ["flat_point", "line", "plane"]),
-        (1e160, [NotABladeError] * 8),
-        (1e300, [NotABladeError] * 8),
-    ])
-    def test_batch_refuses_overflowing_rows_without_warnings(self, w, want):
+    @pytest.mark.parametrize("w", [1e80, 1e100, 1e160, 1e300])
+    def test_batch_keeps_the_unit_weight_kinds(self, w):
         got = classify_batch(np.array([w * mv.coeffs for mv in _unit_weight_kinds()]))
-        assert [o.kind if isinstance(o, ConformalObject) else type(o) for o in got] == want
+        assert [o.kind if isinstance(o, ConformalObject) else type(o) for o in got] == [
+            "point", "point_pair", "circle", "sphere", "sphere", "flat_point", "line", "plane"]
 
     def test_one_row_entry_points_without_warnings(self):
         sphere = 1e100 * sphere_ipns([1.0, 2.0, 3.0], 1.5).mv
-        for call in (classify, round_params):
-            with pytest.raises(NotAPointError, match="not null"):
-                call(sphere)
-        with pytest.raises(NotAPointError, match="not null"):
-            extract_point(1e160 * embed_point([1.0, 2.0, 3.0]))
+        got = classify(sphere)
+        assert got.kind == "sphere"
+        for params in (got.params, round_params(sphere)):  # to rounding: w times the row rounds each coefficient
+            assert params["center"] == pytest.approx((1.0, 2.0, 3.0), rel=1e-14)
+            assert params["radius2"] == pytest.approx(2.25, rel=1e-14)
+        assert extract_point(1e160 * embed_point([1.0, 2.0, 3.0])) == pytest.approx([1.0, 2.0, 3.0], rel=1e-14)
 
     @pytest.mark.parametrize("w", [1e155, 1e200, 1e300, -1e300])
     @pytest.mark.parametrize("bits, kind, param, want", [
@@ -936,26 +951,19 @@ class TestLargeWeights:
         got = classify(ALG.blade(bits, w))
         assert (got.kind, got.params[param]) == (kind, want)
 
-    def test_direction_norms_when_the_square_overflows(self):
-        # a circle's normal goes through the same _directions as a flat's direction; no circle
-        # classifies at a weight this large (its blade test overflows first), so the rows go in directly
-        D = np.array([[3e300, -4e300, 0.0], [0.0, 0.0, -1e200], [-1e155, 1e155, 1e155], [1e308, -1e308, 0.0]])
-        with np.errstate(over="ignore"):  # as in _classify_block, which calls it
-            got = conformal._directions(D)
-        assert got == pytest.approx([5e300, -1e200, -math.sqrt(3) * 1e155, math.sqrt(2) * 1e308],
-                                    rel=1e-15, abs=0.0)
-
     def test_directions_of_finite_squares_are_sqrt_of_the_dot(self, rng):
         D = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
         want = np.sqrt(conformal._sq_norms(D)).tolist()
         assert [abs(a) for a in conformal._directions(D)] == want
 
 
-# Each _LIMIT row as a formula on one row's Python floats, with Python's max: the limits the
-# tree compared against before they were taken on arrays.
+# Each _LIMIT row as a formula on one row's Python floats, with Python's max (a NaN from either
+# argument is kept, as np.maximum keeps it): the limits the tree compared against before they
+# were taken on arrays.
 _SCALAR_LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),
-    "blade": lambda scale, gram0: tolerance.threshold(max(abs(gram0), scale * scale)),
+    "blade": lambda scale, gram0: tolerance.threshold(
+        math.nan if math.isnan(gram0) or math.isnan(scale) else max(abs(gram0), scale * scale)),
     "e0": lambda scale: tolerance.threshold(scale),
     "wedge": lambda scale: tolerance.threshold(2.0 * scale),
     "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,

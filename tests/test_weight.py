@@ -1,5 +1,6 @@
-"""The weight contract: a conformal object w X is the object X, and a versor w v acts as v,
-for every weight w from 1e-15 to 1e15 of either sign; a row whose coefficients all lie below
+"""The weight contract: a conformal object w X is the object X for every weight w at which
+w X stays finite and above `tolerance.UNDERFLOW`, and a versor w v acts as v for every weight
+w from 1e-15 to 1e15 of either sign; a row whose coefficients all lie below
 `tolerance.UNDERFLOW` is refused as zero, never given a kind."""
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from confga import tolerance
 from confga.conformal import (
+    ALG,
     classify,
     classify_batch,
     e1,
     e2,
+    e3,
     einf,
     embed_point,
     embed_points,
@@ -21,6 +24,8 @@ from confga.conformal import (
 )
 from confga.errors import GAError
 from confga.versor import apply, make_versor, motor, reflector_plane, reflector_sphere, rotor, translator
+
+from test_conformal import _unit_weight_kinds
 
 # each form from four points P (or a centre, radius, normal and distance); the kind classify gives it
 FORMS = {
@@ -78,6 +83,10 @@ _DRAW = ([(1.0, 0.5, 0.2), (0.0, 2.0, -1.0), (-2.0, 0.0, 1.0), (0.5, -1.5, -2.0)
 @example(inputs=_DRAW, w=1e-11)
 @example(inputs=_DRAW, w=-9.9e15)
 def test_reweighted_objects_keep_their_kinds_and_params(inputs, w):
+    _check_reweighted(inputs, w)
+
+
+def _check_reweighted(inputs, w):
     """w X classifies as X for each of the nine forms: the same kind and labels, and params
     within 1e-12 of X's, relative to their largest; a point pair's orientation turns with the
     sign of w, so its endpoints swap for w < 0."""
@@ -90,6 +99,47 @@ def test_reweighted_objects_keep_their_kinds_and_params(inputs, w):
         assert {k: v for k, v in got.params.items() if isinstance(v, str)} == {k: v for k, v in params.items() if isinstance(v, str)}, form
         a, b = np.array(_numbers(got.params)), np.array(_numbers(params))
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (form, got, want)
+
+
+_wide_weights = st.builds(lambda k, m, s: s * m * 10.0**k, st.integers(-150, 300), st.floats(1.0, 10.0), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_inputs, w=_wide_weights)
+@example(inputs=_DRAW, w=1e-150)
+@example(inputs=_DRAW, w=-9.9e300)
+def test_objects_keep_their_kinds_and_params_at_wide_weights(inputs, w):
+    """The same check for |w| from 1e-150 to 1e301, where a round's raw P^2 or A ~A would
+    underflow or overflow."""
+    _check_reweighted(inputs, w)
+
+
+def _outcomes(rows: np.ndarray) -> list:
+    """Each row's kind and params, or its error's class and message."""
+    return [(type(o), str(o)) if isinstance(o, GAError) else (o.kind, o.params) for o in classify_batch(rows)]
+
+
+@pytest.mark.parametrize("k", [-480, -300, 300, 700, 990])
+def test_power_of_two_weights_give_every_outcome_bit_for_bit(k):
+    """2^k X is classified exactly as X, errors included: classification reads every row at
+    unit scale, and a power of two changes no bit of that."""
+    P = [embed_point(p) for p in _DRAW[0]]
+    refused = [e1 + (e1 ^ e2), (e1 ^ e2) + (e3 ^ einf), einf, ALG.scalar(2.0)]  # two no blades, a point at infinity, a scalar
+    rows = np.array([build(P, *_DRAW[1:]).coeffs for build, _ in FORMS.values()]
+                    + [mv.coeffs for mv in _unit_weight_kinds() + refused])
+    want = _outcomes(rows)
+    assert sum(isinstance(o[0], type) for o in want) == len(refused)
+    assert _outcomes(np.ldexp(rows, k)) == want
+
+
+def test_tiny_ipns_plane_keeps_its_sign():
+    """An IPNS plane at weight -2.12e-153, every coefficient above UNDERFLOW: distance 0.65
+    and its normal as at weight 1, not the flipped normal and -0.65."""
+    plane = plane_vector([-0.3, 0.5, 0.8], 0.65)
+    want = classify(plane).params
+    got = classify(-2.12e-153 * plane).params
+    assert got["normal"] == pytest.approx(want["normal"], rel=1e-15)
+    assert got["distance"] == pytest.approx(0.65, rel=1e-15)
 
 
 VERSORS = {
