@@ -143,8 +143,8 @@ def classify_cmd(scene_path, fmt):
     """Report the kind and parameters of every object in a scene."""
     scene = read_scene(scene_path)
     with tolerance.scope(scene.tolerance_rel):
-        names, rows = scene.objects.by_name()
-        outcomes = classify_batch(rows)
+        names, order = scene.objects.by_name()
+        outcomes = classify_batch(scene.objects.rows[order])
     if fmt == "json":
         click.echo(classification_to_json(names, outcomes), nl=False)
         return

@@ -18,9 +18,9 @@ Each construction formula has one builder, which returns the blade:
 sigma and `plane_vector` for the IPNS plane. The make_* constructors and
 `sphere_ipns` classify what it returns, the versor module's mirrors take it
 with the norm its formula states, and the expression language returns it as
-built. `is_point` is the one rule
-for "a conformal point at some weight"; the wedge builder and the null point
-mirror both use it. Every numeric argument of a builder must be finite.
+built. "A conformal point at some weight" has one rule, `_locations`: `is_point`,
+the wedge builder, the null point mirror, `extract_point`, `point_distance` and
+round centres and endpoints all read it. A builder's numbers must be finite.
 Classification runs one plan, built once at import, on rows at unit scale:
 each times the power of two that puts its max|A| in [0.5, 1), which is exact,
 so no weight changes an answer. The plan: the linear maps the tree reads of a
@@ -162,7 +162,6 @@ class ConformalObject:
 # -- points -------------------------------------------------------------------
 
 _PLUS, _MINUS = 0b01000, 0b10000
-_OFF_VECTOR = ALG.grades != 1
 
 
 def _sq_norms(V: np.ndarray) -> np.ndarray:
@@ -203,14 +202,13 @@ def embed_point(p, name: str = "point") -> Multivector:
 
 
 def extract_point(P: Multivector) -> np.ndarray:
-    """Euclidean location of a conformal point, any homogeneous scale, read at unit scale as `_Block` reads a row."""
+    """Euclidean location of a conformal point, any homogeneous scale, by the one point rule (`_locations`)."""
     if not np.isfinite(P.coeffs).all():
         raise _non_finite(P.coeffs)
     gs = P.grades()
     if gs != frozenset({1}):
         raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})" if gs else "zero multivector is not a point")
-    v = P.coeffs[None, _VECTOR]
-    loc, errors = _locations(np.ldexp(v, -np.frexp(np.abs(v).max())[1]))
+    loc, errors = _locations(P.coeffs[None, _VECTOR])
     if errors:
         raise errors.pop(0)
     return loc[0]
@@ -223,10 +221,13 @@ def _non_finite(row: np.ndarray) -> DomainError:
 
 
 def point_distance(P1: Multivector, P2: Multivector) -> float:
-    """sqrt(-2 <P1 P2>_0) for normalized conformal points."""
+    """sqrt(-2 <P1 P2>_0) for normalized conformal points; an argument that is no point (`is_point`) is refused."""
     for P in (P1, P2):
         if not np.isfinite(P.coeffs).all():
             raise _non_finite(P.coeffs)
+    for k, ok in enumerate(_are_points([P1, P2]), 1):
+        if not ok:
+            raise NotAPointError(f"distance argument {k} of 2 is not a conformal point")
     inner = (P1 | P2).scalar_part()
     if inner > tolerance.threshold(P1.max_abs() * P2.max_abs()):
         raise MetricError(f"positive point inner product {inner}; not normalized points")
@@ -237,34 +238,24 @@ def point_distance(P1: Multivector, P2: Multivector) -> float:
 
 
 def is_point(v: Multivector) -> bool:
-    """Whether v is a conformal point at some weight: a vector whose e0 weight
-    w = v- - v+ is not 0, and whose squared radius as a sphere,
+    """Whether v is a conformal point at some weight: a Cl(4,1) vector, grade 1 its
+    only grade above the coefficient threshold, that the one point rule (`_locations`)
+    takes. A multivector of another algebra is no conformal point."""
+    return _are_points([v])[0]
 
-        r^2 = v^2 / w^2 = (|a|^2 - w (v+ + v-)) / w^2,
 
-    with a its Euclidean part, lies within the `radius` limit at its centre
-    a / w. The factored form keeps the rounding of v^2 near u |a|^2, so the
-    points `embed_point` builds are recognised out to |p| near 1e7; past 1e8
-    the (e+, e-) basis loses w. A weight that rounds v+ and v- apart adds
-    about u |p|^4 / 2 to r^2, so weighted points pass out to |p| near 1e4.
-    A multivector of another algebra is no conformal point."""
-    absv = np.abs(v.coeffs)
-    big = absv.max()
-    limit = tolerance.threshold(big)
-    if v.alg is not ALG or not big > limit or (absv[_OFF_VECTOR] > limit).any():  # not a Cl(4,1) vector
-        return False
-    x1, x2, x3, plus, minus = v.coeffs[[*_EUCLID, _PLUS, _MINUS]].tolist()
-    w = minus - plus
-    if w == 0.0:
-        return False
-    a2 = x1 * x1 + x2 * x2 + x3 * x3  # Python floats: an overflow gives inf or nan, and no warning
-    return abs((a2 - w * (plus + minus)) / w / w) <= _LIMIT["radius"](a2 / w / w)
+def _are_points(vs) -> list:
+    """`is_point` of each multivector, in one pass of `_locations`; a row that is no
+    Cl(4,1) vector goes in as zeros, which it refuses."""
+    rows = [v.coeffs[list(_VECTOR)] if v.alg is ALG and v.grades() == {1} else np.zeros(len(_VECTOR)) for v in vs]
+    errors = _locations(np.array(rows))[1]
+    return [k not in errors for k in range(len(vs))]
 
 
 def wedge_points(*points: Multivector, with_inf: bool = False) -> Multivector:
     """P1 ^ ... ^ Pk (^ einf if with_inf) of conformal points; refuses coincident points and a zero wedge."""
-    for k, P in enumerate(points, 1):
-        if not is_point(P):
+    for k, ok in enumerate(_are_points(points), 1):
+        if not ok:
             raise NotAPointError(f"construction point {k} of {len(points)} is not a conformal point")
     sizes = [P.max_abs() for P in points]
     if len(points) > 1:  # Pi and Pj coincide when every |Pi - Pj| <= threshold(max(max|Pi|, max|Pj|))
@@ -365,7 +356,6 @@ _GRAM = (np.hstack([_XOR[:, _GRAM_BLADES], _XOR[:, :1]]),
          np.hstack([(_SIGNS * ALG.reverse_signs[_XOR])[:, _GRAM_BLADES], _SIGNS[:, :1]]))
 _SCALAR_GP = (_XOR[:, :1], _SIGNS[:, :1])  # <a b>_0
 _VECTOR_GP = (_XOR[:, _VECTOR], _SIGNS[:, _VECTOR])  # <a b>_1
-_VECTOR_SCALAR = (np.arange(len(_VECTOR))[:, None], _SIGNS[_VECTOR, :1])  # <v w>_0 from grade-1 coefficients
 
 
 # the linear maps; null-basis columns are coefficients on blades of (e1, e2, e3, e0, einf), bits in that order
@@ -393,7 +383,6 @@ def _stacked_maps() -> tuple[np.ndarray, dict]:
 
 
 _LINEAR, _COL = _stacked_maps()
-_POINT = _NULL[_VECTOR, :][:, [0b01000, 0b00001, 0b00010, 0b00100]]  # of a point's grade-1 part: w, then w p
 
 
 # Every tolerance decision of the tree: the limit of its residual, from the rows' quantities as arrays.
@@ -402,10 +391,8 @@ _LIMIT = {
     "blade": lambda scale, gram0: tolerance.threshold(np.maximum(abs(gram0), scale * scale)),  # the grade-4 part of A ~A within
     "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
     "wedge": lambda scale: tolerance.threshold(2.0 * scale),  # grade 2..4 with A ^ einf within is flat
-    "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,  # a point's P^2 is within
-    "finite": lambda scale: tolerance.threshold(scale),  # a point whose e0 weight is within is at infinity
     "carrier": lambda scale: tolerance.threshold(scale * scale),  # a round with <(einf | A)^2>_0 within has none
-    "radius": lambda center2: tolerance.threshold(1.0 + center2) * 10.0,  # r^2 within: degenerate
+    "radius": lambda center2: tolerance.threshold(1.0 + center2) * 10.0,  # r^2 within: degenerate, a point
     "direction": lambda norm: tolerance.threshold(norm),  # the first component above fixes the sign
     "distance": lambda norm: tolerance.threshold(norm) * 10.0,  # a plane with distance within holds the origin
     "infinity": lambda scale: tolerance.threshold(scale),  # a flat whose finite part is within is at infinity
@@ -478,16 +465,28 @@ class _Block:
 
 
 def _locations(P: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Euclidean locations of conformal points given as rows of grade-1 coefficients,
-    at any homogeneous scale, and the error of each row that is not one."""
-    weighted, errors = P @ _POINT, {}
-    scale, w = np.maximum.reduce(np.abs(P), axis=1), weighted[:, 0]
-    square = row_product(P, P, _VECTOR_SCALAR)[:, 0]
-    finite = np.abs(w) > _LIMIT["finite"](scale)
-    _fail(errors, scale == 0.0, NotAPointError, "zero multivector is not a point")
-    _fail(errors, ~(np.abs(square) <= _LIMIT["null"](scale)), NotAPointError, "vector is not null; not a conformal point")
+    """The one point rule: Euclidean locations of rows of grade-1 coefficients, any
+    homogeneous scale, and the error of each row that is no conformal point. Each row is
+    read at unit scale, as `_Block` reads it. A point is nonzero, its e0 weight w = e- - e+
+    is above UNDERFLOW (so w^2 is a normal float), and its squared radius as a sphere,
+    r^2 = (|a|^2 - w (e+ + e-)) / w^2 with a its Euclidean part, is within the `radius`
+    limit at its centre a / w. This factored P^2 / w^2 rounds near u |a|^2: `embed_point`'s
+    points pass out to |p| near 1e7 (past 1e8 the (e+, e-) basis loses w), weighted ones,
+    whose e+ and e- round apart by u |p|^2, to near 1e4. A row with no weight takes the test
+    with 1 for w: P^2 within the limit at |a|^2 is a point at infinity (einf), else no null
+    vector (e1)."""
+    big, e = np.frexp(np.maximum.reduce(np.abs(P), axis=1))
+    P = np.ldexp(P, -e[:, None])
+    a, plus, minus = P[:, :3], P[:, 3], P[:, 4]
+    w = minus - plus
+    finite = np.abs(w) > tolerance.UNDERFLOW
+    w_or_1 = np.where(finite, w, 1.0)
+    a2, errors = _sq_norms(a), {}
+    _fail(errors, big == 0.0, NotAPointError, "zero multivector is not a point")
+    r2, center2 = (a2 - w * (plus + minus)) / w_or_1 / w_or_1, a2 / w_or_1 / w_or_1
+    _fail(errors, ~(np.abs(r2) <= _LIMIT["radius"](center2)), NotAPointError, "vector is not null; not a conformal point")
     _fail(errors, ~finite, PointAtInfinityError, "no finite location: e0 coefficient vanishes")
-    return weighted[:, 1:] / np.where(finite, w, 1.0)[:, None], errors
+    return a / w_or_1[:, None], errors
 
 
 _SIGN_LABELS = ("real", "imaginary", "degenerate")
@@ -496,11 +495,12 @@ _SIGN_LABELS = ("real", "imaginary", "degenerate")
 def _rounds(X, Y, grade, scale, top):
     """Center, signed squared radius, its sign label and errors, for round blades:
     the center is the point A einf A, and r^2 = sign * <A A>_0 / <(einf | A)^2>_0."""
-    center, errors = _locations(row_product(Y[:, _COL["a_einf"]], X, _VECTOR_GP))
     carrier = Y[:, _COL["carrier"]]
     bottom = row_product(carrier, carrier, _SCALAR_GP)[:, 0]
     none = ~(np.abs(bottom) > _LIMIT["carrier"](scale))
-    _fail(errors, none, DegenerateError, "round has no finite carrier; cannot extract radius")
+    center, errors = _locations(row_product(Y[:, _COL["a_einf"]], X, _VECTOR_GP))
+    for r in none.nonzero()[0].tolist():  # a round with no carrier reports that, not its centre's error
+        errors[r] = DegenerateError("round has no finite carrier; cannot extract radius")
     r2 = _ROUND_SIGN[grade] * top / np.where(none, 1.0, bottom)
     degenerate = np.abs(r2) <= _LIMIT["radius"](_sq_norms(center))
     sign = np.where(degenerate, 2, np.where(r2 > 0, 0, 1))  # an index into _SIGN_LABELS

@@ -54,10 +54,10 @@ class Section(Mapping):
         self.rows.setflags(write=False)
         self._index = {name: i for i, name in enumerate(self.names)}
 
-    def by_name(self) -> tuple[list, np.ndarray]:
-        """The names sorted, and their rows in that order."""
+    def by_name(self) -> tuple[list, list]:
+        """The names sorted, and the indices of their rows in that order."""
         order = sorted(range(len(self.names)), key=self.names.__getitem__)
-        return [self.names[i] for i in order], self.rows[order]
+        return [self.names[i] for i in order], order
 
     def __getitem__(self, name) -> Multivector:
         return Multivector(ALG, self.rows[self._index[name]], copy=False)
@@ -225,8 +225,8 @@ def _entry_template(present) -> str:
 def _section_text(title: str, section: Section) -> str:
     """One section as json.dumps(indent=2) lays it out, names sorted. Rows with
     the same nonzero coefficients share one template, built for this call."""
-    names, rows = section.by_name()
-    rows = rows[:, ALG.blade_order]
+    names, order = section.by_name()
+    rows = section.rows[np.ix_(order, ALG.blade_order)]  # sorted rows, written columns: one gather
     nonzero = rows != 0.0
     values = rows[nonzero].tolist()  # row after row
     templates: dict = {}  # nonzero pattern -> (template, count), for this call only

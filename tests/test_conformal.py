@@ -192,9 +192,59 @@ class TestPoints:
         assert str(info.value) == f"non-finite coefficient {bad!r} on e2"
 
     def test_distance_rejects_positive_inner(self):
-        sigma = sphere_ipns([0, 0, 0], 1.0).mv
+        P, Q = embed_point([0.0, 0.0, 0.0]), embed_point([1.0, 0.0, 0.0])
         with pytest.raises(MetricError):
-            point_distance(sigma, sigma)
+            point_distance(P, -Q)  # two points, of weights 1 and -1
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_distance_refuses_a_non_point(self, first):
+        # an IPNS sphere is no point: once its inner product gave a "distance" of 4.899
+        sigma, P = sphere_vector([3.0, 4.0, 0.0], 1.0), embed_point([0.0, 0.0, 0.0])
+        with pytest.raises(NotAPointError, match=rf"^distance argument {1 if first else 2} of 2 is not a conformal point$"):
+            point_distance(sigma, P) if first else point_distance(P, sigma)
+
+    def test_extract_refuses_far_spheres(self):
+        # r^2 of a sphere far out is well above its rounding, so no rule may read it as a point
+        for c, r in [(1e2, 0.5), (1e2, 3.0), (1e2, 30.0), (1e3, 0.5), (1e3, 3.0), (1e3, 30.0), (1e4, 3.0), (1e4, 30.0)]:
+            with pytest.raises(NotAPointError, match=r"^vector is not null; not a conformal point$"):
+                extract_point(sphere_vector([c, 0.0, 0.0], r))
+
+    @pytest.mark.parametrize("radius", [1e5, 1e6, 1e7])
+    def test_extract_far_unit_weight_points_exactly(self, rng, radius):
+        # e+ and e- are |p|^2/2 -+ 1/2 exactly here, so the weight is 1 and the location p
+        for _ in range(50):
+            p = radius * _unit(rng)
+            assert extract_point(embed_point(p)).tolist() == p.tolist()
+
+    def test_one_point_rule(self, rng):
+        """is_point, extract_point and wedge_points take the same rows as points."""
+        rows = [einf, -2.5 * einf, ALG.zero(), 1e-300 * embed_point([1.0, 2.0, 3.0]), e1 + 1e-3 * einf]
+        for _ in range(60):
+            c, w = 10.0 ** rng.uniform(0.0, 4.0) * _unit(rng), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+            rows += [
+                w * embed_point(10.0 ** rng.uniform(0.0, 8.0) * _unit(rng)),
+                w * sphere_vector(c, math.sqrt(10.0 ** rng.uniform(-12.0, 4.0))),
+                w * plane_vector(_unit(rng), float(rng.uniform(-10.0, 10.0))),
+                w * embed_point(c) + 10.0 ** rng.uniform(-12.0, 0.0) * w * c[0] ** 2 * (e1 ^ e2),  # off-grade noise
+            ]
+        taken = []
+        for v in rows:
+            want = is_point(v)
+            try:
+                extract_point(v)
+                extracted = True
+            except (NotAPointError, PointAtInfinityError):
+                extracted = False
+            try:
+                wedge_points(v, with_inf=True)
+                wedged = True
+            except NotAPointError:
+                wedged = False
+            except DegenerateError:
+                wedged = True
+            assert extracted == want and wedged == want, v
+            taken.append(want)
+        assert 60 <= sum(taken) <= len(rows) - 100  # both sides of the rule are drawn
 
 
 class TestRounds:
@@ -583,20 +633,25 @@ def _ref_e0(mv):
 
 
 def ref_extract_point(P):
+    """The one point rule, on one Multivector at unit scale: nonzero, e0 weight
+    w above UNDERFLOW, and r^2 = (|a|^2 - w (e+ + e-)) / w^2 within the radius
+    limit at |a|^2 / w^2 (w taken as 1 for the null test of a row with none)."""
     gs = P.grades()
     if gs and gs != frozenset({1}):
         raise NotAPointError(f"not a grade-1 vector (grades {sorted(gs)})")
     scale = P.max_abs()
     if scale == 0.0:
         raise NotAPointError("zero multivector is not a point")
-    sq = (P * P).scalar_part()
-    if abs(sq) > tolerance.threshold(scale * scale) * 10.0:
+    x = np.ldexp(P.coeffs, -math.frexp(scale)[1])
+    a, plus, minus = x[[0b001, 0b010, 0b100]], float(x[0b01000]), float(x[0b10000])
+    w = minus - plus
+    w_or_1 = w if abs(w) > tolerance.UNDERFLOW else 1.0
+    a2 = float(a @ a)
+    if not abs((a2 - w * (plus + minus)) / w_or_1 / w_or_1) <= tolerance.threshold(1.0 + a2 / w_or_1 / w_or_1) * 10.0:
         raise NotAPointError("vector is not null; not a conformal point")
-    c0 = _ref_e0(P)
-    if abs(c0) <= tolerance.threshold(scale):
+    if abs(w) <= tolerance.UNDERFLOW:
         raise PointAtInfinityError("no finite location: e0 coefficient vanishes")
-    Pn = P / c0
-    return np.array([Pn.coeffs[0b001], Pn.coeffs[0b010], Pn.coeffs[0b100]])
+    return a / w
 
 
 def _ref_clean_vec(arr):
@@ -624,12 +679,12 @@ _REF_ROUND_SIGN = {1: 1.0, 2: 1.0, 3: -1.0, 4: 1.0}
 
 
 def _ref_round(mv, grade):
-    center = ref_extract_point((mv * einf * mv).grade(1))
-    top = (mv * mv).scalar_part()
     carrier = einf | mv
     bot = (carrier * carrier).scalar_part()
     if abs(bot) <= tolerance.threshold(mv.max_abs() ** 2):
         raise DegenerateError("round has no finite carrier; cannot extract radius")
+    center = ref_extract_point((mv * einf * mv).grade(1))
+    top = (mv * mv).scalar_part()
     return center, _REF_ROUND_SIGN[grade] * top / bot
 
 
@@ -966,8 +1021,6 @@ _SCALAR_LIMIT = {
         math.nan if math.isnan(gram0) or math.isnan(scale) else max(abs(gram0), scale * scale)),
     "e0": lambda scale: tolerance.threshold(scale),
     "wedge": lambda scale: tolerance.threshold(2.0 * scale),
-    "null": lambda scale: tolerance.threshold(scale * scale) * 10.0,
-    "finite": lambda scale: tolerance.threshold(scale),
     "carrier": lambda scale: tolerance.threshold(scale * scale),
     "radius": lambda center2: tolerance.threshold(1.0 + center2) * 10.0,
     "direction": lambda norm: tolerance.threshold(norm),
@@ -1041,11 +1094,6 @@ class TestPlan:
             assert gram[i, -1] == (A * A).coeffs[0]
             assert bottom[i] == ((einf | A) * (einf | A)).coeffs[0]
             assert np.array_equal(center[i], (A * einf * A).coeffs[vector])
-            if np.abs(center[i]).max() < 1e150:  # its square stays finite
-                P = np.zeros(ALG.dim)
-                P[vector] = center[i]
-                square = row_product(center[i:i + 1], center[i:i + 1], conformal._VECTOR_SCALAR)[0, 0]
-                assert square == (Multivector(ALG, P) * Multivector(ALG, P)).coeffs[0]
 
     def test_round_params_matches_classify(self, rng):
         rounds = 0
