@@ -34,7 +34,7 @@ from .errors import GAError, ParseError
 from .neuron import PARITIES, TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
 from .scene import Scene, Section, classification_to_json, mv_entries, read_scene, scene_to_json
-from .versor import CONVENTIONS, MODES, apply, compose, make_versor
+from .versor import CONVENTIONS, MODES, apply, compose
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
@@ -115,7 +115,7 @@ def transform_cmd(scene_path, versor_spec, chain_specs, mode, out_path, fmt):
     with tolerance.scope(scene.tolerance_rel):
         env = ChainMap(scene.versors, scene.objects, expr.default_env())
         specs = [versor_spec] if versor_spec is not None else list(chain_specs)
-        versors = [make_versor(expr.eval_expression(s, env)) for s in specs]
+        versors = [expr.as_versor(expr.eval_expression(s, env)) for s in specs]
         v = versors[0] if len(versors) == 1 else compose(versors)
         with np.errstate(over="ignore", invalid="ignore"):  # Section names a row that overflowed
             moved = apply(v, scene.objects.rows, mode)
@@ -174,7 +174,7 @@ def classify_cmd(scene_path, fmt):
 @_guarded
 def train_cmd(versor_spec, n_samples, seed, epochs, lr, parity, mode, noise, out_path, fmt):
     """Fit a geometric neuron to reproduce a versor's action on points."""
-    v = make_versor(expr.eval_expression(versor_spec))
+    v = expr.as_versor(expr.eval_expression(versor_spec))
     parity = parity or v.parity
     net = new_neuron(parity, seed, mode)
     samples = generate_dataset(v, n_samples, seed, noise=noise, convention=mode)

@@ -385,6 +385,11 @@ def _stacked_maps() -> tuple[np.ndarray, dict]:
 _LINEAR, _COL = _stacked_maps()
 
 
+def _tenfold(limit):
+    with np.errstate(over="ignore"):  # 10 limit: inf past the float range, as the product gives, with no warning
+        return limit * 10.0
+
+
 # Every tolerance decision of the tree: the limit of its residual, from the rows' quantities as arrays.
 _LIMIT = {
     "coefficient": lambda scale: tolerance.threshold(scale),  # counts toward its grade above this
@@ -392,7 +397,7 @@ _LIMIT = {
     "e0": lambda scale: tolerance.threshold(scale),  # a vector whose e0 weight is within is flat
     "wedge": lambda scale: tolerance.threshold(2.0 * scale),  # grade 2..4 with A ^ einf within is flat
     "carrier": lambda scale: tolerance.threshold(scale * scale),  # a round with <(einf | A)^2>_0 within has none
-    "radius": lambda center2: tolerance.threshold(1.0 + center2) * 10.0,  # r^2 within: degenerate, a point
+    "radius": lambda center2: _tenfold(tolerance.threshold(1.0 + center2)),  # r^2 within: degenerate, a point
     "direction": lambda norm: tolerance.threshold(norm),  # the first component above fixes the sign
     "distance": lambda norm: tolerance.threshold(norm) * 10.0,  # a plane with distance within holds the origin
     "infinity": lambda scale: tolerance.threshold(scale),  # a flat whose finite part is within is at infinity

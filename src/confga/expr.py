@@ -31,11 +31,12 @@ and one constructor per accepted string of argument kinds; any other call
 is refused with "<name> expects <what>".  The object constructors (``pair``,
 ``circle``, ``sphere``, ``line``, ``plane``, ``flat_point``) return the blade
 they build, unclassified; their multivector arguments must be conformal
-points (``conformal.is_point``).  ``apply`` and ``inv`` take their versor
-through ``versor.make_versor``, which accepts a null versor only as the point
-mirror, under the same rule; that mirror has no inverse, so ``inv`` refuses
-it.  Arithmetic that overflows to inf or nan is refused.  Every successful
-evaluation yields a plain multivector.
+points (``conformal.is_point``).  A closed form (a mirror, ``rotor``,
+``translator``, ``motor``, ``scalor``) keeps its certified versor for ``apply``
+and ``inv`` (`as_versor`); any other multivector, arithmetic on one included,
+goes through ``versor.make_versor``, which takes a null versor only as the
+point mirror, under the same rule; it has no inverse, so ``inv`` refuses it.
+Arithmetic that overflows to inf or nan is refused.
 """
 
 from __future__ import annotations
@@ -238,11 +239,28 @@ def _kind(v) -> str:
     return "s" if isinstance(v, str) else "?"
 
 
+class _Carrier(Multivector):
+    """A closed form's value: a view of its versor's coefficients that carries the versor to `apply` and `inv`."""
+
+    __slots__ = ("versor",)
+
+
+def _carry(v: _versor.Versor) -> Multivector:
+    value = _Carrier.view(ALG, v.mv.coeffs)
+    object.__setattr__(value, "versor", v)
+    return value
+
+
+def as_versor(value: Multivector) -> _versor.Versor:
+    """The versor a closed form carries, or else `versor.make_versor` of the multivector."""
+    return value.versor if isinstance(value, _Carrier) else _versor.make_versor(value)
+
+
 # name -> (what it expects, {argument kinds: constructor}).  Kinds are one
 # letter per argument: n number, m multivector, s mode name.  A constructor
-# answers None to refuse values of the right kinds.  Callees are looked up
-# when called (hence the lambdas around plain functions), so a module name
-# rebound after import is honoured.
+# answers None to refuse values of the right kinds; a closed form's gives its
+# Versor, which the call carries.  Callees are looked up when called (hence
+# the lambdas around plain functions), so a module name rebound is honoured.
 _BUILTINS = {
     "point": ("three numbers x, y, z", {"nnn": lambda x, y, z: embed_point([x, y, z])}),
     "pair": ("two conformal points", {"mm": lambda p, q: wedge_points(p, q)}),
@@ -261,27 +279,25 @@ _BUILTINS = {
         "nnn": lambda x, y, z: wedge_points(embed_point([x, y, z]), with_inf=True),
     }),
     "space": ("no arguments", {"": lambda: I5}),
-    "mirror_plane": ("nx, ny, nz, d", {"nnnn": lambda x, y, z, d: _versor.reflector_plane([x, y, z], d).mv}),
-    "mirror_sphere": ("cx, cy, cz, r", {"nnnn": lambda x, y, z, r: _versor.reflector_sphere([x, y, z], r).mv}),
-    "mirror_point": ("x, y, z", {"nnn": lambda x, y, z: _versor.reflector_point([x, y, z]).mv}),
+    "mirror_plane": ("nx, ny, nz, d", {"nnnn": lambda x, y, z, d: _versor.reflector_plane([x, y, z], d)}),
+    "mirror_sphere": ("cx, cy, cz, r", {"nnnn": lambda x, y, z, r: _versor.reflector_sphere([x, y, z], r)}),
+    "mirror_point": ("x, y, z", {"nnn": lambda x, y, z: _versor.reflector_point([x, y, z])}),
     "mirror_line": ("a line or two conformal points", {
-        "m": lambda line: _versor.reflector_line(line).mv,
-        "mm": lambda p, q: _versor.reflector_line(make_line(p, q)).mv,
+        "m": lambda line: _versor.reflector_line(line),
+        "mm": lambda p, q: _versor.reflector_line(make_line(p, q)),
     }),
-    "rotor": ("a bivector and an angle", {"mn": lambda b, angle: _versor.rotor(b, angle).mv}),
-    "translator": ("three numbers tx, ty, tz", {"nnn": lambda x, y, z: _versor.translator([x, y, z]).mv}),
-    "motor": ("a bivector, an angle, and tx, ty, tz", {
-        "mnnnn": lambda b, angle, x, y, z: _versor.motor(b, angle, [x, y, z]).mv,
-    }),
+    "rotor": ("a bivector and an angle", {"mn": lambda b, angle: _versor.rotor(b, angle)}),
+    "translator": ("three numbers tx, ty, tz", {"nnn": lambda x, y, z: _versor.translator([x, y, z])}),
+    "motor": ("a bivector, an angle, and tx, ty, tz", {"mnnnn": lambda b, angle, x, y, z: _versor.motor(b, angle, [x, y, z])}),
     "scalor": ("s or s, cx, cy, cz", {
-        "n": lambda s: _versor.scalor(s).mv,
-        "nnnn": lambda s, x, y, z: _versor.scalor(s, [x, y, z]).mv,
+        "n": lambda s: _versor.scalor(s),
+        "nnnn": lambda s, x, y, z: _versor.scalor(s, [x, y, z]),
     }),
     "apply": ("a versor, a multivector, and motion or reflection", {
-        "mms": lambda v, x, mode: _versor.apply(_versor.make_versor(v), x, mode),
+        "mms": lambda v, x, mode: _versor.apply(as_versor(v), x, mode),
     }),
     "dual": ("one multivector", {"m": lambda a: a.dual()}),
-    "inv": ("one invertible versor", {"m": lambda v: _versor.make_versor(v).inverse()}),
+    "inv": ("one invertible versor", {"m": lambda v: as_versor(v).inverse()}),
     "exp": ("one bivector with scalar square", {"m": lambda b: exp_special(b)}),
     "grade": ("a multivector and an integer grade", {
         "mn": lambda a, k: a.grade(int(k)) if k.is_integer() else None,
@@ -298,7 +314,7 @@ def _builtin(name: str):
         value = None if constructor is None else constructor(*args)
         if value is None:
             raise DomainError(f"{name} expects {expects}")
-        return _finite(name, value)
+        return _finite(name, _carry(value) if isinstance(value, _versor.Versor) else value)
 
     return call
 

@@ -21,17 +21,17 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 (-1)^p; the two agree on odd-grade arguments and differ by an overall
 (projectively invisible) sign on even ones.
 
-Each closed form (the mirrors, rotor, translator, scalor, and compose of
-them) is a product of reflections, so its formula states its norm <v ~v>_0:
+Each closed form (the mirrors, rotor, translator, motor, scalor, and compose
+of them) is a product of reflections, so its formula states its norm <v ~v>_0:
 1, r^2 for a sphere mirror, the product of its factors' norms for compose.
 It is built with that norm and no numeric re-check of it, which would refuse
-exact versors far from the origin. What it does check is range: a closed
-form whose action on points near the origin would be all rounding, or would
-overflow, is refused (`_certified`). `make_versor` is for multivectors a
-user writes: it accepts v when v ~v is a nonzero scalar, by the algebra's one
-certificate (`algebra.scalar_product`). Every numeric argument must be
-finite: a NaN or infinity is refused with a DomainError that names it, before
-any arithmetic.
+exact versors far from the origin. What it does check, once per form (a motor
+as its product T R), is range: a form whose action on points near the origin
+would be all rounding, or would overflow, is refused (`_certified`).
+`make_versor` is for multivectors a user writes: it accepts v when v ~v is a
+nonzero scalar, by the algebra's one certificate (`algebra.scalar_product`).
+Every numeric argument must be finite: a NaN or infinity is refused with a
+DomainError that names it, before any arithmetic.
 
 The action is one 32x32 matrix K = L(v^-1) R(v) with the convention
 folded in (`_action_matrix`, shared with the neuron), so `apply` on an
@@ -193,33 +193,42 @@ def reflector_line(line) -> Versor:
 # -- motions ------------------------------------------------------------------
 
 
-def rotor(i: Multivector, theta: float) -> Versor:
-    """Rotation by theta in the (normalized) plane i; x' = R^-1 x R takes
-    e1 to e2 for i = e12, theta = pi/2."""
+def _rotation(i: Multivector, theta: float) -> Multivector:
+    """The rotor formula exp(theta/2 i/|i|), after the checks of its arguments."""
     theta = as_real(theta, "rotation angle")
     if i.grades() != frozenset({2}):
         raise GradeError("rotation plane must be a bivector")
     s, _ = scalar_product(i, i, "the square of the rotation plane")  # a tiny plane is still a plane
     if s is None or s >= 0:
         raise DomainError("rotation plane must square to a negative scalar")
-    return _certified(exp_special((0.5 * theta) * (i / math.sqrt(-s))), "even", 1.0)
+    return exp_special((0.5 * theta) * (i / math.sqrt(-s)))
+
+
+def rotor(i: Multivector, theta: float) -> Versor:
+    """Rotation by theta in the (normalized) plane i; x' = R^-1 x R takes e1 to e2 for i = e12, theta = pi/2."""
+    return _certified(_rotation(i, theta), "even", 1.0)
 
 
 _TRANSLATION = [ALG.blade_bits(f"e{i}{sign}") for i in "123" for sign in "+-"]  # e1+, e1-, e2+, ...
 
 
-def translator(t) -> Versor:
-    """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t. Since
-    einf = e+ + e-, T is 1 on the scalar and t_i / 2 on both e_i+ and e_i-."""
+def _translation(t) -> Multivector:
+    """The translator formula 1 + (1/2) t einf: 1 on the scalar, t_i / 2 on e_i+ and e_i-."""
     coeffs = np.zeros(ALG.dim)
     coeffs[0] = 1.0
     coeffs[_TRANSLATION] = np.repeat(0.5 * as_vec3(t, "translation"), 2)
-    return _certified(Multivector(ALG, coeffs, copy=False), "even", 1.0)
+    return Multivector(ALG, coeffs, copy=False)
+
+
+def translator(t) -> Versor:
+    """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
+    return _certified(_translation(t), "even", 1.0)
 
 
 def motor(i: Multivector, theta: float, t) -> Versor:
-    """Translate by t, then rotate: the product translator(t).mv * rotor.mv."""
-    return compose([translator(t), rotor(i, theta)])
+    """Translate by t, then rotate: T R of the two formulas, range-checked once, as compose([translator(t),
+    rotor(i, theta)]) gives it where it accepts. No coefficient of T R passes |t| / 2, so it cannot overflow."""
+    return _certified(_translation(t) * _rotation(i, theta), "even", 1.0)
 
 
 def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:

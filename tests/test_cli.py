@@ -29,10 +29,12 @@ from confga import (
     new_neuron,
     read_scene,
     render,
+    reflector_plane,
     reflector_sphere,
     motor,
     sphere_ipns,
     train,
+    translator,
 )
 import confga
 from confga import cli, tolerance
@@ -251,8 +253,42 @@ class TestSmallWeights:
 
 class TestFarClosedForms:
     """The closed forms state their own norm, so exact versors far from the origin print, up
-    to the range where their action is all rounding; `apply` in an expression still certifies
-    its versor numerically."""
+    to the range where their action is all rounding. A closed form keeps that certificate
+    through `apply` and `inv` in an expression; arithmetic on it gives a plain multivector,
+    which `make_versor` certifies numerically."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("apply(translator(1e6,0,0), point(0,0,0), motion)",
+         lambda: apply(translator([1e6, 0.0, 0.0]), embed_point([0.0, 0.0, 0.0]), "motion")),
+        ("inv(translator(1e6,0,0)) * translator(1e6,0,0)",
+         lambda: translator([1e6, 0.0, 0.0]).inverse() * translator([1e6, 0.0, 0.0]).mv),
+        ("apply(motor(e12,0.7,1e6,0,0), point(0,0,0), motion)",
+         lambda: apply(motor(e1 ^ e2, 0.7, [1e6, 0.0, 0.0]), embed_point([0.0, 0.0, 0.0]), "motion")),
+        ("apply(mirror_plane(1,0,0,1e5), point(0,0,0), reflection)",
+         lambda: apply(reflector_plane([1.0, 0.0, 0.0], 1e5), embed_point([0.0, 0.0, 0.0]), "reflection")),
+        ("inv(mirror_sphere(1e4,0,0;1.5))", lambda: reflector_sphere([1e4, 0.0, 0.0], 1.5).inverse()),
+    ], ids=["apply-translator-1e6", "inv-translator-1e6", "apply-motor-1e6", "apply-plane-1e5", "inv-sphere-1e4"])
+    def test_far_closed_form_in_apply_and_inv(self, runner, text, want):
+        """Exact versors that `make_versor` calls singular: the library's answer, bit for bit."""
+        result = runner.invoke(main, ["eval", text])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == render(want()) + "\n"
+
+    def test_far_translator_moves_the_origin_exactly(self, runner):
+        result = runner.invoke(main, ["eval", "apply(translator(1e6,0,0), point(0,0,0), motion)"])
+        assert result.stdout == "1000000*e1 + 499999999999.5*e+ + 500000000000.5*e-\n"
+        result = runner.invoke(main, ["eval", "inv(translator(1e6,0,0)) * translator(1e6,0,0)"])
+        assert result.stdout == "1\n"
+
+    @pytest.mark.parametrize("text", [
+        "apply(1*translator(1e5,0,0), point(0,0,0), motion)",
+        "apply(-motor(e12,0.7,1e5,0,0), point(0,0,0), motion)",
+        "inv(translator(4e4,0,0) * translator(4e4,0,0))",
+    ])
+    def test_arithmetic_on_a_far_closed_form_is_certified_numerically(self, runner, text):
+        result = runner.invoke(main, ["eval", text])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "error: v * ~v vanishes; versor is not invertible\n"
 
     def test_plane_mirror_is_the_plane(self, runner):
         mirror = runner.invoke(main, ["eval", "mirror_plane(1,0,0,5e4)"])
@@ -279,7 +315,7 @@ class TestFarClosedForms:
             np.testing.assert_allclose(moved[name].coeffs, embed_point([x, 0.0, 0.0]).coeffs, rtol=1e-12)
 
     def test_chain_whose_action_is_rounding_exit_1(self, runner, tmp_path):
-        """Each T(6e4) passes the numeric certificate; their product T(1.5e7) is exact, but its
+        """Each T(6e4) is in range; their product T(1.5e7) is exact, but its
         action on points near the origin would be all rounding, so compose refuses it."""
         scene_path = write_point_scene(tmp_path / "s.json", include_versor=False)
         chain = [arg for _ in range(250) for arg in ("--chain", "translator(6e4,0,0)")]

@@ -1041,6 +1041,24 @@ def test_array_limits_are_the_scalar_formulas_bit_for_bit(name, rel):
     assert got.tobytes() == want.tobytes()
 
 
+def test_radius_limit_past_the_float_range_is_inf_without_a_warning():
+    """At rel 0.9, 10 times the threshold of a centre's |c|^2 near 1e308 passes the float range:
+    the limit is inf, as the scalar formula gives, and numpy warns of no overflow (any warning
+    is an error in this suite)."""
+    inputs = [1e307, 1.9e307, 2e307, 1e308, 1.7976931348623157e308]
+    with tolerance.scope(0.9):
+        got = conformal._LIMIT["radius"](np.array(inputs))
+        want = np.array([_SCALAR_LIMIT["radius"](x) for x in inputs])
+    assert got.tobytes() == want.tobytes() and np.isinf(got).tolist() == [False, False, True, True, True]
+
+
+def test_point_whose_centre_is_near_the_float_range_at_a_loose_tolerance():
+    """Its unit-scale weight 1.7e-154 is just above 2^-511, so |c|^2 is about 2.6e307 and its
+    radius limit at rel 0.9 is inf: a point, with no overflow warning."""
+    with tolerance.scope(0.9):
+        assert is_point(e1 + e2 + e3 + 3.4e-154 * ALG.blade(0b10000))
+
+
 class TestPlan:
     """The classification plan's maps, built once at import, pinned bit for
     bit against the algebra's products on the same rows."""

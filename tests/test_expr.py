@@ -21,6 +21,7 @@ from confga import (
     GradeError,
     NotAPointError,
     ParseError,
+    SingularVersorError,
     UnboundNameError,
     apply,
     embed_point,
@@ -46,6 +47,7 @@ from confga import (
 )
 from confga.conformal import ALG, e0, e1, e2, e3, einf, plane_vector, sphere_vector, wedge_points
 from confga import expr as expr_module
+from confga import versor as versor_module
 from confga.expr import default_env, evaluate, parse, tokenize
 
 from conftest import assert_mv_close, outcome
@@ -595,6 +597,75 @@ def test_non_point_arguments_raise_not_a_point(form):
             with pytest.raises(NotAPointError) as info:
                 ev(text)
             assert str(info.value) == f"construction point {k + 1} of {n} is not a conformal point", text
+
+
+def _args(*values) -> str:
+    """Numbers as expression text that parses back to the same floats."""
+    return ", ".join(repr(float(x)) for x in values)
+
+
+def _closed_form_texts(rng, off):
+    """(expression, the library's versor, mode) for each closed-form builtin, drawn at offset off."""
+    c = off * rng.normal(size=3) / 3**0.5
+    n, d, theta = rng.normal(size=3), float(off * rng.choice([-1.0, 1.0])), float(rng.uniform(-2 * math.pi, 2 * math.pi))
+    r, s, q = float(10 ** rng.uniform(-1, 1)), float(2 ** rng.uniform(-1, 1)), c + rng.normal(size=3)
+    plane, bivector = [("e12", e12), ("e23", e2 ^ e3), ("2.5*e13", 2.5 * (e1 ^ e3))][rng.integers(3)]
+    return [
+        (f"mirror_plane({_args(*n, d)})", lambda: reflector_plane(n, d), "reflection"),
+        (f"mirror_sphere({_args(*c, r)})", lambda: reflector_sphere(c, r), "reflection"),
+        (f"mirror_point({_args(*c)})", lambda: reflector_point(c), "reflection"),
+        (f"mirror_line(point({_args(*c)}), point({_args(*q)}))",
+         lambda: reflector_line(make_line(embed_point(c), embed_point(q))), "motion"),
+        (f"rotor({plane}, {_args(theta)})", lambda: rotor(bivector, theta), "motion"),
+        (f"translator({_args(*c)})", lambda: translator(c), "motion"),
+        (f"motor({plane}, {_args(theta, *c)})", lambda: motor(bivector, theta, c), "motion"),
+        (f"scalor({_args(s)})", lambda: scalor(s), "motion"),
+        (f"scalor({_args(s, *c)})", lambda: scalor(s, c), "motion"),
+    ]
+
+
+class TestClosedFormCarrier:
+    """A closed form's value keeps the versor it was certified as when it was built: `apply`
+    and `inv` take that versor as it is, and arithmetic on the value drops it."""
+
+    def test_apply_and_inv_are_the_librarys(self):
+        """Seeded arguments at offsets 10^0 to 10^6: `apply` and `inv` of each closed-form
+        builtin equal `versor.apply` of the library's versor and its `.inverse()` bit for bit,
+        or raise its error where it has one."""
+        rng = np.random.default_rng(71)
+        far = 0
+        for k in range(24):
+            off = float(10 ** rng.uniform(0, 6))
+            p = rng.uniform(-3, 3, 3)
+            for text, build, mode in _closed_form_texts(rng, off):
+                want = outcome(lambda: apply(build(), embed_point(p), mode))
+                got = outcome(lambda: ev(f"apply({text}, point({_args(*p)}), {mode})"))
+                assert got == want, text
+                assert outcome(lambda: ev(f"inv({text})")) == outcome(lambda: build().inverse()), text
+                far += off > 1e4 and want[0] == "gives"
+        assert far >= 20, far
+
+    def test_a_closed_form_takes_no_second_certificate(self, monkeypatch):
+        """`make_versor` certifies only what arithmetic or the user made."""
+        calls = []
+        make_versor = versor_module.make_versor
+        monkeypatch.setattr(versor_module, "make_versor", lambda mv: calls.append(mv) or make_versor(mv))
+        for text in ["apply(motor(e12, 0.7, 1, 2, 3), point(1, 2, 3), motion)", "inv(mirror_sphere(1, 2, 3, 0.5))",
+                     "apply(mirror_line(point(0,0,0), point(1,1,0)), point(1, 0, 0), motion)"]:
+            ev(text)
+        assert calls == []
+        ev("apply(e1, point(1, 0, 0), reflection)")
+        assert calls == [e1]
+
+    def test_arithmetic_drops_the_versor(self):
+        """A product, a scale or a grade of a closed form is a plain multivector, certified
+        numerically: a far one is refused as singular, a small multiple is accepted."""
+        for text in ["1*translator(1e5,0,0)", "translator(4e4,0,0) * translator(4e4,0,0)",
+                     "-motor(e12, 0.7, 1e5, 0, 0)", "grade(mirror_plane(1, 0, 0, 1e5), 1)"]:
+            with pytest.raises(SingularVersorError, match=r"^v \* ~v vanishes; versor is not invertible$"):
+                ev(f"inv({text})")
+        small = 1e-7 * translator([1.0, 0.0, 0.0]).mv
+        assert ev("apply(1e-7*translator(1,0,0), point(0,0,0), motion)") == apply(make_versor(small), P, "motion")
 
 
 # -- render round trip --------------------------------------------------------

@@ -35,6 +35,7 @@ from confga import (
     sphere_ipns,
     translator,
 )
+from confga import versor as versor_module
 from confga.versor import CONVENTIONS, Versor, _SAME_GRADE, _action_matrix
 from confga.conformal import (
     ALG,
@@ -891,6 +892,55 @@ class TestRangeCheck:
             err = np.abs(locations(apply(v, embed_points(P), mode)) - want).max(axis=1) / np.abs(want).max(axis=1)
             assert np.all(err <= 0.2), (name, off, s, err)
         assert accepted >= 150 and refused >= 40, (accepted, refused)
+
+
+class TestMotorCertificate:
+    """`motor` is T R from the translator and rotor formulas, range-checked once; the path it
+    replaced, compose([translator(t), rotor(i, theta)]), checked each factor and then T R."""
+
+    def test_is_the_composed_path(self):
+        """Seeded motors at offsets 10^0 to 10^9, in four planes, at angles across [-2 pi, 2 pi]:
+        `motor` accepts exactly where the composed path does, with its .mv, norm and inverse bit
+        for bit, and refuses where it refuses, by the range check."""
+        rng = np.random.default_rng(67)
+        planes = [e12, e23, 2.5 * (e1 ^ e3), e12 + 0.5 * e23]
+        accepted = refused = 0
+        for k in range(2000):
+            t = float(10 ** rng.uniform(0, 9)) * unit_vector(rng)
+            i, theta = planes[k % 4], float(rng.uniform(-2 * math.pi, 2 * math.pi))
+            want = in_range(lambda: compose([translator(t), rotor(i, theta)]))
+            got = in_range(lambda: motor(i, theta, t))
+            assert (got is None) == (want is None), (t, theta)
+            if want is None:
+                refused += 1
+                continue
+            accepted += 1
+            assert got.mv.coeffs.tobytes() == want.mv.coeffs.tobytes() and got.norm2 == want.norm2, (t, theta)
+            assert got.inv.coeffs.tobytes() == want.inv.coeffs.tobytes(), (t, theta)
+        assert accepted >= 1000 and refused >= 500, (accepted, refused)
+
+    def test_product_at_the_float_limit_is_refused_without_a_warning(self):
+        """No coefficient of T R passes |t| / 2, so T R is finite even at translations near the
+        float limit; the range check refuses it, and numpy warns of nothing (an error here)."""
+        big = float(np.finfo(float).max)
+        for t in ([big, big, big], [big, -big, 0.0], [big, 0.0, 0.0]):
+            with pytest.raises(DomainError) as info:
+                motor(e12 + 0.5 * e23, 0.7, t)
+            assert str(info.value).startswith(RANGE_REFUSAL), info.value
+
+    def test_one_range_check(self, monkeypatch):
+        calls = []
+        certified = versor_module._certified
+        monkeypatch.setattr(versor_module, "_certified", lambda *args: calls.append(args) or certified(*args))
+        v = motor(e12, 0.7, [1.0, 2.0, 3.0])
+        assert len(calls) == 1 and calls[0][0] is v.mv
+
+    def test_refusal_names_the_motors_own_size(self):
+        """The bound and largest coefficient are T R's, where the composed path named its
+        translator's (1.14e+287 and 5e+149)."""
+        with pytest.raises(DomainError) as info:
+            motor(e12, 0.7, [1e150, 0.0, 0.0])
+        assert str(info.value) == RANGE_REFUSAL + "3.56e+153 from <v ~v>_0 = 1.0 and largest coefficient 4.696863564236894e+149"
 
 
 # -- apply keeps the action's grade blocks --------------------------------------------
