@@ -60,6 +60,7 @@ from .errors import (
     ParityModeError,
     ParseError,
     PointAtInfinityError,
+    RowRoundingError,
     SignatureMismatchError,
     SingularVersorError,
     SingularWeightError,

@@ -30,7 +30,7 @@ import numpy as np
 from . import expr, tolerance
 from .algebra import format_coeff
 from .conformal import classify_batch
-from .errors import GAError, ParseError
+from .errors import DomainError, GAError, ParseError, RowRoundingError
 from .neuron import PARITIES, TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
 from .scene import Scene, Section, classification_to_json, mv_entries, read_scene, scene_to_json
@@ -118,7 +118,10 @@ def transform_cmd(scene_path, versor_spec, chain_specs, mode, out_path, fmt):
         versors = [expr.as_versor(expr.eval_expression(s, env)) for s in specs]
         v = versors[0] if len(versors) == 1 else compose(versors)
         with np.errstate(over="ignore", invalid="ignore"):  # Section names a row that overflowed
-            moved = apply(v, scene.objects.rows, mode)
+            try:
+                moved = apply(v, scene.objects.rows, mode)
+            except RowRoundingError as exc:
+                raise DomainError(f"versor's action on entry {scene.objects.names[exc.row]!r} is all rounding: {exc.reason}") from None
     out = Scene(Section(scene.objects.names, moved), scene.versors, scene.tolerance_rel)
     text = scene_to_json(out)
     if out_path is not None:

@@ -49,6 +49,14 @@ class DomainError(GAError):
     """A numeric argument is outside the valid domain of a constructor."""
 
 
+class RowRoundingError(DomainError):
+    """A versor's image of row `row` of an array is all rounding, for `reason`; a caller names the row."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"versor's action on row {row} is all rounding: {reason}")
+        self.row, self.reason = row, reason
+
+
 class FlatObjectError(GAError):
     """A flat object was passed where a round one is required."""
 

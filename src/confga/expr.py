@@ -32,7 +32,7 @@ is refused with "<name> expects <what>".  The object constructors (``pair``,
 ``circle``, ``sphere``, ``line``, ``plane``, ``flat_point``) return the blade
 they build, unclassified; their multivector arguments must be conformal
 points (``conformal.is_point``).  A closed form (a mirror, ``rotor``,
-``translator``, ``motor``, ``scalor``) keeps its certified versor for ``apply``
+``translator``, ``motor``, ``scalor``) keeps its exact versor for ``apply``
 and ``inv`` (`as_versor`); any other multivector, arithmetic on one included,
 goes through ``versor.make_versor``, which takes a null versor only as the
 point mirror, under the same rule; it has no inverse, so ``inv`` refuses it.

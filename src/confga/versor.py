@@ -25,11 +25,10 @@ Each closed form (the mirrors, rotor, translator, motor, scalor, and compose
 of them) is a product of reflections, so its formula states its norm <v ~v>_0:
 1, r^2 for a sphere mirror, the product of its factors' norms for compose.
 It is built with that norm and no numeric re-check of it, which would refuse
-exact versors far from the origin. What it does check, once per form (a motor
-as its product T R), is range: a form whose action on points near the origin
-would be all rounding, or would overflow, is refused (`_certified`).
-`make_versor` is for multivectors a user writes: it accepts v when v ~v is a
-nonzero scalar, by the algebra's one certificate (`algebra.scalar_product`).
+exact versors far from the origin (`_closed_form`): its algebra is exact, and
+only its action rounds. `make_versor` is for multivectors a user writes: it
+accepts v when v ~v is a nonzero scalar, by the algebra's one certificate
+(`algebra.scalar_product`).
 Every numeric argument must be finite: a NaN or infinity is refused with a
 DomainError that names it, before any arithmetic.
 
@@ -42,7 +41,7 @@ rounding in its cross-grade entries, which would land in every grade the
 input does not have. `apply` keeps only K's grade-diagonal blocks
 (`_SAME_GRADE`), and every coefficient it keeps is the float the full K
 gives. The neuron keeps the full K: a weight in training is not a versor,
-and its gradient needs the cross-grade terms.
+and its gradient needs the cross-grade terms. `apply` checks every versor's range.
 """
 
 from __future__ import annotations
@@ -56,6 +55,8 @@ import numpy as np
 from . import tolerance
 from .algebra import Multivector, exp_special, scalar_product
 from .conformal import (
+    _COL,
+    _LINEAR,
     ALG,
     E,
     I3,
@@ -77,6 +78,7 @@ from .errors import (
     MixedParityError,
     NotVersorError,
     ParityModeError,
+    RowRoundingError,
     SingularVersorError,
 )
 
@@ -127,35 +129,15 @@ def make_versor(mv: Multivector) -> Versor:
     return Versor(mv, parity, s, ~mv / s)
 
 
-_SAME_GRADE = ALG.grades[:, None] == ALG.grades[None, :]  # K's grade-diagonal blocks
-_LOCATION = np.vstack([np.eye(ALG.dim)[[0b001, 0b010, 0b100]], -einf.coeffs * ALG.rev_norm_signs])  # e1, e2, e3, weight
-
-
-def _certified(mv: Multivector, parity: str, norm2: float) -> Versor:
-    """The versor of a closed form: mv with the norm <v ~v>_0 its formula states.
-
-    The norm is exact, the action is not. An image coefficient is two nested
-    sums of 32 terms (K = L(v^-1) R(v), then K x), so it is off by at most
-    about 64 u times the sum of its terms' sizes (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3). For a point within 3 of the
-    origin the coefficients of x add up to less than 16 in size, so the
-    relative error of the image's location is about 1024 u times the ratio of
-    the terms' size to the result's, at most, taken over K's rows for the
-    Euclidean part and for the weight. A point at distance |p| multiplies it
-    by about |p|^2 (x's e+ and e- coefficients).
-
-    That bound grows as u |c|^2 for a translator or mirror at distance |c|
-    and as u s^2 for a scalor by s > 1; where it reaches 1 the image is all
-    rounding, and the versor is refused with a DomainError naming the bound,
-    the norm and the largest coefficient. So is one whose action overflows or
-    whose norm is 0 (the bound is then NaN or infinite)."""
+def _closed_form(factors: Sequence[Multivector], parity: str, norm2: float, grade: int | None = None) -> Versor:
+    """A closed form's versor: its factors' product (the grade part where given) and the norm <v ~v>_0 they
+    state, formed quietly; refused only where that norm is 0 or the norm, product or ~v / norm2 not finite."""
     with np.errstate(all="ignore"):
+        mv = math.prod(factors[1:], start=factors[0])
+        mv = mv if grade is None else mv.grade(grade)
         inv = ~mv / norm2
-        L, R = ALG.left_matrix(inv.coeffs), ALG.right_matrix(mv.coeffs)
-        terms, image = np.abs(_LOCATION) @ np.abs(L) @ np.abs(R), np.abs(_LOCATION @ L @ R)  # location rows of K
-        bound = tolerance.RESOLUTION * float(np.maximum(terms[:3].max() / image[:3].max(), terms[3].max() / image[3].max()))
-    if not bound < 1.0:  # NaN too
-        raise DomainError(f"versor's action on points is all rounding or overflows: error bound {bound:.3g} from <v ~v>_0 = {norm2!r} and largest coefficient {mv.max_abs()!r}")
+    if not (norm2 != 0.0 and math.isfinite(norm2) and np.isfinite(inv.coeffs).all()):
+        raise DomainError(f"versor has no finite inverse: <v ~v>_0 = {norm2!r} and largest coefficient {mv.max_abs()!r}")
     return Versor(mv, parity, norm2, inv)
 
 
@@ -164,12 +146,12 @@ def _certified(mv: Multivector, parity: str, norm2: float) -> Versor:
 
 def reflector_plane(n, d: float) -> Versor:
     """Mirror in the plane {x : unit(n) . x = d}: the plane vector mu, mu^2 = 1."""
-    return _certified(plane_vector(n, d), "odd", 1.0)
+    return _closed_form([plane_vector(n, d)], "odd", 1.0)
 
 
 def reflector_sphere(center, r: float) -> Versor:
     """Inversion in the sphere: the sphere vector sigma, sigma^2 = r^2 > 0."""
-    return _certified(sphere_vector(center, r), "odd", float(r) * float(r))
+    return _closed_form([sphere_vector(center, r)], "odd", float(r) * float(r))
 
 
 def reflector_point(p) -> Versor:
@@ -187,7 +169,7 @@ def reflector_line(line) -> Versor:
     d = euclid_vector(obj.params["direction"])
     foot = d | euclid_bivector(obj.params["moment"])
     p0 = np.array([foot.coeff(0b001), foot.coeff(0b010), foot.coeff(0b100)])
-    return _certified((translator(-p0).mv * (d | I3) * translator(p0).mv).grade(2), "even", 1.0)  # d | I3: the plane normal to d
+    return _closed_form([_translation(-p0), d | I3, _translation(p0)], "even", 1.0, grade=2)  # d | I3: the plane normal to d
 
 
 # -- motions ------------------------------------------------------------------
@@ -206,7 +188,7 @@ def _rotation(i: Multivector, theta: float) -> Multivector:
 
 def rotor(i: Multivector, theta: float) -> Versor:
     """Rotation by theta in the (normalized) plane i; x' = R^-1 x R takes e1 to e2 for i = e12, theta = pi/2."""
-    return _certified(_rotation(i, theta), "even", 1.0)
+    return _closed_form([_rotation(i, theta)], "even", 1.0)
 
 
 _TRANSLATION = [ALG.blade_bits(f"e{i}{sign}") for i in "123" for sign in "+-"]  # e1+, e1-, e2+, ...
@@ -222,13 +204,13 @@ def _translation(t) -> Multivector:
 
 def translator(t) -> Versor:
     """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
-    return _certified(_translation(t), "even", 1.0)
+    return _closed_form([_translation(t)], "even", 1.0)
 
 
 def motor(i: Multivector, theta: float, t) -> Versor:
-    """Translate by t, then rotate: T R of the two formulas, range-checked once, as compose([translator(t),
-    rotor(i, theta)]) gives it where it accepts. No coefficient of T R passes |t| / 2, so it cannot overflow."""
-    return _certified(_translation(t) * _rotation(i, theta), "even", 1.0)
+    """Translate by t, then rotate: T R of the two formulas, as compose([translator(t), rotor(i, theta)])
+    gives it. No coefficient of T R passes |t| / 2, so it cannot overflow."""
+    return _closed_form([_translation(t), _rotation(i, theta)], "even", 1.0)
 
 
 def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
@@ -238,7 +220,7 @@ def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
     if s <= 0:
         raise DomainError(f"scale factor must be positive, got {s}")
     c = as_vec3(center, "scale center")
-    return _certified(translator(-c).mv * exp_special((0.5 * math.log(s)) * E) * translator(c).mv, "even", 1.0)
+    return _closed_form([_translation(-c), exp_special((0.5 * math.log(s)) * E), _translation(c)], "even", 1.0)
 
 
 # -- action -------------------------------------------------------------------
@@ -261,6 +243,46 @@ def _action_matrix(
     return K * ALG.involute_signs if convention == "twisted-adjoint" else -K
 
 
+_SAME_GRADE = ALG.grades[:, None] == ALG.grades[None, :]  # K's grade-diagonal blocks
+_LOCATION = np.vstack([np.eye(ALG.dim)[[0b001, 0b010, 0b100]], -einf.coeffs * ALG.rev_norm_signs])  # e1, e2, e3, weight
+_CARRIER = _LINEAR[:, _COL["carrier"]]  # X -> einf | X, the weight part: a point's weight, a round's carrier, a flat's direction
+_CARRIER = np.ascontiguousarray(_CARRIER[:, _CARRIER.any(axis=0)].T)  # as (k, 32), its nonzero outputs only
+# the rounding of C K x per unit of (|C| |K|) |x|: 32 terms in each of L R and K x, and C's at most 2
+_WEIGHT_ROUNDING = (2 * ALG.dim + int(np.count_nonzero(_CARRIER, axis=1).max())) * 2.0**-53
+
+
+def _check_range(v: Versor, absK: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
+    """Refuse v, from L = L(v^-1), R = R(v) and absK = |L| |R|, if its action on points near the origin is
+    all rounding or overflows. An image coefficient K x is off by at most about 64 u times the sum of its
+    terms' sizes (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and x sums to under 16
+    within 3 of the origin: so the location is off by 1024 u times terms / image over K's location and
+    weight rows, at most. Where that is 1 or more (or NaN), as at |c| ~ 3e6, a DomainError names it."""
+    with np.errstate(all="ignore"):
+        terms, image = np.abs(_LOCATION) @ absK, np.abs(_LOCATION @ L @ R)  # K = L R's location rows, in the bound's own order
+        bound = tolerance.RESOLUTION * float(np.maximum(terms[:3].max() / image[:3].max(), terms[3].max() / image[3].max()))
+    if not bound < 1.0:  # NaN too
+        raise DomainError(f"versor's action on points is all rounding or overflows: error bound {bound:.3g} from <v ~v>_0 = {v.norm2!r} and largest coefficient {v.mv.max_abs()!r}")
+
+
+def _check_weights(rows: np.ndarray, images: np.ndarray, absK: np.ndarray, named: bool) -> None:
+    """Refuse the first row whose image's weight part C x = einf | image is above the image's
+    zero threshold and within its rounding bound, (64 + 2) u (|C| |K|) |x| as the products are
+    nested (Higham, ch. 3): any location read from it is rounding. `_check_range` bounds
+    points near the origin; a point at distance |p| scales the rounding by about |p|^2, as
+    does a far sphere mirror's image of a point near its sphere. A RowRoundingError names the
+    row where named. Both sides are (k, N) arrays, whose maxima over k are cheap."""
+    with np.errstate(all="ignore"):
+        weight = _CARRIER @ images.T
+        weight = np.maximum.reduce(np.abs(weight, out=weight), axis=0)
+        bound = np.maximum.reduce((_WEIGHT_ROUNDING * (np.abs(_CARRIER) @ absK)) @ np.abs(rows.T), axis=0)
+    doubt = (weight <= bound).nonzero()[0]
+    rounding = doubt[weight[doubt] > tolerance.threshold(np.maximum.reduce(np.abs(images[doubt]), axis=1))]
+    if rounding.size:
+        r = int(rounding[0])
+        reason = f"weight {weight[r]:.3g} within its error bound {bound[r]:.3g}"
+        raise RowRoundingError(r, reason) if named else DomainError(f"versor's action is all rounding: {reason}")
+
+
 def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     """Act on a multivector, a classified object, or an (N, dim) array of
     rows (an array back) by one matrix product, a multivector as one row;
@@ -270,11 +292,14 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
     The product is with K's grade-diagonal blocks only, so each grade of X
     maps into the same grade and nothing else: the cross-grade entries of the
     computed K are rounding, within 64 u (|L| |R|) with |v| taken as the
-    absolute product of v's factors (the bound `_certified` uses), and
+    absolute product of v's factors (the bound of `_check_range`), and
     np.where rather than a mask multiply sends an overflowed one to 0, not
-    NaN. A v that `make_versor` accepts only within
-    the tolerance (v ~v a scalar up to rel) acts by the grade-preserving part
-    of its sandwich."""
+    NaN. A v that `make_versor` accepts only within the tolerance (v ~v a
+    scalar up to rel) acts by the grade-preserving part of its sandwich. An
+    invertible v's range is checked from the same L and R (`_check_range`),
+    and a row whose image's weight is rounding is refused (`_check_weights`),
+    by a RowRoundingError naming its index for an array; the null point
+    mirror takes neither."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if convention not in CONVENTIONS:
@@ -287,11 +312,20 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
         v.mv._check_same(mv)
     elif not isinstance(X, np.ndarray):
         raise TypeError(f"apply takes a Multivector, a ConformalObject or an (N, dim) array, not {type(X).__name__}")
-    left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v
-    K = np.where(_SAME_GRADE, _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention), 0.0)
+    left = v.mv if v.inv is None else v.inv  # the null point mirror acts by v alpha(X) v, unchecked
+    L, R = ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs)
+    if v.inv is not None:
+        with np.errstate(all="ignore"):  # an overflow is the range check's to refuse
+            absK = np.abs(L) @ np.abs(R)
+        _check_range(v, absK, L, R)
+    K = np.where(_SAME_GRADE, _action_matrix(L, R, v.parity, convention), 0.0)
+    rows = X if isinstance(X, np.ndarray) else mv.coeffs[None, :]
+    images = rows @ K.T
+    if v.inv is not None:
+        _check_weights(rows, images, absK, named=isinstance(X, np.ndarray))
     if isinstance(X, np.ndarray):
-        return X @ K.T
-    out = Multivector(ALG, (mv.coeffs[None, :] @ K.T)[0], copy=False)
+        return images
+    out = Multivector(ALG, images[0], copy=False)
     return classify(out) if isinstance(X, ConformalObject) else out
 
 
@@ -302,7 +336,4 @@ def compose(versors: Sequence[Versor]) -> Versor:
     if any(v.is_null for v in versors):
         raise SingularVersorError("cannot compose a degenerate point mirror")
     parity = "odd" if sum(v.parity == "odd" for v in versors) % 2 else "even"
-    factors = [v.mv for v in versors] or [ALG.scalar(1.0)]
-    with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is _certified's to refuse
-        mv = math.prod(factors[1:], start=factors[0])
-    return _certified(mv, parity, math.prod(v.norm2 for v in versors))
+    return _closed_form([v.mv for v in versors] or [ALG.scalar(1.0)], parity, math.prod(v.norm2 for v in versors))

@@ -144,7 +144,7 @@ class TestEval:
         ("~motion", "mode names are only valid as the last argument of apply"),
         ("1e308*10*e1", "overflows"),
         ("e1*1e200*1e200", "overflows"),
-        ("translator(1e200,0,0)", "versor's action on points is all rounding or overflows: error bound nan"),
+        ("apply(translator(1e200,0,0), point(0,0,0), motion)", "versor's action on points is all rounding or overflows: error bound nan"),
         ("rotor(e12,1e300)", "the square of exp's argument overflows"),
         ("exp(1e300*e12)", "the square of exp's argument overflows"),
         ("exp(1000*e1-)", "exp's argument is too large"),
@@ -252,10 +252,10 @@ class TestSmallWeights:
 
 
 class TestFarClosedForms:
-    """The closed forms state their own norm, so exact versors far from the origin print, up
-    to the range where their action is all rounding. A closed form keeps that certificate
-    through `apply` and `inv` in an expression; arithmetic on it gives a plain multivector,
-    which `make_versor` certifies numerically."""
+    """The closed forms state their own norm, so exact versors far from the origin print, and
+    `apply` refuses one whose action is all rounding, as it refuses any versor. A closed form
+    keeps its versor through `apply` and `inv` in an expression; arithmetic on it gives a
+    plain multivector, which `make_versor` certifies numerically."""
 
     @pytest.mark.parametrize("text, want", [
         ("apply(translator(1e6,0,0), point(0,0,0), motion)",
@@ -316,7 +316,7 @@ class TestFarClosedForms:
 
     def test_chain_whose_action_is_rounding_exit_1(self, runner, tmp_path):
         """Each T(6e4) is in range; their product T(1.5e7) is exact, but its
-        action on points near the origin would be all rounding, so compose refuses it."""
+        action on points near the origin would be all rounding, so apply refuses it."""
         scene_path = write_point_scene(tmp_path / "s.json", include_versor=False)
         chain = [arg for _ in range(250) for arg in ("--chain", "translator(6e4,0,0)")]
         result = runner.invoke(main, ["transform", "--scene", str(scene_path), *chain, "--mode", "motion"])
@@ -326,13 +326,59 @@ class TestFarClosedForms:
 
     def test_chain_whose_product_overflows_exit_1(self, runner, tmp_path):
         """Four factors 1e100*e1 overflow their product: compose forms it without a
-        warning, and the range check refuses it with one error line."""
+        warning and refuses it, since it has no finite inverse, with one error line."""
         scene_path = write_point_scene(tmp_path / "s.json", include_versor=False)
         chain = [arg for _ in range(4) for arg in ("--chain", "1e100*e1")]
         result = runner.invoke(main, ["transform", "--scene", str(scene_path), *chain, "--mode", "motion"])
         assert result.exit_code == 1 and result.stdout == "", result.stdout
-        assert result.stderr == ("error: versor's action on points is all rounding or overflows: "
-                                 "error bound nan from <v ~v>_0 = inf and largest coefficient inf\n")
+        assert result.stderr == "error: versor has no finite inverse: <v ~v>_0 = inf and largest coefficient inf\n"
+
+    def test_far_closed_forms_print_exactly(self, runner):
+        """Built whatever their range: a bare or inverted far closed form is exact algebra."""
+        for text, want in (("translator(1e200,0,0)", "1 + 5e+199*e1+ + 5e+199*e1-\n"),
+                           ("inv(translator(1e7,0,0)) * translator(1e7,0,0)", "1\n")):
+            result = runner.invoke(main, ["eval", text])
+            assert (result.exit_code, result.stdout) == (0, want), result.stderr
+
+    @pytest.mark.parametrize("text", ["apply(exp(8.06*e+-), point(1,2,3), motion)", "apply(scalor(1e7), point(1,2,3), motion)"])
+    def test_written_out_scalor_is_refused_as_the_closed_form(self, runner, text):
+        """exp(8.06 E) is a scalor by about 1e7 that `make_versor` accepts; `apply` checks its
+        range as it checks scalor(1e7)'s, where it printed a point about 11% off before."""
+        result = runner.invoke(main, ["eval", text])
+        assert (result.exit_code, result.stdout) == (1, ""), result.stdout
+        prefix = "error: versor's action on points is all rounding or overflows: error bound "
+        assert result.stderr.startswith(prefix) and float(result.stderr[len(prefix):].split()[0]) >= 1.0, result.stderr
+
+    def test_far_mirror_of_a_point_near_its_sphere_exit_1(self, runner):
+        """The image's weight is all rounding: it read as a point at (176.6, 0, 0) where
+        (1001.125, 0, 0) is due."""
+        result = runner.invoke(main, ["eval", "apply(mirror_sphere(1000,0,0;1.5), point(1002,0,0), reflection)"])
+        assert (result.exit_code, result.stdout) == (1, ""), result.stdout
+        assert re.fullmatch(r"error: versor's action is all rounding: weight \S+ within its error bound \S+\n", result.stderr), result.stderr
+
+    def test_transform_names_the_entry_whose_image_is_rounding(self, runner, tmp_path):
+        """The weight guard's row index is the scene's: the error names the object, as a
+        non-finite entry is named."""
+        scene_path = tmp_path / "s.json"
+        scene_path.write_text(json.dumps({"objects": {"near": {"e1": 1.0, "e0": 1.0, "einf": 0.5},
+                                                      "far": {"e1": 1002.0, "e0": 1.0, "einf": 502002.0}}}))
+        result = runner.invoke(main, ["transform", "--scene", str(scene_path), "--versor", "mirror_sphere(1000,0,0;1.5)",
+                                      "--mode", "reflection"])
+        assert (result.exit_code, result.stdout) == (1, ""), result.stdout
+        assert re.fullmatch(r"error: versor's action on entry 'far' is all rounding: weight \S+ within its error bound \S+\n",
+                            result.stderr), result.stderr
+
+    def test_exact_far_translation_prints(self, runner):
+        """Every coefficient of this image is exact; the weight guard's bound, about 0.58, is
+        below its weight 1."""
+        result = runner.invoke(main, ["eval", "apply(translator(3e3,1,2), point(3e3,3,1), motion)"])
+        assert (result.exit_code, result.stdout) == (0, "6000*e1 + 4*e2 + 3*e3 + 18000012*e+ + 18000013*e-\n"), result.stderr
+
+    def test_near_mirror_of_a_point_near_its_sphere_prints_its_image(self, runner):
+        result = runner.invoke(main, ["eval", "apply(mirror_sphere(100,0,0;1.5), point(101,0,0), reflection)"])
+        assert result.exit_code == 0, result.stderr
+        got = eval_expression(result.stdout).coeffs
+        assert abs(got[1] / (got[16] - got[8]) - 102.25) <= 1e-4 * 102.25 and got[[2, 4]].tolist() == [0.0, 0.0]
 
 
 class TestDeepInput:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from confga import (
     MixedParityError,
     NotVersorError,
     ParityModeError,
+    RowRoundingError,
     SignatureMismatchError,
     SingularVersorError,
     algebra,
@@ -48,6 +50,7 @@ from confga.conformal import (
     e3,
     einf,
     embed_points,
+    euclid_bivector,
     euclid_vector,
     plane_vector,
     sphere_vector,
@@ -587,6 +590,9 @@ class TestActionMatrix:
 
 U = 2.0 ** -53  # unit roundoff of float64
 EUCLID, PLUS, MINUS = [1, 2, 4], 8, 16  # coefficient indices of e1, e2, e3, e+, e-
+RANGE_REFUSAL = "versor's action on points is all rounding or overflows: error bound "
+NO_INVERSE = "versor has no finite inverse: <v ~v>_0 = "
+NO_ROWS = np.empty((0, ALG.dim))  # `apply` on it runs the range check alone
 
 
 def scalar_rounding(mv):
@@ -639,23 +645,25 @@ CLOSED_FORMS = ("translator", "rotor", "motor", "scalor", "scalor-center", "plan
 def closed_forms(seed, count) -> tuple:
     """Seeded closed forms at offsets 10^0 to 10^6 and angles across [-2 pi, 2 pi]. Each is
     (name, versor, the factors its .mv is the product of, mode, the Euclidean map it
-    applies, the offset); the versor is None where the range check refuses it."""
+    applies, the offset); the versor is None where `apply`'s range check refuses it."""
     rng = np.random.default_rng(seed)
     return tuple((name, in_range(build), *rest) for k in range(count) for name, build, *rest in _closed_forms_at(rng, k))
 
 
 def in_range(build):
-    """build(), or None where its action on points would be all rounding."""
+    """build(), or None where `apply` refuses its action on points as all rounding."""
+    v = build()
     try:
-        return build()
+        apply(v, NO_ROWS, mode_of(v))
     except DomainError as exc:
-        assert str(exc).startswith("versor's action on points is all rounding or overflows: error bound "), exc
+        assert str(exc).startswith(RANGE_REFUSAL), exc
         return None
+    return v
 
 
-def _closed_forms_at(rng, k):
+def _closed_forms_at(rng, k, decades=6):
     planes = [(e12, (0, 1)), (e23, (1, 2)), (2.5 * (e1 ^ e3), (0, 2))]
-    off = float(10 ** rng.uniform(0, 6))
+    off = float(10 ** rng.uniform(0, decades))
     c, n, dl = off * unit_vector(rng), unit_vector(rng), unit_vector(rng)
     theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
     i, axes = planes[k % 3]
@@ -687,6 +695,26 @@ def locations(rows):
     return rows[:, EUCLID] / (rows[:, [MINUS]] - rows[:, [PLUS]])
 
 
+WEIGHT_REFUSAL = re.compile(r"versor's action on row (\d+) is all rounding: weight (\S+) within its error bound (\S+)$")
+ONE_WEIGHT_REFUSAL = re.compile(r"versor's action is all rounding: weight (\S+) within its error bound (\S+)$")
+
+
+def answered(v, X, mode):
+    """apply(v, X, mode), or where the weight guard refuses a row, each row alone, with NaN
+    for every row it refuses."""
+    try:
+        return apply(v, X, mode)
+    except DomainError as exc:
+        assert WEIGHT_REFUSAL.match(str(exc)), exc
+    out = np.full_like(X, np.nan)
+    for k in range(len(X)):
+        try:
+            out[k] = apply(v, X[k:k + 1], mode)[0]
+        except DomainError as exc:
+            assert WEIGHT_REFUSAL.match(str(exc)), exc
+    return out
+
+
 class TestClosedFormCertificate:
     """The closed forms state their norm <v ~v>_0 instead of certifying it numerically."""
 
@@ -698,9 +726,11 @@ class TestClosedFormCertificate:
         centre reaches about 500 times 8 u sum v_i^2, since its .mv carries the rounding of two
         products).
         The two inverses differ by the factor s / norm2, which rescales every row of `apply`;
-        with it taken out, the rows agree to 1e-13 of the sum of absolute terms they add up."""
+        with it taken out, the rows agree to 1e-13 of the sum of absolute terms they add up.
+        Half the points sit near the form's offset, where the weight guard refuses some rows
+        as all rounding; the rows that it answers for both versors agree."""
         rng = np.random.default_rng(41)
-        accepted, refused = Counter(), Counter()
+        accepted, refused, guarded = Counter(), Counter(), 0
         for name, v, factors, mode, _, off in closed_forms(17, 200):
             if v is None:  # out of range, which the numeric certificate refuses too
                 with pytest.raises(SingularVersorError):
@@ -720,11 +750,14 @@ class TestClosedFormCertificate:
                 assert abs(v.norm2 - ref.norm2) <= scalar_rounding(v.mv), (name, off)
             c = off * unit_vector(rng)
             X = embed_points(np.vstack([rng.uniform(-3, 3, (2, 3)), c + rng.uniform(-3, 3, (2, 3))]))
-            got, want = apply(v, X, mode) * v.norm2, apply(ref, X, mode) * ref.norm2
+            got, want = answered(v, X, mode) * v.norm2, answered(ref, X, mode) * ref.norm2
+            kept = ~np.isnan(got[:, 0]) & ~np.isnan(want[:, 0])
+            guarded += int((~kept).sum())
             K = np.abs(ALG.left_matrix((~v.mv).coeffs)) @ np.abs(ALG.right_matrix(v.mv.coeffs))
             size = (np.abs(X) @ K.T).max(axis=1)
-            assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * size), (name, off)
+            assert np.all(np.abs(got - want)[kept].max(axis=1, initial=0.0) <= 1e-13 * size[kept]), (name, off)
         assert set(accepted) == set(CLOSED_FORMS) and min(accepted.values()) >= 60, accepted
+        assert guarded >= 1, guarded
         # far out the numeric test calls the norm zero for every form but the rotor and scalor
         assert set(refused) == set(CLOSED_FORMS) - {"rotor", "scalor"}, refused
 
@@ -812,17 +845,24 @@ class TestClosedFormCertificate:
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-RANGE_REFUSAL = "versor's action on points is all rounding or overflows: error bound "
-
-
 def unchecked(mv, norm2=1.0):
-    """A closed form's versor without the range check: what `apply` would use."""
+    """A closed form's versor, from its formula and the norm it states."""
     return Versor(mv, "odd" if mv.parity() == "odd" else "even", norm2, ~mv / norm2)
 
 
+def unchecked_apply(v, X):
+    """`apply`'s images of the rows X under the twisted adjoint, with no range check or weight guard."""
+    return X @ np.where(_SAME_GRADE, full_action(v, "twisted-adjoint"), 0.0).T
+
+
+def mode_of(v):
+    return "motion" if v.parity == "even" else "reflection"
+
+
 class TestRangeCheck:
-    """A closed form whose action on points near the origin would be all rounding, or would
-    overflow, is refused when it is built, by a bound named in the message."""
+    """A versor whose action on points near the origin would be all rounding, or would
+    overflow, is refused where it acts, by `apply`, with a bound named in the message. A
+    closed form is built whatever its range."""
 
     @pytest.mark.parametrize("build, formula, norm2, euclid", [
         (lambda: translator([1e7, 0.0, 0.0]), lambda: ALG.scalar(1.0) + 0.5 * (1e7 * e1 ^ einf), 1.0,
@@ -836,39 +876,46 @@ class TestRangeCheck:
         (lambda: scalor(1e7), lambda: exp_special((0.5 * math.log(1e7)) * E), 1.0, lambda q: 1e7 * q),
     ], ids=["translator-1e7", "chain-of-250-T(6e4)", "plane-1e7", "sphere-1e7", "scalor-1e7"])
     def test_refuses_where_the_image_is_rounding(self, build, formula, norm2, euclid):
-        """Refused with its bound, which is at least 1; applied without the check, the same
-        versor moves points near the origin by at least 1e-4 of their image's size away
-        from the Euclidean answer, up to all of it."""
+        """Built as its formula; `apply` refuses it with its bound, which is at least 1; applied
+        without the check, the same versor moves points near the origin by at least 1e-4 of
+        their image's size away from the Euclidean answer, up to all of it."""
+        v = build()
+        assert v.norm2 == norm2 and np.array_equal(v.mv.coeffs, formula().coeffs)
+        P = np.random.default_rng(59).uniform(-1.7, 1.7, (8, 3))
         with pytest.raises(DomainError) as info:
-            build()
+            apply(v, embed_points(P), mode_of(v))
         message = str(info.value)
         assert message.startswith(RANGE_REFUSAL) and float(message[len(RANGE_REFUSAL):].split()[0]) >= 1.0
-        v = unchecked(formula(), norm2)
-        P = np.random.default_rng(59).uniform(-1.7, 1.7, (8, 3))
-        got = locations(apply(v, embed_points(P), "motion" if v.parity == "even" else "reflection"))
+        got = locations(unchecked_apply(unchecked(formula(), norm2), embed_points(P)))
         want = np.asarray(euclid(P), dtype=float)
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert not np.all(err < 1e-4), err
 
-    @pytest.mark.parametrize("build, message", [
-        (lambda: translator([1e150, 0.0, 0.0]), "1.14e+287 from <v ~v>_0 = 1.0 and largest coefficient 5e+149"),
-        (lambda: translator([1e200, 0.0, 0.0]), "nan from <v ~v>_0 = 1.0 and largest coefficient 5e+199"),
-        (lambda: scalor(1e200), "inf from <v ~v>_0 = 1.0 and largest coefficient 5.000000000000055e+99"),
-        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "nan from <v ~v>_0 = 1.0 and largest coefficient 5e+199"),
-        (lambda: compose([make_versor(1e100 * e1)] * 2), "nan from <v ~v>_0 = inf and largest coefficient 1e+200"),
-        (lambda: reflector_sphere([0.0, 0.0, 0.0], 1e-160), "nan from <v ~v>_0 = 1e-320 and largest coefficient 0.5"),
-        (lambda: reflector_sphere([0.0, 0.0, 0.0], 0.0), "nan from <v ~v>_0 = 0.0 and largest coefficient 0.5"),
+    @pytest.mark.parametrize("build, where, message", [
+        (lambda: translator([1e150, 0.0, 0.0]), "apply",
+         RANGE_REFUSAL + "1.14e+287 from <v ~v>_0 = 1.0 and largest coefficient 5e+149"),
+        (lambda: translator([1e200, 0.0, 0.0]), "apply", RANGE_REFUSAL + "nan from <v ~v>_0 = 1.0 and largest coefficient 5e+199"),
+        (lambda: scalor(1e200), "apply", RANGE_REFUSAL + "inf from <v ~v>_0 = 1.0 and largest coefficient 5.000000000000055e+99"),
+        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "build", NO_INVERSE + "1.0 and largest coefficient nan"),
+        (lambda: compose([make_versor(1e100 * e1)] * 2), "build", NO_INVERSE + "inf and largest coefficient 1e+200"),
+        (lambda: reflector_sphere([0.0, 0.0, 0.0], 1e-160), "build", NO_INVERSE + "1e-320 and largest coefficient 0.5"),
+        (lambda: reflector_sphere([0.0, 0.0, 0.0], 0.0), "build", NO_INVERSE + "0.0 and largest coefficient 0.5"),
     ], ids=["translator-1e150", "translator-overflow", "scalor-1e200", "scalor-center-overflow", "compose-norm-overflow",
             "sphere-norm-underflows", "sphere-radius-0"])
-    def test_refusal_names_the_bound_the_norm_and_the_size(self, build, message):
-        with pytest.raises(DomainError) as info:  # any RuntimeWarning on the way is an error in this suite
-            build()
-        assert str(info.value) == RANGE_REFUSAL + message
+    def test_refusal_names_the_bound_the_norm_and_the_size(self, build, where, message):
+        """A form whose action is all rounding or overflows is refused by `apply`; one whose
+        norm is 0 or not finite, or whose product overflowed, has no finite inverse and is
+        refused when it is built. Any RuntimeWarning on the way is an error in this suite."""
+        with pytest.raises(DomainError) as info:
+            v = build()
+            assert where == "apply", v
+            apply(v, embed_point([0.0, 0.0, 0.0]), mode_of(v))
+        assert str(info.value) == message
 
     def test_bound_holds_where_it_accepts(self):
-        """Seeded forms from 10^0 out past the refusals: wherever the closed form is accepted,
-        its images of points within 3 of the origin are within 0.2 of the Euclidean answer,
-        relative. Its bound is below 1 there, and seeded runs stay under a fifth of it."""
+        """Seeded forms from 10^0 out past the refusals: wherever `apply` accepts the closed
+        form, its images of points within 3 of the origin are within 0.2 of the Euclidean
+        answer, relative. Its bound is below 1 there, and seeded runs stay under a fifth of it."""
         rng = np.random.default_rng(61)
         accepted = refused = 0
         for k in range(300):
@@ -895,52 +942,240 @@ class TestRangeCheck:
 
 
 class TestMotorCertificate:
-    """`motor` is T R from the translator and rotor formulas, range-checked once; the path it
-    replaced, compose([translator(t), rotor(i, theta)]), checked each factor and then T R."""
+    """`motor` is T R from the translator and rotor formulas; the path it replaced,
+    compose([translator(t), rotor(i, theta)]), gives the same versor, and `apply` checks the
+    range of either once."""
 
     def test_is_the_composed_path(self):
         """Seeded motors at offsets 10^0 to 10^9, in four planes, at angles across [-2 pi, 2 pi]:
-        `motor` accepts exactly where the composed path does, with its .mv, norm and inverse bit
-        for bit, and refuses where it refuses, by the range check."""
+        `motor` is the composed path's versor, its .mv, norm and inverse bit for bit, and
+        `apply` refuses it by the range check exactly where it refuses the composed one."""
         rng = np.random.default_rng(67)
         planes = [e12, e23, 2.5 * (e1 ^ e3), e12 + 0.5 * e23]
         accepted = refused = 0
         for k in range(2000):
             t = float(10 ** rng.uniform(0, 9)) * unit_vector(rng)
             i, theta = planes[k % 4], float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            want = in_range(lambda: compose([translator(t), rotor(i, theta)]))
-            got = in_range(lambda: motor(i, theta, t))
-            assert (got is None) == (want is None), (t, theta)
-            if want is None:
-                refused += 1
-                continue
-            accepted += 1
+            want, got = compose([translator(t), rotor(i, theta)]), motor(i, theta, t)
             assert got.mv.coeffs.tobytes() == want.mv.coeffs.tobytes() and got.norm2 == want.norm2, (t, theta)
             assert got.inv.coeffs.tobytes() == want.inv.coeffs.tobytes(), (t, theta)
+            assert (in_range(lambda: got) is None) == (in_range(lambda: want) is None), (t, theta)
+            if in_range(lambda: got) is None:
+                refused += 1
+            else:
+                accepted += 1
         assert accepted >= 1000 and refused >= 500, (accepted, refused)
 
     def test_product_at_the_float_limit_is_refused_without_a_warning(self):
         """No coefficient of T R passes |t| / 2, so T R is finite even at translations near the
-        float limit; the range check refuses it, and numpy warns of nothing (an error here)."""
+        float limit; it is built, `apply` refuses it by the range check, and numpy warns of
+        nothing (an error here)."""
         big = float(np.finfo(float).max)
         for t in ([big, big, big], [big, -big, 0.0], [big, 0.0, 0.0]):
+            v = motor(e12 + 0.5 * e23, 0.7, t)
             with pytest.raises(DomainError) as info:
-                motor(e12 + 0.5 * e23, 0.7, t)
+                apply(v, embed_point([1.0, 2.0, 3.0]), "motion")
             assert str(info.value).startswith(RANGE_REFUSAL), info.value
 
     def test_one_range_check(self, monkeypatch):
+        """Building a motor checks no range; applying it checks it once, from the L(v^-1) and
+        R(v) that the action is formed from, and the |L| |R| that the weight guard uses too."""
         calls = []
-        certified = versor_module._certified
-        monkeypatch.setattr(versor_module, "_certified", lambda *args: calls.append(args) or certified(*args))
+        check = versor_module._check_range
+        monkeypatch.setattr(versor_module, "_check_range", lambda *args: calls.append(args) or check(*args))
         v = motor(e12, 0.7, [1.0, 2.0, 3.0])
-        assert len(calls) == 1 and calls[0][0] is v.mv
+        assert calls == []
+        apply(v, embed_points(np.eye(3)), "motion")
+        assert len(calls) == 1 and calls[0][0] is v
+        L, R = ALG.left_matrix(v.inv.coeffs), ALG.right_matrix(v.mv.coeffs)
+        assert np.array_equal(calls[0][1], np.abs(L) @ np.abs(R))
+        assert np.array_equal(calls[0][2], L) and np.array_equal(calls[0][3], R)
 
     def test_refusal_names_the_motors_own_size(self):
-        """The bound and largest coefficient are T R's, where the composed path named its
-        translator's (1.14e+287 and 5e+149)."""
+        """The bound and largest coefficient are T R's, where the composed path of factors
+        that were each checked named its translator's (1.14e+287 and 5e+149)."""
         with pytest.raises(DomainError) as info:
-            motor(e12, 0.7, [1e150, 0.0, 0.0])
+            apply(motor(e12, 0.7, [1e150, 0.0, 0.0]), embed_point([0.0, 0.0, 0.0]), "motion")
         assert str(info.value) == RANGE_REFUSAL + "3.56e+153 from <v ~v>_0 = 1.0 and largest coefficient 4.696863564236894e+149"
+
+
+def old_bound(v):
+    """A copy of the range bound that closed forms and `compose` were checked by when they were
+    built, before `apply` took the check over: 1024 u times the ratio of terms to image over
+    the location rows of K = L(v^-1) R(v)."""
+    location = np.vstack([np.eye(ALG.dim)[EUCLID], -einf.coeffs * ALG.rev_norm_signs])
+    with np.errstate(all="ignore"):
+        L, R = ALG.left_matrix(v.inv.coeffs), ALG.right_matrix(v.mv.coeffs)
+        terms, image = np.abs(location) @ np.abs(L) @ np.abs(R), np.abs(location @ L @ R)
+        return 2.0 ** -43 * float(np.maximum(terms[:3].max() / image[:3].max(), terms[3].max() / image[3].max()))
+
+
+class TestRangeInApply:
+    """`apply` is the one place that checks a versor's range, for every invertible versor:
+    the closed forms, `compose` and what `make_versor` accepts."""
+
+    def test_make_versor_versors_are_range_checked(self):
+        """exp(8.06 E) written out is a scalor by about 1e7, refused as scalor(1e7) is."""
+        for v in (make_versor(exp_special(8.06 * E)), scalor(1e7)):
+            with pytest.raises(DomainError) as info:
+                apply(v, embed_point([1.0, 2.0, 3.0]), "motion")
+            message = str(info.value)
+            assert message.startswith(RANGE_REFUSAL) and float(message[len(RANGE_REFUSAL):].split()[0]) >= 1.0
+
+    def test_closed_forms_build_out_to_their_overflow_limit(self):
+        """At offsets 10^0 to 10^100 every closed form and `compose` is built without a refusal
+        or a warning, its .mv the formula's bytes, its norm the stated one, and its inverse
+        ~v / norm2."""
+        rng = np.random.default_rng(71)
+
+        def same(a, b):
+            return a.coeffs.tobytes() == b.coeffs.tobytes()
+
+        for _ in range(60):
+            off = float(10 ** rng.uniform(0, 100))
+            t, n, dl = off * unit_vector(rng), unit_vector(rng), unit_vector(rng)
+            theta, r = float(rng.uniform(-2 * math.pi, 2 * math.pi)), float(10 ** rng.uniform(-1, 1))
+            s = float(2 ** rng.uniform(-1, 1))
+            i = 2.5 * (e1 ^ e3)
+            core = exp_special((0.5 * math.log(s)) * E)
+            T = ALG.scalar(1.0) + 0.5 * (euclid_vector(t) ^ einf)
+            Tm = ALG.scalar(1.0) + 0.5 * (euclid_vector(-t) ^ einf)
+            Rt = exp_special((0.5 * theta) * (i / 2.5))
+            line = line_through(t * min(1.0, 1e50 / off), dl)  # past 1e50 the test's own blade overflows
+            foot = (euclid_vector(dl) | euclid_bivector(line.params["moment"])).coeffs[EUCLID]  # as the line mirror reads it
+            Tf, Tfm = (ALG.scalar(1.0) + 0.5 * (euclid_vector(sign * foot) ^ einf) for sign in (1.0, -1.0))
+            cases = [
+                (translator(t), T, 1.0),
+                (rotor(i, theta), Rt, 1.0),
+                (motor(i, theta, t), T * Rt, 1.0),
+                (reflector_plane(n, off), plane_vector(n, off), 1.0),
+                (reflector_sphere(t, r), sphere_vector(t, r), r * r),
+                (scalor(s, t), Tm * core * T, 1.0),
+                (reflector_line(line), (Tfm * (euclid_vector(dl) | I3) * Tf).grade(2), 1.0),
+                (compose([translator(t), rotor(i, theta), reflector_sphere(t, r)]), T * Rt * sphere_vector(t, r), r * r),
+            ]
+            for v, mv, norm2 in cases:
+                assert same(v.mv, mv) and v.norm2 == norm2, (v, off)
+                assert same(v.inv, ~mv / norm2), (v, off)
+
+    def test_refuses_where_the_old_bound_reaches_1_and_nowhere_else(self):
+        """Seeded closed forms at offsets 10^0 to 10^9: `apply` refuses exactly those whose copy
+        of the old bound is at least 1 (or NaN), with that bound in the message."""
+        rng = np.random.default_rng(73)
+        refused = accepted = 0
+        for k in range(120):
+            for name, build, *_ in _closed_forms_at(rng, k, decades=9):
+                v = build()
+                bound = old_bound(v)
+                try:
+                    apply(v, NO_ROWS, mode_of(v))
+                except DomainError as exc:
+                    assert not bound < 1.0, (name, bound)
+                    assert str(exc) == f"{RANGE_REFUSAL}{bound:.3g} from <v ~v>_0 = {v.norm2!r} and largest coefficient {v.mv.max_abs()!r}"
+                    refused += 1
+                else:
+                    assert bound < 1.0, (name, bound)
+                    accepted += 1
+        assert refused >= 200 and accepted >= 400, (refused, accepted)
+
+    def test_one_left_and_one_right_matrix_per_apply(self, monkeypatch):
+        """Each `apply` builds L(v^-1) and R(v) once, for its range check, its weight guard and
+        its action alike, for every kind of versor."""
+        versors = [motor(e12, 0.7, [1.0, 2.0, 3.0]), reflector_sphere([0.5, 0.0, 0.0], 1.5),
+                   compose([translator([1.0, 0.0, 0.0]), reflector_plane([0.0, 1.0, 0.0], 0.5)]),
+                   make_versor(e1 * e2 + 0.5 * (e1 ^ einf)), reflector_point([1.0, 2.0, 3.0])]
+        calls = Counter()
+        for name in ("left_matrix", "right_matrix"):
+            real = getattr(ALG, name)
+            monkeypatch.setattr(ALG, name, lambda coeffs, real=real, name=name: calls.update([name]) or real(coeffs))
+        X = embed_points(np.random.default_rng(79).uniform(-2, 2, (5, 3)))
+        for v in versors:
+            calls.clear()
+            apply(v, X, mode_of(v))
+            assert calls == {"left_matrix": 1, "right_matrix": 1}, (v, calls)
+
+
+def weight_and_bound(v, X):
+    """A copy of the weight guard's two sides for the rows X: max |einf | image| and its
+    rounding bound, 66 u (|C| |L| |R|) |x| at its largest, with C the map X -> einf | X: 32
+    terms in each of the nested sums L R and K x, and at most 2 in C's (Higham, ch. 3)."""
+    C = ALG.product("lcont", einf.coeffs, np.eye(ALG.dim))
+    L, R = ALG.left_matrix(v.inv.coeffs), ALG.right_matrix(v.mv.coeffs)
+    weight = np.abs(unchecked_apply(v, X) @ C).max(axis=1)
+    bound = 66 * U * (np.abs(X) @ (np.abs(L) @ np.abs(R)).T @ np.abs(C)).max(axis=1)
+    return weight, bound
+
+
+class TestWeightGuard:
+    """`apply` refuses a row whose image's weight part, einf | image, is above the zero
+    threshold and within its rounding bound: any location read from it is rounding. The range
+    check bounds points near the origin only."""
+
+    def test_far_mirror_of_a_point_near_its_sphere_is_refused(self):
+        """The mirror at 1e3 passes the range check; its image of (1002, 0, 0) read as a point at
+        (176.6, 0, 0) before, where (1001.125, 0, 0) is due."""
+        v = reflector_sphere([1e3, 0.0, 0.0], 1.5)
+        with pytest.raises(DomainError) as info:
+            apply(v, embed_point([1002.0, 0.0, 0.0]), "reflection")
+        match = ONE_WEIGHT_REFUSAL.match(str(info.value))
+        assert match and float(match[1]) <= float(match[2]), info.value
+        assert not isinstance(info.value, RowRoundingError)  # one multivector has no row to name
+
+    def test_refusal_names_the_row(self):
+        v = reflector_sphere([1e3, 0.0, 0.0], 1.5)
+        X = embed_points([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [1002.0, 0.0, 0.0]])
+        with pytest.raises(RowRoundingError) as info:
+            apply(v, X, "reflection")
+        assert WEIGHT_REFUSAL.match(str(info.value))[1] == "2" and info.value.row == 2, info.value
+        assert str(info.value).endswith(": " + info.value.reason)
+        apply(v, X[:2], "reflection")  # the other rows are answered
+
+    def test_exact_far_translation_is_answered(self):
+        """T(3e3, 1, 2) moves (3e3, 3, 1) to (6e3, 4, 3) with no rounding at all; the weight 1
+        is above its bound, about 0.58. A bound 16 times as large refused it."""
+        X = embed_points([[3e3, 3.0, 1.0]])
+        v = translator([3e3, 1.0, 2.0])
+        weight, bound = weight_and_bound(v, X)
+        assert weight[0] == 1.0 and 0.5 < bound[0] < 1.0 < 16 * bound[0], bound
+        got = apply(v, X, "motion")
+        assert locations(got).tolist() == [[6e3, 4.0, 3.0]] and got[0, MINUS] - got[0, PLUS] == 1.0
+
+    def test_near_mirror_of_a_point_near_its_sphere_is_answered(self):
+        """The mirror at 100 sends (101, 0, 0) to (102.25, 0, 0), within bound / weight."""
+        v, X = reflector_sphere([100.0, 0.0, 0.0], 1.5), embed_points([[101.0, 0.0, 0.0]])
+        weight, bound = weight_and_bound(v, X)
+        err = np.max(np.abs(locations(apply(v, X, "reflection"))[0] - [102.25, 0.0, 0.0])) / 102.25
+        assert err <= bound[0] / weight[0] and err <= 1e-4, (err, bound, weight)
+
+    def test_flats_with_no_weight_part_are_answered(self):
+        """An IPNS plane n + d einf has einf | X = 0; a far motion or mirror moves it without a
+        refusal, to the plane its Euclidean map gives."""
+        planes = np.stack([plane_vector(n, d).coeffs for n, d in (([1.0, 0.0, 0.0], 2.0), ([0.0, 0.6, 0.8], -1e3))])
+        for v in (translator([3e4, 0.0, 0.0]), reflector_plane([0.0, 0.0, 1.0], 5e3), motor(e12, 0.7, [1e3, -2e3, 0.0])):
+            got = apply(v, planes, mode_of(v))
+            assert np.all(weight_and_bound(v, planes)[0] <= 1e-9 * np.abs(got).max(axis=1))
+
+    def test_answered_rows_are_within_their_bound_and_refused_rows_are_rounding(self):
+        """Sphere mirrors at 1e2 to 3e3 acting on points near their sphere: each row the guard
+        answers has a location within bound / weight of the Euclidean answer, relative; each row
+        it refuses is, applied without it, more than 1e-6 off."""
+        rng = np.random.default_rng(83)
+        answered_rows = refused_rows = 0
+        for _ in range(60):
+            c = float(10 ** rng.uniform(2, math.log10(3e3))) * unit_vector(rng)
+            r = float(10 ** rng.uniform(-0.5, 0.5))
+            v = reflector_sphere(c, r)
+            P = c + r * 10 ** rng.uniform(-0.5, 0.5, (6, 1)) * np.array([unit_vector(rng) for _ in range(6)])
+            want = c + r * r * (P - c) / ((P - c) ** 2).sum(axis=1)[:, None]
+            X = embed_points(P)
+            weight, bound = weight_and_bound(v, X)
+            rows = answered(v, X, "reflection")
+            err = np.abs(locations(unchecked_apply(v, X)) - want).max(axis=1) / np.abs(want).max(axis=1)
+            kept = ~np.isnan(rows[:, 0])
+            assert np.all(err[kept] <= bound[kept] / weight[kept]), (c, r)
+            assert np.all(err[~kept] > 1e-6), (c, r)
+            answered_rows, refused_rows = answered_rows + int(kept.sum()), refused_rows + int((~kept).sum())
+        assert answered_rows >= 20 and refused_rows >= 100, (answered_rows, refused_rows)
 
 
 # -- apply keeps the action's grade blocks --------------------------------------------
@@ -992,7 +1227,7 @@ class TestGradeBlocks:
 
     def test_dropped_entries_are_rounding(self):
         """Every entry the mask drops is within 64 u (|L| |R|) of zero, the bound of
-        `_certified` for K's nested sums (Higham, Accuracy and Stability of Numerical
+        `versor._check_range` for K's nested sums (Higham, Accuracy and Stability of Numerical
         Algorithms, ch. 3), with the absolute product w of v's factors for |v| since a
         computed .mv carries its product's rounding (`abs_product`): |L| = L(w / |norm2|)
         and |R| = R(w) for the seeded closed forms at offsets up to 10^6, point mirrors, and

@@ -76,6 +76,9 @@ def _build(inputs) -> tuple[np.ndarray, list]:
 
 # four points, a sphere's centre and radius, a plane's normal and distance
 _DRAW = ([(1.0, 0.5, 0.2), (0.0, 2.0, -1.0), (-2.0, 0.0, 1.0), (0.5, -1.5, -2.0)], (0.5, 1.0, -1.0), 1.5, (0.3, -0.4, 0.5), 0.7)
+# a point at (0, 0, 6.04e-185), a coordinate far below its zero threshold; at w = -1e-128 its
+# coefficient in w X is subnormal, and its location moves by about 2e-196
+_TINY_DRAW = ([(0.0, 0.0, 6.04e-185)] + _DRAW[0][1:], *_DRAW[1:])
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,16 +92,19 @@ def test_reweighted_objects_keep_their_kinds_and_params(inputs, w):
 def _check_reweighted(inputs, w):
     """w X classifies as X for each of the nine forms: the same kind and labels, and params
     within 1e-12 of X's, relative to their largest; a point pair's orientation turns with the
-    sign of w, so its endpoints swap for w < 0."""
+    sign of w, so its endpoints swap for w < 0. A param below the zero threshold of X's
+    coefficients is zero by the tolerance's zero rule, and its coefficient in w X may fall
+    below UNDERFLOW, where the contract ends, so the scale is at least that threshold."""
     rows, unit = _build(inputs)
-    for form, got, want in zip(FORMS, classify_batch(w * rows), unit):
+    for form, row, got, want in zip(FORMS, rows, classify_batch(w * rows), unit):
         assert not isinstance(got, GAError) and got.kind == want.kind, (form, got)
         params = dict(want.params)
         if w < 0 and "points" in params:
             params["points"] = params["points"][::-1]
         assert {k: v for k, v in got.params.items() if isinstance(v, str)} == {k: v for k, v in params.items() if isinstance(v, str)}, form
         a, b = np.array(_numbers(got.params)), np.array(_numbers(params))
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (form, got, want)
+        scale = max(np.max(np.abs(b)), tolerance.threshold(np.max(np.abs(row))))
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale, (form, got, want)
 
 
 _wide_weights = st.builds(lambda k, m, s: s * m * 10.0**k, st.integers(-150, 300), st.floats(1.0, 10.0), st.sampled_from([1.0, -1.0]))
@@ -108,6 +114,7 @@ _wide_weights = st.builds(lambda k, m, s: s * m * 10.0**k, st.integers(-150, 300
 @given(inputs=_inputs, w=_wide_weights)
 @example(inputs=_DRAW, w=1e-150)
 @example(inputs=_DRAW, w=-9.9e300)
+@example(inputs=_TINY_DRAW, w=-1e-128)
 def test_objects_keep_their_kinds_and_params_at_wide_weights(inputs, w):
     """The same check for |w| from 1e-150 to 1e301, where a round's raw P^2 or A ~A would
     underflow or overflow."""
