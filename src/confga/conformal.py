@@ -287,20 +287,16 @@ def sphere_vector(center, r: float) -> Multivector:
 
 
 def plane_vector(n, d: float) -> Multivector:
-    """The IPNS plane unit(n) + d einf, the plane {x : unit(n) . x = d}; its square is 1."""
+    """The IPNS plane unit(n) + d einf, the plane {x : unit(n) . x = d}; its square is 1. The normal
+    is read at unit scale, n / 2^e with 2^e the power of two at max|n_i|, which is exact, so |n|^2
+    neither overflows nor underflows."""
     arr = as_vec3(n, "plane normal")
     d = as_real(d, "plane distance")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
-    if norm < tolerance.UNDERFLOW:  # |n|^2 underflowed: take the norm of n / max|n_i| instead
-        big = float(np.abs(arr).max())
-        if big == 0.0:
-            raise DegenerateError("plane mirror needs a nonzero normal")
-        arr = arr / big
-        norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm):
-        raise DomainError(f"|n|^2 of plane normal {tuple(arr.tolist())} overflows")
-    return euclid_vector(arr / norm) + d * einf
+    big = max(map(abs, arr.tolist()))
+    if big == 0.0:
+        raise DegenerateError("plane mirror needs a nonzero normal")
+    arr = np.ldexp(arr, -math.frexp(big)[1])
+    return euclid_vector(arr / float(np.linalg.norm(arr))) + d * einf
 
 
 def make_point_pair(P1: Multivector, P2: Multivector) -> ConformalObject:

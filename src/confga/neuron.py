@@ -92,8 +92,8 @@ def _matrices(w: np.ndarray, parity: str, mode: str) -> np.ndarray:
     w_rev = _REV * w
     left = ALG.left_matrix(w_rev)
     return np.concatenate((
-        _action_matrix(None, ALG.right_matrix(w), parity, mode).T,
-        _action_matrix(left, None, parity, mode).T,
+        _action_matrix(ALG.right_matrix(w), parity, mode).T,
+        _action_matrix(left, parity, mode).T,
         left,
         ALG.right_matrix(w_rev).T,
     ), axis=1)

@@ -22,13 +22,14 @@ The paper-literal convention replaces alpha^p(X) by the global sign
 (projectively invisible) sign on even ones.
 
 Each closed form (the mirrors, rotor, translator, motor, scalor, and compose
-of them) is a product of reflections, so its formula states its norm <v ~v>_0:
-1, r^2 for a sphere mirror, the product of its factors' norms for compose.
-It is built with that norm and no numeric re-check of it, which would refuse
-exact versors far from the origin (`_closed_form`): its algebra is exact, and
-only its action rounds. `make_versor` is for multivectors a user writes: it
-accepts v when v ~v is a nonzero scalar, by the algebra's one certificate
-(`algebra.scalar_product`).
+of them) is one formula, written coefficient by coefficient, not a product of
+other closed forms; only the motor T R and compose multiply. Its formula
+states its norm <v ~v>_0: 1, r^2 for a sphere mirror, the product of its
+factors' norms for compose. It is built with that norm and no numeric re-check
+of it, which would refuse exact versors far from the origin (`_closed_form`):
+its algebra is exact, and only its action rounds. `make_versor` is for
+multivectors a user writes: it accepts v when v ~v is a nonzero scalar, by the
+algebra's one certificate (`algebra.scalar_product`).
 Every numeric argument must be finite: a NaN or infinity is refused with a
 DomainError that names it, before any arithmetic.
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,15 +59,11 @@ from .conformal import (
     _COL,
     _LINEAR,
     ALG,
-    E,
-    I3,
     ConformalObject,
     as_real,
     as_vec3,
     classify,
     embed_point,
-    euclid_bivector,
-    euclid_vector,
     einf,
     is_point,
     plane_vector,
@@ -129,16 +126,29 @@ def make_versor(mv: Multivector) -> Versor:
     return Versor(mv, parity, s, ~mv / s)
 
 
-def _closed_form(factors: Sequence[Multivector], parity: str, norm2: float, grade: int | None = None) -> Versor:
-    """A closed form's versor: its factors' product (the grade part where given) and the norm <v ~v>_0 they
-    state, formed quietly; refused only where that norm is 0 or the norm, product or ~v / norm2 not finite."""
+def _closed_form(formula: Callable[[], Multivector], parity: str, norm2: float) -> Versor:
+    """A closed form's versor: the multivector formula() and the norm <v ~v>_0 its formula states. The
+    formula and ~v / norm2 are formed quietly, under one np.errstate; refused only where that norm is 0
+    or the norm, the formula or ~v / norm2 is not finite."""
     with np.errstate(all="ignore"):
-        mv = math.prod(factors[1:], start=factors[0])
-        mv = mv if grade is None else mv.grade(grade)
+        mv = formula()
         inv = ~mv / norm2
     if not (norm2 != 0.0 and math.isfinite(norm2) and np.isfinite(inv.coeffs).all()):
         raise DomainError(f"versor has no finite inverse: <v ~v>_0 = {norm2!r} and largest coefficient {mv.max_abs()!r}")
     return Versor(mv, parity, norm2, inv)
+
+
+_TRANSLATION = [ALG.blade_bits(f"e{i}{sign}") for i in "123" for sign in "+-"]  # e1+, e1-, e2+, ...: x ^ einf
+_HALF_TURN = [ALG.blade_bits(name) for name in ("e23", "e13", "e12")]  # d | I3 = d1 e23 - d2 e13 + d3 e12
+_E = ALG.blade_bits("e+-")  # E = einf ^ e0 = e+ ^ e-
+
+
+def _written(*parts) -> Multivector:
+    """A closed form's coefficients: the values of each (blades, values) in parts, zero elsewhere."""
+    coeffs = np.zeros(ALG.dim)
+    for blades, values in parts:
+        coeffs[blades] = values
+    return Multivector(ALG, coeffs, copy=False)
 
 
 # -- mirrors ------------------------------------------------------------------
@@ -146,12 +156,12 @@ def _closed_form(factors: Sequence[Multivector], parity: str, norm2: float, grad
 
 def reflector_plane(n, d: float) -> Versor:
     """Mirror in the plane {x : unit(n) . x = d}: the plane vector mu, mu^2 = 1."""
-    return _closed_form([plane_vector(n, d)], "odd", 1.0)
+    return _closed_form(lambda: plane_vector(n, d), "odd", 1.0)
 
 
 def reflector_sphere(center, r: float) -> Versor:
     """Inversion in the sphere: the sphere vector sigma, sigma^2 = r^2 > 0."""
-    return _closed_form([sphere_vector(center, r)], "odd", float(r) * float(r))
+    return _closed_form(lambda: sphere_vector(center, r), "odd", float(r) * float(r))
 
 
 def reflector_point(p) -> Versor:
@@ -160,16 +170,15 @@ def reflector_point(p) -> Versor:
 
 
 def reflector_line(line) -> Versor:
-    """Half-turn about a line: even, equal to two perpendicular plane mirrors. The
-    half-turn is a bivector, so only the product's grade-2 part is kept; its other
-    grades are rounding."""
+    """Half-turn about a line: even, equal to two perpendicular plane mirrors. From the unit
+    direction d and moment m = d ^ p that `classify` reads off the line, it is the bivector
+    d | I3 + (I3 m) ^ einf, the plane normal to d carried along the line's offset: T(-p) (d | I3) T(p)
+    for any point p on the line. Each coefficient is +-d_i or +-m_jk, so nothing rounds."""
     obj = line if isinstance(line, ConformalObject) else classify(line)
     if obj.kind != "line":
         raise DomainError(f"line mirror needs a line, got {obj.kind}")
-    d = euclid_vector(obj.params["direction"])
-    foot = d | euclid_bivector(obj.params["moment"])
-    p0 = np.array([foot.coeff(0b001), foot.coeff(0b010), foot.coeff(0b100)])
-    return _closed_form([_translation(-p0), d | I3, _translation(p0)], "even", 1.0, grade=2)  # d | I3: the plane normal to d
+    (d1, d2, d3), (m12, m13, m23) = obj.params["direction"], obj.params["moment"]
+    return _closed_form(lambda: _written((_HALF_TURN, (d1, -d2, d3)), (_TRANSLATION, np.repeat([-m23, m13, -m12], 2))), "even", 1.0)
 
 
 # -- motions ------------------------------------------------------------------
@@ -188,56 +197,49 @@ def _rotation(i: Multivector, theta: float) -> Multivector:
 
 def rotor(i: Multivector, theta: float) -> Versor:
     """Rotation by theta in the (normalized) plane i; x' = R^-1 x R takes e1 to e2 for i = e12, theta = pi/2."""
-    return _closed_form([_rotation(i, theta)], "even", 1.0)
-
-
-_TRANSLATION = [ALG.blade_bits(f"e{i}{sign}") for i in "123" for sign in "+-"]  # e1+, e1-, e2+, ...
+    return _closed_form(lambda: _rotation(i, theta), "even", 1.0)
 
 
 def _translation(t) -> Multivector:
     """The translator formula 1 + (1/2) t einf: 1 on the scalar, t_i / 2 on e_i+ and e_i-."""
-    coeffs = np.zeros(ALG.dim)
-    coeffs[0] = 1.0
-    coeffs[_TRANSLATION] = np.repeat(0.5 * as_vec3(t, "translation"), 2)
-    return Multivector(ALG, coeffs, copy=False)
+    return _written((0, 1.0), (_TRANSLATION, np.repeat(0.5 * as_vec3(t, "translation"), 2)))
 
 
 def translator(t) -> Versor:
     """T = 1 + (1/2) t einf; the action T^-1 X T translates by +t."""
-    return _closed_form([_translation(t)], "even", 1.0)
+    return _closed_form(lambda: _translation(t), "even", 1.0)
 
 
 def motor(i: Multivector, theta: float, t) -> Versor:
     """Translate by t, then rotate: T R of the two formulas, as compose([translator(t), rotor(i, theta)])
     gives it. No coefficient of T R passes |t| / 2, so it cannot overflow."""
-    return _closed_form([_translation(t), _rotation(i, theta)], "even", 1.0)
+    return _closed_form(lambda: _translation(t) * _rotation(i, theta), "even", 1.0)
 
 
 def scalor(s: float, center=(0.0, 0.0, 0.0)) -> Versor:
-    """Uniform scaling by s > 0 about a center; exp(E ln(s)/2) conjugated
-    by the translator that moves the center to the origin."""
+    """Uniform scaling by s > 0 about a center c: exp(lam (E - c ^ einf)) with lam = ln(s) / 2, which is
+    cosh lam + sinh lam (E - c ^ einf), one rounding per coefficient. It equals T(-c) exp(lam E) T(c),
+    the scalor about the origin conjugated by the translator that moves the center there."""
     s = as_real(s, "scale factor")
     if s <= 0:
         raise DomainError(f"scale factor must be positive, got {s}")
     c = as_vec3(center, "scale center")
-    return _closed_form([_translation(-c), exp_special((0.5 * math.log(s)) * E), _translation(c)], "even", 1.0)
+    lam = 0.5 * math.log(s)
+    cosh, sinh = math.cosh(lam), math.sinh(lam)
+    return _closed_form(lambda: _written(([0, _E], (cosh, sinh)), (_TRANSLATION, np.repeat(-(sinh * c), 2))), "even", 1.0)
 
 
 # -- action -------------------------------------------------------------------
 
 
-def _action_matrix(
-    left: np.ndarray | None, right: np.ndarray | None, parity: str, convention: str
-) -> np.ndarray:
-    """The 32x32 matrix K with coeffs(l * alpha^p(X) * r) = K @ x, given the
-    multiplication matrices left = L(l) and right = R(r); a unit factor
-    (l = 1 or r = 1) is passed as None and costs no product. For an even
-    parity and one factor None, K is the other matrix itself, not a copy.
+def _action_matrix(K: np.ndarray, parity: str, convention: str) -> np.ndarray:
+    """The 32x32 matrix of X -> l * alpha^p(X) * r, given the product K = L(l) R(r) of the
+    multiplication matrices, or L(l) or R(r) alone where the other factor is 1. For an even
+    parity it is K itself, not a copy.
 
     This is the one place the convention is decided: twisted-adjoint folds
     the grade involution of odd versors into K's columns, paper-literal
     folds in the global sign (-1)^p."""
-    K = right if left is None else left if right is None else left @ right
     if parity == "even":
         return K
     return K * ALG.involute_signs if convention == "twisted-adjoint" else -K
@@ -318,7 +320,7 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
         with np.errstate(all="ignore"):  # an overflow is the range check's to refuse
             absK = np.abs(L) @ np.abs(R)
         _check_range(v, absK, L, R)
-    K = np.where(_SAME_GRADE, _action_matrix(L, R, v.parity, convention), 0.0)
+    K = np.where(_SAME_GRADE, _action_matrix(L @ R, v.parity, convention), 0.0)
     rows = X if isinstance(X, np.ndarray) else mv.coeffs[None, :]
     images = rows @ K.T
     if v.inv is not None:
@@ -336,4 +338,5 @@ def compose(versors: Sequence[Versor]) -> Versor:
     if any(v.is_null for v in versors):
         raise SingularVersorError("cannot compose a degenerate point mirror")
     parity = "odd" if sum(v.parity == "odd" for v in versors) % 2 else "even"
-    return _closed_form([v.mv for v in versors] or [ALG.scalar(1.0)], parity, math.prod(v.norm2 for v in versors))
+    factors = [v.mv for v in versors] or [ALG.scalar(1.0)]
+    return _closed_form(lambda: math.prod(factors[1:], start=factors[0]), parity, math.prod(v.norm2 for v in versors))

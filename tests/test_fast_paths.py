@@ -50,7 +50,7 @@ def _same_closed_form(build, want, parity: str, norm2: float) -> None:
         got = build()
     except DomainError as exc:
         with pytest.raises(DomainError) as info:
-            _closed_form([want], parity, norm2)
+            _closed_form(lambda: want, parity, norm2)
         assert str(info.value) == str(exc)
     else:
         _same(got.mv, want)

@@ -189,8 +189,8 @@ class TestForward:
         assert np.signbit(w[w == 0.0]).any() and not np.signbit(w[w == 0.0]).all()
         wt = ALG.reverse_signs * w
         want = np.concatenate((
-            _action_matrix(None, ALG.right_matrix(w), parity, mode).T,
-            _action_matrix(ALG.left_matrix(wt), None, parity, mode).T,
+            _action_matrix(ALG.right_matrix(w), parity, mode).T,
+            _action_matrix(ALG.left_matrix(wt), parity, mode).T,
             ALG.left_matrix(wt),
             ALG.right_matrix(wt).T,
         ), axis=1)

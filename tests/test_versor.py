@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -212,6 +213,30 @@ class TestScalor:
             want = c + s * (p - c)
             assert np.max(np.abs(got - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
 
+    def test_coefficients_are_the_formula(self):
+        """cosh lam on the scalar, sinh lam on E = e+-, and -(sinh lam c_i) on e_i+ and e_i-, bit
+        for bit, at centres from 10^0 to 10^200: each coefficient takes one rounding. They are
+        the algebra's exact cosh lam + sinh lam (E - c ^ einf). The product T(-c) exp(lam E) T(c)
+        it replaced cancels terms of size |c|^2 and printed a scalar of 1 for scalor(2, 1e8, 0, 0)."""
+        rng = np.random.default_rng(83)
+        for k in range(400):
+            c = float(10 ** rng.uniform(0, 200)) * unit_vector(rng)
+            s = float(2 ** rng.uniform(-1, 1)) if k % 2 else float(10 ** rng.uniform(-8, 8))
+            lam = 0.5 * math.log(s)
+            got = scalor(s, c).mv.coeffs
+            assert got.tobytes() == scalor_formula(s, c).coeffs.tobytes(), (s, c)
+            assert np.array_equal(got, (ALG.scalar(math.cosh(lam)) + math.sinh(lam) * (E - (euclid_vector(c) ^ einf))).coeffs)
+        v = scalor(2.0, [1e8, 0.0, 0.0])
+        assert v.mv.coeffs[0] == math.cosh(0.5 * math.log(2.0)) == 1.0606601717798212
+        assert v.inv.coeffs.tobytes() == (~v.mv).coeffs.tobytes()
+
+    def test_centre_past_the_float_range_is_refused_quietly(self):
+        """sinh lam c overflows: no finite inverse, and numpy warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"^versor has no finite inverse: "):
+                scalor(1e300, [1e300, 0.0, 0.0])
+
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             scalor(0.0)
@@ -246,12 +271,14 @@ class TestPlaneMirror:
         with pytest.raises(DegenerateError):
             reflector_plane([0.0, 0.0, 0.0], 1.0)
 
-    @pytest.mark.parametrize("n", [[1e200, 0, 0], [0, -1e155, 1e155], [1e308, 1e308, 1e308]])
-    def test_overflowing_normal_refused(self, n):
-        # |n| overflows in np.linalg.norm's dot; refused before the versor
-        # test could call the unit-less result "v * ~v vanishes"
-        with pytest.raises(DomainError, match=r"\|n\|\^2 of plane normal .* overflows"):
-            reflector_plane(n, 1.0)
+    @pytest.mark.parametrize("n, unit", [([1e200, 0, 0], [1, 0, 0]), ([0, -1e155, 1e155], [0, -1, 1]),
+                                         ([1e308, 1e308, 1e308], [1, 1, 1])], ids=["n0", "n1", "n2"])
+    def test_huge_normal_is_the_unit_normal_form(self, n, unit):
+        """|n|^2 would overflow; the normal is read at unit scale, so the mirror is the one of
+        n 2^-1000, whose |n|^2 is a normal float, bit for bit, and of the unit normal."""
+        v = reflector_plane(n, 1.0)
+        assert v.mv.coeffs.tobytes() == reflector_plane(np.ldexp(n, -1000), 1.0).mv.coeffs.tobytes()
+        assert_mv_close(v.mv, reflector_plane(unit, 1.0).mv, tol=2 * U)
 
     @pytest.mark.parametrize("n", [[3.0, 4.0, 12.0], [1e150, -1e150, 3e149], [1e-150, 0, 2e-150], [0.1, 0.2, 0.3]])
     def test_finite_normal_keeps_linalg_norm(self, n):
@@ -409,6 +436,20 @@ class TestLineMirror:
         v = reflector_line(3.0 * mv)
         got = act_point(v, [1.0, 1.0, 5.0], "motion")
         assert np.max(np.abs(got - [-1.0, -1.0, 5.0])) <= 1e-12
+
+    def test_coefficients_are_the_formula_of_classify_params(self):
+        """d | I3 + (I3 m) ^ einf from the direction and moment `classify` returns, every
+        coefficient, for lines through two points as far apart as they are from the origin, at
+        offsets 10^0 to 3e3 (far past that, `make_line` refuses the wedge of far points), and
+        for the same line's raw blade."""
+        rng = np.random.default_rng(89)
+        for _ in range(200):
+            off = float(10 ** rng.uniform(0, math.log10(3e3)))
+            p = off * unit_vector(rng)
+            line = make_line(embed_point(p), embed_point(p + off * unit_vector(rng)))
+            want = line_formula(line).coeffs.tobytes()
+            assert reflector_line(line).mv.coeffs.tobytes() == want, p
+            assert reflector_line(line.mv).mv.coeffs.tobytes() == want, p
 
     def test_rejects_non_line(self):
         circle = make_circle(
@@ -625,6 +666,25 @@ def line_through(p, d):
     return ConformalObject("line", blade, {"direction": tuple(d), "moment": moment})
 
 
+TRANSLATION = [ALG.blade_bits(f"e{i}{sign}") for i in "123" for sign in "+-"]  # e1+, e1-, e2+, ...
+
+
+def scalor_formula(s, c):
+    """cosh lam + sinh lam (E - c ^ einf), lam = ln(s) / 2, coefficient by coefficient: cosh lam
+    on the scalar, sinh lam on E = e+-, and -(sinh lam c_i) on e_i+ and e_i-."""
+    lam = 0.5 * math.log(s)
+    coeffs = np.zeros(ALG.dim)
+    coeffs[0], coeffs[ALG.blade_bits("e+-")] = math.cosh(lam), math.sinh(lam)
+    coeffs[TRANSLATION] = np.repeat([-(math.sinh(lam) * x) for x in c], 2)
+    return ALG.mv(coeffs)
+
+
+def line_formula(line):
+    """d | I3 + (I3 m) ^ einf from the line's direction d and moment m, in algebra products that are all exact."""
+    d, m = line.params["direction"], line.params["moment"]
+    return (euclid_vector(d) | I3) + ((I3 * euclid_bivector(m)) ^ einf)
+
+
 def rotate(axes, theta, q):
     """Rotation by theta in the coordinate plane axes = (a, b), e_a towards e_b."""
     a, b = axes
@@ -668,21 +728,20 @@ def _closed_forms_at(rng, k, decades=6):
     theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
     i, axes = planes[k % 3]
     d, r, s = off * float(rng.choice([-1.0, 1.0])), float(10 ** rng.uniform(-1, 1)), float(2 ** rng.uniform(-1, 1))
-    T, Tm, core = translator(c).mv, translator(-c).mv, exp_special((0.5 * math.log(s)) * E)
-    foot = c - dl * (dl @ c)
+    T = translator(c).mv
+    line = line_through(c, dl)
     mirror = reflector_plane(n, d)
     return [
         ("translator", lambda: translator(c), [T], "motion", lambda q: q + c, off),
         ("rotor", lambda: rotor(i, theta), [rotor(i, theta).mv], "motion", lambda q: rotate(axes, theta, q), 1.0),
         ("motor", lambda: motor(i, theta, c), [T, rotor(i, theta).mv], "motion",
          lambda q: rotate(axes, theta, q + c), off),
-        ("scalor", lambda: scalor(s), [core], "motion", lambda q: s * q, 1.0),
-        ("scalor-center", lambda: scalor(s, c), [Tm, core, T], "motion", lambda q: c + s * (q - c), off),
+        ("scalor", lambda: scalor(s), [scalor_formula(s, [0.0, 0.0, 0.0])], "motion", lambda q: s * q, 1.0),
+        ("scalor-center", lambda: scalor(s, c), [scalor_formula(s, c)], "motion", lambda q: c + s * (q - c), off),
         ("plane", lambda: mirror, [mirror.mv], "reflection", lambda q: reflect(n, d, q), off),
         ("sphere", lambda: reflector_sphere(c, r), [sphere_vector(c, r)], "reflection",
          lambda q: c + r * r * (q - c) / ((q - c) ** 2).sum(axis=1)[:, None], off),
-        ("line", lambda: reflector_line(line_through(c, dl)),
-         [translator(-foot).mv, euclid_vector(dl) | I3, translator(foot).mv], "motion",
+        ("line", lambda: reflector_line(line), [line_formula(line)], "motion",
          lambda q: 2.0 * (c + np.outer((q - c) @ dl, dl)) - q, off),
         ("glide", lambda: compose([mirror, translator(c)]), [mirror.mv, T], "reflection",
          lambda q: reflect(n, d, q) + c, off),
@@ -722,9 +781,8 @@ class TestClosedFormCertificate:
         """Wherever the numeric certificate accepts a closed form's .mv: the same parity, a norm
         within rounding of the computed one, and the same action on points. The bound on the
         norm is 8 u sum w_i^2, with w = |v| for a form given by one formula (`scalar_rounding`)
-        and the absolute product of its factors for one computed as a product (scalor about a
-        centre reaches about 500 times 8 u sum v_i^2, since its .mv carries the rounding of two
-        products).
+        and the absolute product of its factors for one computed as a product (the motor and
+        the glide).
         The two inverses differ by the factor s / norm2, which rescales every row of `apply`;
         with it taken out, the rows agree to 1e-13 of the sum of absolute terms they add up.
         Half the points sit near the form's offset, where the weight guard refuses some rows
@@ -798,15 +856,14 @@ class TestClosedFormCertificate:
             theta, r = float(rng.uniform(-2 * math.pi, 2 * math.pi)), float(10 ** rng.uniform(-1, 1))
             s = float(2 ** rng.uniform(-1, 1))
             i = 2.5 * (e1 ^ e3)
-            core = exp_special((0.5 * math.log(s)) * E)
             a, b = rotor(i, theta), translator(t)
             cases = [
                 (b, ALG.scalar(1.0) + 0.5 * (euclid_vector(t) ^ einf), 1.0),
                 (a, exp_special((0.5 * theta) * (i / 2.5)), 1.0),
                 (reflector_plane(n, off), plane_vector(n, off), 1.0),
                 (reflector_sphere(t, r), sphere_vector(t, r), r * r),
-                (scalor(s), core, 1.0),
-                (scalor(s, t), translator(-t).mv * core * translator(t).mv, 1.0),
+                (scalor(s), scalor_formula(s, [0.0, 0.0, 0.0]), 1.0),
+                (scalor(s, t), scalor_formula(s, t), 1.0),
                 (motor(i, theta, t), b.mv * a.mv, 1.0),
                 (compose([b, a, reflector_sphere(t, r)]), b.mv * a.mv * sphere_vector(t, r), r * r),
             ]
@@ -815,17 +872,18 @@ class TestClosedFormCertificate:
                 assert same(v.inv, ~v.mv / norm2), v
 
     def test_scalor_about_the_origin_is_its_core(self):
-        """T(0) core T(0) is core bit for bit, signs of zeros included, so scalor needs no
-        branch for a zero centre; scalor(s) is that core wherever s is in range."""
-        T0, kept = translator([0.0, 0.0, 0.0]).mv, 0
+        """scalor(s) is its core exp(lam E) = cosh lam + sinh lam E: the formula at c = 0 bit for
+        bit, signs of zeros included, and within an ulp of exp_special's core in every
+        coefficient (that core's E part is lam (sinh |lam| / |lam|), two roundings); it is
+        built whatever s, and `apply` takes it wherever s is in range."""
+        kept = 0
         rng = np.random.default_rng(53)
         for s in 10 ** np.concatenate([rng.uniform(-300, 300, 400), rng.uniform(-6, 6, 100)]):
             core = exp_special((0.5 * math.log(float(s))) * E)
-            assert (T0 * core * T0).coeffs.tobytes() == core.coeffs.tobytes(), s
-            v = in_range(lambda: scalor(float(s)))
-            if v is not None:
-                assert v.mv.coeffs.tobytes() == core.coeffs.tobytes(), s
-                kept += 1
+            v = scalor(float(s))
+            assert v.mv.coeffs.tobytes() == scalor_formula(float(s), [0.0, 0.0, 0.0]).coeffs.tobytes(), s
+            assert np.all(np.abs(v.mv.coeffs - core.coeffs) <= 2 * U * np.abs(core.coeffs)), s
+            kept += in_range(lambda: v) is not None
         assert kept >= 100, kept
 
     @pytest.mark.parametrize("build, norm2, p, want", [
@@ -896,7 +954,7 @@ class TestRangeCheck:
          RANGE_REFUSAL + "1.14e+287 from <v ~v>_0 = 1.0 and largest coefficient 5e+149"),
         (lambda: translator([1e200, 0.0, 0.0]), "apply", RANGE_REFUSAL + "nan from <v ~v>_0 = 1.0 and largest coefficient 5e+199"),
         (lambda: scalor(1e200), "apply", RANGE_REFUSAL + "inf from <v ~v>_0 = 1.0 and largest coefficient 5.000000000000055e+99"),
-        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "build", NO_INVERSE + "1.0 and largest coefficient nan"),
+        (lambda: scalor(2.0, [1e200, 0.0, 0.0]), "apply", RANGE_REFUSAL + "nan from <v ~v>_0 = 1.0 and largest coefficient 3.535533905932737e+199"),
         (lambda: compose([make_versor(1e100 * e1)] * 2), "build", NO_INVERSE + "inf and largest coefficient 1e+200"),
         (lambda: reflector_sphere([0.0, 0.0, 0.0], 1e-160), "build", NO_INVERSE + "1e-320 and largest coefficient 0.5"),
         (lambda: reflector_sphere([0.0, 0.0, 0.0], 0.0), "build", NO_INVERSE + "0.0 and largest coefficient 0.5"),
@@ -1037,21 +1095,17 @@ class TestRangeInApply:
             theta, r = float(rng.uniform(-2 * math.pi, 2 * math.pi)), float(10 ** rng.uniform(-1, 1))
             s = float(2 ** rng.uniform(-1, 1))
             i = 2.5 * (e1 ^ e3)
-            core = exp_special((0.5 * math.log(s)) * E)
             T = ALG.scalar(1.0) + 0.5 * (euclid_vector(t) ^ einf)
-            Tm = ALG.scalar(1.0) + 0.5 * (euclid_vector(-t) ^ einf)
             Rt = exp_special((0.5 * theta) * (i / 2.5))
             line = line_through(t * min(1.0, 1e50 / off), dl)  # past 1e50 the test's own blade overflows
-            foot = (euclid_vector(dl) | euclid_bivector(line.params["moment"])).coeffs[EUCLID]  # as the line mirror reads it
-            Tf, Tfm = (ALG.scalar(1.0) + 0.5 * (euclid_vector(sign * foot) ^ einf) for sign in (1.0, -1.0))
             cases = [
                 (translator(t), T, 1.0),
                 (rotor(i, theta), Rt, 1.0),
                 (motor(i, theta, t), T * Rt, 1.0),
                 (reflector_plane(n, off), plane_vector(n, off), 1.0),
                 (reflector_sphere(t, r), sphere_vector(t, r), r * r),
-                (scalor(s, t), Tm * core * T, 1.0),
-                (reflector_line(line), (Tfm * (euclid_vector(dl) | I3) * Tf).grade(2), 1.0),
+                (scalor(s, t), scalor_formula(s, t), 1.0),
+                (reflector_line(line), line_formula(line), 1.0),
                 (compose([translator(t), rotor(i, theta), reflector_sphere(t, r)]), T * Rt * sphere_vector(t, r), r * r),
             ]
             for v, mv, norm2 in cases:
@@ -1184,7 +1238,7 @@ class TestWeightGuard:
 def full_action(v, convention):
     """The action matrix K = L(v^-1) R(v) with every block, as the neuron uses it."""
     left = v.mv if v.inv is None else v.inv
-    return _action_matrix(ALG.left_matrix(left.coeffs), ALG.right_matrix(v.mv.coeffs), v.parity, convention)
+    return _action_matrix(ALG.left_matrix(left.coeffs) @ ALG.right_matrix(v.mv.coeffs), v.parity, convention)
 
 
 def grade_block_cases():
