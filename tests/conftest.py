@@ -1,11 +1,16 @@
+import contextlib
 import functools
+import io
 import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from confga import tolerance
 from confga.algebra import Multivector, algebra
+from confga.cli import main
 from confga.conformal import is_point
 from confga.errors import (
     DomainError,
@@ -23,6 +28,43 @@ from confga.versor import Versor
 # the smallest normal, large and small powers of ten, inexact decimals, the largest float
 SPECIAL_FLOATS = [-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-05, 1e22, -1.5e-07, 0.1, 1 / 3,
                   1.7976931348623157e308]
+
+
+@dataclass
+class GaResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Exception | None  # what main raised, if anything but SystemExit
+
+    @property
+    def output(self) -> str:
+        """What a terminal shows: stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_ga(argv, env=None) -> GaResult:
+    """`ga argv` run in-process with stdout and stderr captured; env's variables are set in
+    os.environ for the call and restored after it."""
+    saved = {name: os.environ.get(name) for name in env or {}}
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    try:
+        os.environ.update(env or {})
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(argv))
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            except Exception as exc:  # a crash: the contract is exit 0, 1 or 2 and nothing else
+                code, exception = 1, exc
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    return GaResult(code, out.getvalue(), err.getvalue(), exception)
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from confga import (
     Scene,
@@ -45,11 +44,10 @@ from confga import (
     write_scene,
 )
 from confga import tolerance
-from confga.cli import main as cli_main
 from confga.conformal import ALG, E, e0, e1, e2, e3, einf, make_line
 from confga.errors import GAError
 
-from conftest import random_mv
+from conftest import random_mv, run_ga
 
 e12 = e1 ^ e2
 
@@ -429,7 +427,6 @@ def _expression_corpus(rng):
 
 def test_criterion_13_cli_and_parser_round_trips(capsys, tmp_path):
     rng = np.random.default_rng(SEED)
-    runner = CliRunner()
     texts = _expression_corpus(rng)
     assert len(texts) >= 100
 
@@ -439,10 +436,10 @@ def test_criterion_13_cli_and_parser_round_trips(capsys, tmp_path):
         canon = render(mv)
         again = eval_expression(canon)
         parser_ok = parser_ok and render(again) == canon and np.array_equal(again.coeffs, mv.coeffs)
-        result = runner.invoke(cli_main, ["eval", text])
+        result = run_ga(["eval", text])
         cli_ok = cli_ok and result.exit_code == 0 and result.output == canon + "\n"
         if i % 10 == 0:
-            as_json = runner.invoke(cli_main, ["eval", text, "--format", "json"])
+            as_json = run_ga(["eval", text, "--format", "json"])
             cli_ok = cli_ok and json.loads(as_json.output)["coefficients"] == mv_entries(mv)
 
     scenes_ok = True

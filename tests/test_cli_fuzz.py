@@ -1,16 +1,14 @@
 """Seeded, bounded fuzz of every `ga` command, run in-process.
 
 Whatever the input, a command exits 0, 1 or 2, raises nothing but
-SystemExit, and explains a failure on stderr with `error:` or click's usage
-text. Each crash this finds gets a test of its own next to its command's
+SystemExit, and explains a failure on stderr with `error:`, usage errors
+included. Each crash this finds gets a test of its own next to its command's
 tests; the corpora start with the inputs that found earlier escapes."""
 
 import json
 import random
 
-from click.testing import CliRunner
-
-from confga.cli import main
+from conftest import run_ga
 
 SEED = 20261019
 
@@ -54,13 +52,13 @@ def _grammatical(rng, depth=0) -> str:
 
 def check(result, what) -> list:
     """The ways a finished command broke the contract, each naming its input."""
-    if result.exception is not None and not isinstance(result.exception, SystemExit):
+    if result.exception is not None:
         return [f"{what}: raised {result.exception!r}"]
     if result.exit_code not in (0, 1, 2):
         return [f"{what}: exit {result.exit_code}"]
     if result.exit_code == 0 and result.stderr:
         return [f"{what}: exit 0 with stderr {result.stderr!r}"]
-    if result.exit_code and not result.stderr.startswith(("error:", "Usage:")):
+    if result.exit_code and not result.stderr.startswith("error:"):
         return [f"{what}: exit {result.exit_code} with stderr {result.stderr!r}"]
     return []
 
@@ -68,11 +66,10 @@ def check(result, what) -> list:
 def test_eval_on_random_fragments():
     rng = random.Random(SEED)
     texts = _KNOWN + [rng.choice([_fragments, _grammatical])(rng) for _ in range(400)]
-    runner = CliRunner()
     broken = []
     for text in texts:
         fmt = rng.choice(["text", "json"])
-        broken += check(runner.invoke(main, ["eval", text, "--format", fmt]), repr(text))
+        broken += check(run_ga(["eval", text, "--format", fmt]), repr(text))
     assert broken == []
 
 
@@ -136,7 +133,6 @@ def _mutated_scene(rng) -> bytes:
 
 def test_scene_commands_on_mutated_scenes(tmp_path):
     rng = random.Random(SEED)
-    runner = CliRunner()
     path, out = tmp_path / "scene.json", tmp_path / "out.json"
     broken = []
     for _ in range(150):
@@ -146,7 +142,7 @@ def test_scene_commands_on_mutated_scenes(tmp_path):
             argv = [command[0], "--scene", str(path), *command[1:]]
             if command[0] == "transform" and rng.random() < 0.5:
                 argv += ["--out", str(out)]
-            broken += check(runner.invoke(main, argv), f"{argv[0]} {data[:200]!r}")
+            broken += check(run_ga(argv), f"{argv[0]} {data[:200]!r}")
     assert broken == []
 
 
@@ -167,12 +163,11 @@ _TRAIN_EDGES = {
 def test_train_at_edge_option_values():
     # a short run on a good target, with one or two options at an edge value
     rng = random.Random(SEED)
-    runner = CliRunner()
     broken = []
     for _ in range(40):
         options = dict(_TRAIN)
         for option in rng.sample(sorted(_TRAIN_EDGES), rng.randint(1, 2)):
             options[option] = rng.choice(_TRAIN_EDGES[option])
         argv = ["train", *(word for item in options.items() for word in item)]
-        broken += check(runner.invoke(main, argv), " ".join(argv))
+        broken += check(run_ga(argv), " ".join(argv))
     assert broken == []

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +45,6 @@ from confga import (
 )
 from confga import conformal
 from confga.algebra import Multivector, row_product
-from confga.cli import main
 from confga.conformal import (
     _BLOCK,
     ALG,
@@ -67,7 +65,7 @@ from confga.conformal import (
 )
 from confga.scene import Scene, write_scene
 
-from conftest import assert_mv_close, assert_proportional
+from conftest import assert_mv_close, assert_proportional, run_ga
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, width=64)
 
@@ -948,7 +946,7 @@ class TestClassifyBatch:
         names = [f"o{i:03d}" for i in range(len(mix))]
         path = tmp_path / "mix.json"
         write_scene(Scene(objects=dict(zip(names, mix))), path)
-        result = CliRunner().invoke(main, ["classify", "--scene", str(path), "--format", "json"])
+        result = run_ga(["classify", "--scene", str(path), "--format", "json"])
         assert result.exit_code == 0, result.output
         want = {}
         for name, mv in zip(names, mix):
