@@ -33,7 +33,7 @@ from .conformal import classify_batch
 from .errors import DomainError, GAError, ParseError, RowRoundingError
 from .neuron import PARITIES, TrainConfig, generate_dataset, new_neuron
 from .neuron import train as train_neuron
-from .scene import Scene, Section, classification_to_json, mv_entries, read_scene, scene_to_json
+from .scene import Scene, Section, classification_to_json, escape_controls, mv_entries, read_scene, scene_to_json
 from .versor import CONVENTIONS, MODES, apply, compose
 
 
@@ -174,7 +174,7 @@ def _classify(options: argparse.Namespace) -> None:
     if options.fmt == "json":
         sys.stdout.write(classification_to_json(names, outcomes))
         return
-    for name, o in zip(names, outcomes):
+    for name, o in zip(map(escape_controls, names), outcomes):
         if isinstance(o, GAError):
             print(f"{name}: error: {o}")
         else:

@@ -74,25 +74,14 @@ E = einf ^ e0
 I3 = e1 ^ e2 ^ e3
 I5 = ALG.pseudoscalar()
 
-# Null-basis generator order (e1, e2, e3, e0, einf) encoded on bits 0..4;
-# PM_FROM_NULL columns hold each null blade's +/- basis expansion and the
-# inverse is exact (all entries are quarter-integers).
-_NULL_GENS = (e1, e2, e3, e0, einf)
-
-
-def _build_null_matrix() -> np.ndarray:
-    mat = np.zeros((ALG.dim, ALG.dim))
-    for bits in range(ALG.dim):
-        acc = ALG.scalar(1.0)
-        for k in range(5):
-            if bits >> k & 1:
-                acc = acc ^ _NULL_GENS[k]
-        mat[:, bits] = acc.coeffs
-    return mat
-
-
-PM_FROM_NULL = _build_null_matrix()
-NULL_FROM_PM = np.linalg.inv(PM_FROM_NULL)
+# The null basis (e1, e2, e3, e0, einf) sits on bits 0..4. e1, e2, e3 are bits 0..2 in both bases and come
+# first in every blade, so blade 8 hi + lo changes basis by hi alone: a 4x4 block, columns (1, e0, einf,
+# e0 ^ einf) over rows (1, e+, e-, e+-), times the identity. The inverse block reads e+ = einf/2 - e0,
+# e- = einf/2 + e0 and e+- = -e0 ^ einf; every entry is 0, +-1/2 or +-1, so it is exact (+ 0.0 clears -1 * 0).
+_PM_BLOCK = np.array([mv.coeffs[::8] for mv in (ALG.scalar(1.0), e0, einf, e0 ^ einf)]).T
+_NULL_BLOCK = np.array([[1, 0, 0, 0], [0, -1, 1, 0], [0, 0.5, 0.5, 0], [0, 0, 0, -1]], dtype=float)
+PM_FROM_NULL = np.kron(_PM_BLOCK, np.eye(8)) + 0.0
+NULL_FROM_PM = np.kron(_NULL_BLOCK, np.eye(8)) + 0.0
 
 
 def to_null_coeffs(mv: Multivector) -> np.ndarray:
@@ -395,7 +384,7 @@ _LIMIT = {
     "carrier": lambda scale: tolerance.threshold(scale * scale),  # a round with <(einf | A)^2>_0 within has none
     "radius": lambda center2: _tenfold(tolerance.threshold(1.0 + center2)),  # r^2 within: degenerate, a point
     "direction": lambda norm: tolerance.threshold(norm),  # the first component above fixes the sign
-    "distance": lambda norm: tolerance.threshold(norm) * 10.0,  # a plane with distance within holds the origin
+    "distance": lambda norm: _tenfold(tolerance.threshold(norm)),  # a plane with distance within holds the origin
     "infinity": lambda scale: tolerance.threshold(scale),  # a flat whose finite part is within is at infinity
     "normal": lambda scale: tolerance.threshold(scale),  # a circle's carrier plane has a normal above this
 }

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tolerance
 from .algebra import Multivector
-from .conformal import ALG, e0, einf
+from .conformal import ALG, PM_FROM_NULL
 from .errors import DomainError, GAError
 
 
@@ -93,8 +93,14 @@ def _is_number(value) -> bool:
 
 
 _COLUMN = {name: bits for bits, name in enumerate(ALG.blade_names)}
-# the null-direction keys as (column, coefficient) pairs, zeros left out
-_NULL_TERMS = {key: [(k, c) for k, c in enumerate(mv.coeffs.tolist()) if c] for key, mv in (("e0", e0), ("einf", einf))}
+# the null-direction keys as (column, coefficient) pairs, zeros left out: columns 8 and 16 of PM_FROM_NULL
+_NULL_TERMS = {key: [(k, c) for k, c in enumerate(PM_FROM_NULL[:, bits].tolist()) if c] for key, bits in (("e0", 8), ("einf", 16))}
+_CONTROL = {c: f"\\u{c:04x}" for c in (*range(0x20), *range(0x7F, 0xA0))}  # each Cc character, as JSON writes it
+
+
+def escape_controls(text: str) -> str:
+    """text with each control character (Unicode category Cc) written \\u00XX, as JSON writes it."""
+    return text if text.isprintable() else text.translate(_CONTROL)
 
 
 def _section(table: dict) -> Section:
@@ -149,7 +155,7 @@ def _entry_rows(table: dict) -> list:
                 flat[base + bits] += value
                 continue
             if not _is_number(value):
-                raise DomainError(f"coefficient for {name}.{key} must be a number and finite, got {value!r}")
+                raise DomainError(f"coefficient for {escape_controls(f'{name}.{key}')} must be a number and finite, got {value!r}")
             terms = _NULL_TERMS.get(key)
             if terms is None:
                 try:

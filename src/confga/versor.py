@@ -59,12 +59,12 @@ from .conformal import (
     _COL,
     _LINEAR,
     ALG,
+    NULL_FROM_PM,
     ConformalObject,
     as_real,
     as_vec3,
     classify,
     embed_point,
-    einf,
     is_point,
     plane_vector,
     sphere_vector,
@@ -246,7 +246,7 @@ def _action_matrix(K: np.ndarray, parity: str, convention: str) -> np.ndarray:
 
 
 _SAME_GRADE = ALG.grades[:, None] == ALG.grades[None, :]  # K's grade-diagonal blocks
-_LOCATION = np.vstack([np.eye(ALG.dim)[[0b001, 0b010, 0b100]], -einf.coeffs * ALG.rev_norm_signs])  # e1, e2, e3, weight
+_LOCATION = NULL_FROM_PM[[0b00001, 0b00010, 0b00100, 0b01000]]  # a vector's e1, e2, e3 and e0 weight
 _CARRIER = _LINEAR[:, _COL["carrier"]]  # X -> einf | X, the weight part: a point's weight, a round's carrier, a flat's direction
 _CARRIER = np.ascontiguousarray(_CARRIER[:, _CARRIER.any(axis=0)].T)  # as (k, 32), its nonzero outputs only
 # the rounding of C K x per unit of (|C| |K|) |x|: 32 terms in each of L R and K x, and C's at most 2
@@ -293,8 +293,8 @@ def apply(v: Versor, X, mode: str, convention: str = "twisted-adjoint"):
 
     The product is with K's grade-diagonal blocks only, so each grade of X
     maps into the same grade and nothing else: the cross-grade entries of the
-    computed K are rounding, within 64 u (|L| |R|) with |v| taken as the
-    absolute product of v's factors (the bound of `_check_range`), and
+    computed K are rounding, within 64 u (|L| |R|) for L = L(v^-1) and
+    R = R(v) of v's own coefficients (the bound of `_check_range`), and
     np.where rather than a mask multiply sends an overflowed one to 0, not
     NaN. A v that `make_versor` accepts only within the tolerance (v ~v a
     scalar up to rel) acts by the grade-preserving part of its sandwich. An

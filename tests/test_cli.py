@@ -656,6 +656,29 @@ class TestClassify:
         assert lines[2].startswith("origin: point")
         assert lines[3].startswith("zaxis: line")
 
+    def test_text_report_escapes_control_characters_in_names(self, tmp_path):
+        """A name's control characters (Unicode category Cc) are written as JSON writes them,
+        \\u00XX: no terminal escape code reaches stdout, and a newline in a name cannot forge
+        a report line. Other characters keep every byte."""
+        path = tmp_path / "ctl.json"
+        names = ["\u001b[31mred", "a\nb: point location=(9, 9, 9)\nc", "n\u00fcn \u2028\u0085\u009b\u007f"]
+        path.write_text(json.dumps({"objects": {name: {"e0": 1.0} for name in names}}))
+        result = run_ga(["classify", "--scene", str(path)])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.split("\n") == [  # \u2028 is no Cc character: it stays, as splitlines would break it
+            "\\u001b[31mred: point location=(0, 0, 0)",
+            "a\\u000ab: point location=(9, 9, 9)\\u000ac: point location=(0, 0, 0)",
+            "n\u00fcn \u2028\\u0085\\u009b\\u007f: point location=(0, 0, 0)",
+            "",
+        ]
+
+    def test_error_message_escapes_control_characters_in_names(self, tmp_path):
+        path = tmp_path / "ctl.json"
+        path.write_text(json.dumps({"objects": {"x\u001b[2J": {"e1": float("nan")}}}))
+        result = run_ga(["classify", "--scene", str(path)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == "error: coefficient for x\\u001b[2J.e1 must be a number and finite, got nan\n"
+
     def test_json_report_matches_library(self, tmp_path):
         result = run_ga(["classify", "--scene", str(self.make_scene(tmp_path)), "--format", "json"])
         assert result.exit_code == 0

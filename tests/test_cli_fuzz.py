@@ -7,6 +7,7 @@ tests; the corpora start with the inputs that found earlier escapes."""
 
 import json
 import random
+import re
 
 from conftest import run_ga
 
@@ -50,8 +51,13 @@ def _grammatical(rng, depth=0) -> str:
     return _grammatical(rng, depth + 1) + " " + rng.choice("+-*^|") + " " + _grammatical(rng, depth + 1)
 
 
+_RAW_CONTROL = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f]")  # Cc characters but the newline
+
+
 def check(result, what) -> list:
     """The ways a finished command broke the contract, each naming its input."""
+    if _RAW_CONTROL.search(result.stdout + result.stderr):
+        return [f"{what}: a raw control character in stdout {result.stdout!r} or stderr {result.stderr!r}"]
     if result.exception is not None:
         return [f"{what}: raised {result.exception!r}"]
     if result.exit_code not in (0, 1, 2):
@@ -97,6 +103,12 @@ _COMMANDS = [
 ]
 
 
+_KNOWN_SCENES = [  # names that hold terminal escape codes and newlines
+    {"objects": {"\u001b[31mred": {"e0": 1.0}, "a\nb: point location=(9, 9, 9)\nc": {"e0": 1.0}}},
+    {"objects": {"x\u001b[2J": {"e1": float("nan")}}},
+]
+
+
 def _mutated_scene(rng) -> bytes:
     doc = json.loads(json.dumps(_SCENE))
     for _ in range(rng.randint(1, 2)):
@@ -135,6 +147,10 @@ def test_scene_commands_on_mutated_scenes(tmp_path):
     rng = random.Random(SEED)
     path, out = tmp_path / "scene.json", tmp_path / "out.json"
     broken = []
+    for doc in _KNOWN_SCENES:
+        path.write_text(json.dumps(doc))
+        for command in _COMMANDS:
+            broken += check(run_ga([command[0], "--scene", str(path), *command[1:]]), f"{command[0]} {doc!r}")
     for _ in range(150):
         data = _mutated_scene(rng)
         path.write_bytes(data)

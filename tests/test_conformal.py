@@ -50,6 +50,8 @@ from confga.conformal import (
     ALG,
     E,
     I5,
+    NULL_FROM_PM,
+    PM_FROM_NULL,
     e0,
     e1,
     e2,
@@ -117,6 +119,53 @@ class TestNullBasis:
         # generator order e1,e2,e3,e0,einf on bits 0..4
         assert nc[0b00001] == 1.0 and nc[0b00010] == 2.0 and nc[0b00100] == 3.0
         assert nc[0b01000] == 1.0 and nc[0b10000] == 7.0
+
+    def test_block_is_the_wedge_of_null_generators(self):
+        """Each column of PM_FROM_NULL, against the construction it replaced: the outer
+        product of the column's null generators (e1, e2, e3, e0, einf on bits 0..4)."""
+        gens = (e1, e2, e3, e0, einf)
+        for bits in range(ALG.dim):
+            blade = ALG.scalar(1.0)
+            for k in range(5):
+                if bits >> k & 1:
+                    blade = blade ^ gens[k]
+            assert np.array_equal(PM_FROM_NULL[:, bits], blade.coeffs), bits
+        assert np.array_equal(PM_FROM_NULL[:, 0b01000], e0.coeffs) and np.array_equal(PM_FROM_NULL[:, 0b10000], einf.coeffs)
+
+    def test_inverse_is_exact(self):
+        assert np.array_equal(NULL_FROM_PM @ PM_FROM_NULL, np.eye(ALG.dim))
+        assert np.array_equal(PM_FROM_NULL @ NULL_FROM_PM, np.eye(ALG.dim))
+        assert set(np.abs(NULL_FROM_PM).ravel().tolist()) | set(np.abs(PM_FROM_NULL).ravel().tolist()) <= {0.0, 0.5, 1.0}
+        for M in (PM_FROM_NULL, NULL_FROM_PM):  # no -0.0 entry flips the sign of a zero product
+            assert not np.signbit(M[M == 0.0]).any()
+
+    def test_hand_written_readers_read_the_block(self):
+        from confga import scene, versor
+
+        assert np.array_equal(versor._LOCATION, NULL_FROM_PM[[0b00001, 0b00010, 0b00100, 0b01000]])
+        # a vector's e0 weight is -einf . x, as e0 . einf = -1
+        assert np.array_equal(versor._LOCATION[3], -einf.coeffs * ALG.rev_norm_signs)
+        for key, bits in (("e0", 0b01000), ("einf", 0b10000)):
+            column = PM_FROM_NULL[:, bits]
+            assert scene._NULL_TERMS[key] == [(k, column[k]) for k in np.flatnonzero(column).tolist()]
+        assert np.array_equal(conformal._LINEAR[:, conformal._COL["e0"]][:, 0], NULL_FROM_PM[0b01000])
+
+    def test_embed_and_locations_are_the_block(self, rng):
+        """`_embed` and `_locations` write and read a point's coefficients by hand, e+- = h -+ w/2
+        and w = e- - e+: the same floats as the change of basis, out to |p| = 1e8."""
+        pts = rng.normal(size=(6000, 3)) * 10.0 ** rng.uniform(-3, 8, size=(6000, 1))
+        pts = np.vstack([pts, [[1e8, 0.0, 0.0], [0.0, -0.0, 0.0], [3.0, 4.0, 12.0]]])
+        for p in pts:
+            nc = np.zeros(ALG.dim)
+            nc[[0b00001, 0b00010, 0b00100, 0b01000, 0b10000]] = [*p, 1.0, 0.5 * (p @ p)]
+            assert np.array_equal(embed_point(p).coeffs, from_null_coeffs(nc).coeffs), p
+        P = embed_points(pts) * rng.uniform(0.2, 5.0, size=(len(pts), 1))
+        rows = P[:, [0b00001, 0b00010, 0b00100, 0b01000, 0b10000]]
+        loc, errors = conformal._locations(rows)
+        w = P @ NULL_FROM_PM[0b01000]
+        assert len(errors) < len(pts) // 2  # weighted points past about 1e4 are refused
+        for r in sorted(set(range(len(pts))) - set(errors)):
+            assert np.array_equal(loc[r], rows[r, :3] / w[r]), r
 
 
 class TestPoints:

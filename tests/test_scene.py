@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import unicodedata
 from itertools import cycle, product
 
 import numpy as np
@@ -29,7 +31,7 @@ from confga import (
 from confga.algebra import Multivector, algebra
 from confga.conformal import ALG, e0, e1, e2, einf
 from confga.expr import tokenize
-from confga.scene import classification_to_json
+from confga.scene import classification_to_json, escape_controls
 
 from conftest import SPECIAL_FLOATS, assert_mv_close, random_mv
 
@@ -464,6 +466,8 @@ def test_reader_matches_per_entry_arithmetic(entries):
     ({"objects": {"a": {"e1": 1.0, "e21": 1.0, "e2": float("nan")}}}, "bad blade key 'e21'"),
     ({"objects": {"a": {"e1": 1.0}, "b": {"e2": float("nan")}, "c": []}}, "coefficient for b.e2 must be a number and finite, got nan"),
     ({"objects": {"a": {"e1": 1.0}}, "versors": {"v": {"x": 1.0}}}, "bad blade key 'x'"),
+    ({"objects": {"x\u001b[2J": {"e1": float("nan")}}}, "coefficient for x\\u001b[2J.e1 must be a number and finite, got nan"),
+    ({"objects": {"a\n": {"e1\u0085": None}}}, "coefficient for a\\u000a.e1\\u0085 must be a number and finite, got None"),
     ({"tolerance": {"rel": float("nan")}}, "tolerance rel must be a number and finite, got nan"),
     ({"objects": {}, "extras": {}}, "unknown scene sections: ['extras']"),
     ([1, 2], "scene must be a JSON object"),
@@ -481,6 +485,14 @@ def test_reader_error_messages(doc, message):
     with pytest.raises(DomainError) as info:
         scene_from_dict(doc)
     assert str(info.value) == message
+
+
+def test_escape_controls_writes_exactly_the_cc_characters_as_json_escapes():
+    cc = [c for c in map(chr, range(sys.maxunicode + 1)) if unicodedata.category(c) == "Cc"]
+    assert escape_controls("".join(cc)) == "".join(f"\\u{ord(c):04x}" for c in cc)
+    for text in ["", "o17", "n\u00fcn", " %s\u2028\u00a0\ufeff", "\U0001f600", "\ud800"]:
+        assert escape_controls(text) == text
+    assert escape_controls("a\u001b[2Jb\n") == "a\\u001b[2Jb\\u000a" == json.dumps("a\u001b[2Jb\u000a")[1:-1].replace("\\n", "\\u000a")
 
 
 def test_reader_expands_null_and_alias_keys():
