@@ -100,7 +100,7 @@ _CONTROL = {c: f"\\u{c:04x}" for c in (*range(0x20), *range(0x7F, 0xA0))}  # eac
 
 def escape_controls(text: str) -> str:
     """text with each control character (Unicode category Cc) written \\u00XX, as JSON writes it."""
-    return text if text.isprintable() else text.translate(_CONTROL)
+    return text.translate(_CONTROL)
 
 
 def _section(table: dict) -> Section:

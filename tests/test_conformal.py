@@ -142,12 +142,12 @@ class TestNullBasis:
     def test_hand_written_readers_read_the_block(self):
         from confga import scene, versor
 
-        assert np.array_equal(versor._LOCATION, NULL_FROM_PM[[0b00001, 0b00010, 0b00100, 0b01000]])
         # a vector's e0 weight is -einf . x, as e0 . einf = -1
         assert np.array_equal(versor._LOCATION[3], -einf.coeffs * ALG.rev_norm_signs)
-        for key, bits in (("e0", 0b01000), ("einf", 0b10000)):
-            column = PM_FROM_NULL[:, bits]
-            assert scene._NULL_TERMS[key] == [(k, column[k]) for k in np.flatnonzero(column).tolist()]
+        # the rows read a weighted point's w p and w (every float here exact)
+        assert np.array_equal(versor._LOCATION @ (2.0 * embed_point([3.0, 4.0, 12.0])).coeffs, [6.0, 8.0, 24.0, 2.0])
+        for key, mv in (("e0", e0), ("einf", einf)):
+            assert scene._NULL_TERMS[key] == [(k, c) for k, c in enumerate(mv.coeffs.tolist()) if c]
         assert np.array_equal(conformal._LINEAR[:, conformal._COL["e0"]][:, 0], NULL_FROM_PM[0b01000])
 
     def test_embed_and_locations_are_the_block(self, rng):
